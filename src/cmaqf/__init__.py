@@ -8,12 +8,12 @@ Library layout:
 * :mod:`cmaqf.conditions` -- numerical checks of the limit-theorem assumptions.
 * :mod:`cmaqf.variance` -- asymptotic variances and the fourth-moment oracle.
 * :mod:`cmaqf.simulate` -- path simulation and the empirical statistics.
-* :mod:`cmaqf.montecarlo` -- replicated Gaussian-limit experiments.
-* :mod:`cmaqf.inference` -- sample-autocovariance and least-squares demos.
+* :mod:`cmaqf.montecarlo` -- replicated Gaussian-limit experiments of all four statistics.
+* :mod:`cmaqf.inference` -- least-squares projection point, maps and kernel pair.
 * :mod:`cmaqf.cli` -- config-driven batch front door.
 """
 
-from .levy import BilateralGamma, BrownianMotion, CompoundPoissonNormal, cumulants, sample_increments, stream
+from .levy import BilateralGamma, BrownianMotion, CompoundPoissonNormal, stream
 from .kernels import (
     AbsKernel,
     CarmaKernel,
@@ -25,7 +25,6 @@ from .kernels import (
     SddeKernel,
     TabulatedKernel,
     build_carma,
-    eval_kernel,
     grid_sample,
     solve_sdde_kernel,
 )
@@ -56,6 +55,6 @@ from .simulate import (
     stochastic_integrals_joint,
 )
 from .montecarlo import ExperimentConfig, LsSpec, McReport, ks_distance, run_experiment
-from .inference import AutocovExperiment, autocov_clt_check, ls_clt_check, poly_map, yule_walker
+from .inference import poly_map, yule_walker
 
 __version__ = "0.1.0"

@@ -330,7 +330,37 @@ def _cmd_simulate(resolved, outdir, base_dir):
     return 0
 
 
-def _mc_outputs(report, outdir):
+_EXPERIMENT_STATISTIC = {"autocov-clt": "autocov_contrast", "ls-clt": "ls_derivative"}
+
+
+def _build_ls(block: dict) -> montecarlo.LsSpec:
+    v, vp = inference.poly_map(block["poly"]) if block.get("poly") is not None else (None, None)
+    return montecarlo.LsSpec(v=v, vp=vp, theta0=block.get("theta0"), k=block.get("k", 1))
+
+
+def _cmd_experiment(resolved, outdir, base_dir):
+    """``mc``, ``autocov-clt`` and ``ls-clt``: one replicated experiment each."""
+    statistic = _EXPERIMENT_STATISTIC.get(resolved["command"], resolved.get("statistic"))
+    p = resolved["path"]
+    cfg = montecarlo.ExperimentConfig(
+        statistic=statistic,
+        kernel=_build_kernel(resolved["kernel"], base_dir),
+        model=_build_levy(resolved["levy"]),
+        delta=resolved["delta"],
+        n=resolved["n"],
+        replicates=resolved["replicates"],
+        seed=resolved["seed"],
+        kernel2=_build_kernel(resolved["kernel2"], base_dir) if resolved.get("kernel2") else None,
+        b=_build_b(resolved.get("b")),
+        contrast=tuple(resolved["contrast"]) if resolved.get("contrast") is not None else None,
+        lags=resolved.get("lags"),
+        ls=_build_ls(resolved["ls"]) if statistic == "ls_derivative" else None,
+        fine_steps=p["fine_steps"],
+        horizon=p["horizon"],
+        tail_mass_budget=p["tail_mass_budget"],
+        conditions="waive" if resolved["force"] else "auto",
+    )
+    report = montecarlo.run_experiment(cfg, threads=resolved["threads"])
     _write(outdir / "replicates.csv", _replicates_csv(report.statistics))
     doc = report.to_dict()
     doc["csv_path"] = "replicates.csv"
@@ -339,80 +369,6 @@ def _mc_outputs(report, outdir):
         f"replicates={report.replicates} eta2={report.eta2:.6g} "
         f"variance_ratio={report.variance_ratio:.4f} ks={report.ks:.4f} mean={report.mean:.4f}"
     )
-
-
-def _cmd_mc(resolved, outdir, base_dir):
-    kernel = _build_kernel(resolved["kernel"], base_dir)
-    model = _build_levy(resolved["levy"])
-    p = resolved["path"]
-    cfg = montecarlo.ExperimentConfig(
-        statistic=resolved["statistic"],
-        kernel=kernel,
-        model=model,
-        delta=resolved["delta"],
-        n=resolved["n"],
-        replicates=resolved["replicates"],
-        seed=resolved["seed"],
-        kernel2=_build_kernel(resolved["kernel2"], base_dir) if resolved.get("kernel2") else None,
-        b=_build_b(resolved.get("b")),
-        fine_steps=p["fine_steps"],
-        horizon=p["horizon"],
-        tail_mass_budget=p["tail_mass_budget"],
-        conditions="waive" if resolved["force"] else "auto",
-    )
-    report = montecarlo.run_experiment(cfg, threads=resolved["threads"])
-    _mc_outputs(report, outdir)
-    return 0
-
-
-def _cmd_autocov_clt(resolved, outdir, base_dir):
-    kernel = _build_kernel(resolved["kernel"], base_dir)
-    model = _build_levy(resolved["levy"])
-    p = resolved["path"]
-    exp = inference.AutocovExperiment(
-        kernel=kernel,
-        model=model,
-        delta=resolved["delta"],
-        lags=resolved["lags"],
-        contrast=tuple(resolved["contrast"]),
-        n=resolved["n"],
-        replicates=resolved["replicates"],
-        seed=resolved["seed"],
-        fine_steps=p["fine_steps"],
-        horizon=p["horizon"],
-    )
-    report = inference.autocov_clt_check(
-        exp, threads=resolved["threads"], conditions="waive" if resolved["force"] else "auto"
-    )
-    _mc_outputs(report, outdir)
-    return 0
-
-
-def _cmd_ls_clt(resolved, outdir, base_dir):
-    kernel = _build_kernel(resolved["kernel"], base_dir)
-    model = _build_levy(resolved["levy"])
-    p = resolved["path"]
-    ls = resolved["ls"]
-    v, vp = (None, None)
-    if ls.get("poly") is not None:
-        v, vp = inference.poly_map(ls["poly"])
-    report = inference.ls_clt_check(
-        kernel,
-        model,
-        resolved["delta"],
-        resolved["n"],
-        resolved["replicates"],
-        k=ls.get("k", 1),
-        v=v,
-        vp=vp,
-        theta0=ls.get("theta0"),
-        seed=resolved["seed"],
-        fine_steps=p["fine_steps"],
-        horizon=p["horizon"],
-        threads=resolved["threads"],
-        conditions="waive" if resolved["force"] else "auto",
-    )
-    _mc_outputs(report, outdir)
     return 0
 
 
@@ -429,9 +385,9 @@ _DISPATCH = {
     "check": _cmd_check,
     "variance": _cmd_variance,
     "simulate": _cmd_simulate,
-    "mc": _cmd_mc,
-    "autocov-clt": _cmd_autocov_clt,
-    "ls-clt": _cmd_ls_clt,
+    "mc": _cmd_experiment,
+    "autocov-clt": _cmd_experiment,
+    "ls-clt": _cmd_experiment,
     "kernel-export": _cmd_kernel_export,
 }
 

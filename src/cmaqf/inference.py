@@ -1,16 +1,15 @@
-"""Sample-autocovariance and least-squares demonstrations of the bilinear limit.
+"""Least-squares building blocks for the bilinear limit.
 
-The scaled sample autocovariances converge jointly to a centered Gaussian
-vector; contrasting with a fixed vector reduces the check to the scalar
-engine.  The least-squares objective's derivative at the projection point has
-the bilinear shape with two lag-combination kernels, so its normality rides
-on the same machinery.
+The least-squares objective's derivative at the projection point has the
+bilinear shape with two lag-combination kernels, so its normality rides on
+the same machinery as ``S_n``.  Its Monte Carlo check, like the
+sample-autocovariance contrast's, is an experiment of
+:func:`cmaqf.montecarlo.run_experiment` (statistics ``ls_derivative`` and
+``autocov_contrast``); this module supplies the projection point, the
+polynomial maps and the kernel pair.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -18,71 +17,9 @@ import scipy.linalg
 from .covariance import covariance_lags
 from .errors import ParameterError
 from .kernels import Kernel, LinComboKernel
-from .levy import LevyModel, cumulants
-from .montecarlo import ExperimentConfig, LsSpec, McReport, run_experiment
+from .levy import LevyModel
 
-__all__ = [
-    "AutocovExperiment",
-    "autocov_clt_check",
-    "ls_clt_check",
-    "yule_walker",
-    "ls_kernel_pair",
-    "poly_map",
-]
-
-
-@dataclass(frozen=True)
-class AutocovExperiment:
-    """Contrast experiment for the first ``lags`` sample autocovariances."""
-
-    kernel: Kernel
-    model: LevyModel
-    delta: float
-    lags: int
-    contrast: tuple[float, ...]
-    n: int
-    replicates: int
-    seed: int = 0
-    fine_steps: int = 64
-    horizon: float | None = None
-
-    def __post_init__(self):
-        if not self.lags < self.n - 1:
-            raise ParameterError("lags must satisfy m < n - 1")
-        if len(self.contrast) != self.lags or not any(c != 0.0 for c in self.contrast):
-            raise ParameterError("contrast must be a non-zero vector of length lags")
-
-
-def autocov_clt_check(exp: AutocovExperiment, *, threads: int | None = None, conditions: str = "auto") -> McReport:
-    """Monte Carlo check of the autocovariance contrast against its limit variance.
-
-    Replicates are centered at the exact finite-n mean ``(1 - j/n) gamma(j
-    Delta)``; the report's ``extra`` records the deterministic per-replicate
-    shift this centering introduces relative to centering at the limit lags,
-    which is ``sqrt(n) * sum_j a_j (j/n) gamma(j Delta)``.
-    """
-    cfg = ExperimentConfig(
-        statistic="autocov_contrast",
-        kernel=exp.kernel,
-        model=exp.model,
-        delta=exp.delta,
-        n=exp.n,
-        replicates=exp.replicates,
-        seed=exp.seed,
-        contrast=tuple(exp.contrast),
-        lags=exp.lags,
-        fine_steps=exp.fine_steps,
-        horizon=exp.horizon,
-        conditions=conditions,
-    )
-    report = run_experiment(cfg, threads=threads)
-    sigma2, _ = cumulants(exp.model)
-    gam = covariance_lags(exp.kernel, exp.kernel, sigma2, exp.delta, 1, exp.lags, base_step=exp.delta / 256.0)
-    js = np.arange(1, exp.lags + 1)
-    shift = math.sqrt(exp.n) * float(np.dot(exp.contrast, (js / exp.n) * gam))
-    bound = float(np.sum(3.0 * np.abs(exp.contrast) * js * np.abs(gam))) / math.sqrt(exp.n)
-    report.extra.update({"centering_shift": shift, "centering_shift_bound": bound})
-    return report
+__all__ = ["yule_walker", "ls_kernel_pair", "poly_map"]
 
 
 def yule_walker(kernel: Kernel, model: LevyModel, delta: float, k: int, *, base_step: float | None = None) -> np.ndarray:
@@ -90,7 +27,7 @@ def yule_walker(kernel: Kernel, model: LevyModel, delta: float, k: int, *, base_
     previous ``k`` sampled values (Toeplitz solve)."""
     if k < 1:
         raise ParameterError("k must be >= 1")
-    sigma2, _ = cumulants(model)
+    sigma2, _ = model.cumulants()
     base_step = delta / 256.0 if base_step is None else base_step
     gam = covariance_lags(kernel, kernel, sigma2, delta, 0, k, base_step=base_step)
     col = gam[:k]
@@ -133,55 +70,3 @@ def ls_kernel_pair(kernel: Kernel, v, vp, theta0: float, k: int, delta: float) -
         LinComboKernel(base=kernel, shifts=shifts1, coeffs=coeffs1),
         LinComboKernel(base=kernel, shifts=shifts2, coeffs=coeffs2),
     )
-
-
-def ls_clt_check(
-    kernel: Kernel,
-    model: LevyModel,
-    delta: float,
-    n: int,
-    replicates: int,
-    *,
-    k: int = 1,
-    v=None,
-    vp=None,
-    theta0: float | None = None,
-    seed: int = 0,
-    fine_steps: int = 64,
-    horizon: float | None = None,
-    threads: int | None = None,
-    conditions: str = "auto",
-) -> McReport:
-    """Monte Carlo normality check for the least-squares derivative at the
-    projection point.
-
-    With the default identity map (``k = 1``, ``v(theta) = theta``) the
-    projection point is the lag-1 autocorrelation and is computed
-    analytically; for other maps pass ``theta0`` explicitly.  A vanishing
-    derivative map yields a degenerate (all-zero) report, flagged as such.
-    """
-    if v is None or vp is None:
-        if k != 1:
-            raise ParameterError("the default identity map requires k = 1; pass v and vp for k > 1")
-        v, vp = poly_map([[0.0, 1.0]])
-    if theta0 is None:
-        if k == 1:
-            theta0 = float(yule_walker(kernel, model, delta, 1)[0])
-        else:
-            raise ParameterError("theta0 must be given for k > 1 (projection property is the caller's claim)")
-    cfg = ExperimentConfig(
-        statistic="ls_derivative",
-        kernel=kernel,
-        model=model,
-        delta=delta,
-        n=n,
-        replicates=replicates,
-        seed=seed,
-        ls=LsSpec(v=v, vp=vp, theta0=theta0, k=k),
-        fine_steps=fine_steps,
-        horizon=horizon,
-        conditions=conditions,
-    )
-    report = run_experiment(cfg, threads=threads)
-    report.extra["theta0"] = theta0
-    return report

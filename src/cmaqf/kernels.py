@@ -35,7 +35,6 @@ __all__ = [
     "AbsKernel",
     "KernelGrid",
     "build_carma",
-    "eval_kernel",
     "solve_sdde_kernel",
     "grid_sample",
 ]
@@ -91,11 +90,6 @@ class Kernel:
 
     def spec_dict(self) -> dict:
         raise NotImplementedError
-
-
-def eval_kernel(kernel: Kernel, t):
-    """Evaluate ``kernel`` at ``t`` (scalar or array); exactly 0 left of its support."""
-    return kernel.eval(t)
 
 
 @dataclass(frozen=True)

@@ -36,8 +36,6 @@ __all__ = [
     "CompoundPoissonNormal",
     "BilateralGamma",
     "LevyModel",
-    "cumulants",
-    "sample_increments",
     "stream",
 ]
 
@@ -47,9 +45,13 @@ def stream(seed: int, index: int) -> np.random.Generator:
 
     Distinct ``(seed, index)`` pairs key distinct Philox counters, so streams
     are statistically independent and reproducible independent of the order in
-    which they are consumed.
+    which they are consumed.  Both must be integers in ``[0, 2**64)``: any
+    other value would wrap onto, or truncate to, another pair's key.
     """
-    key = np.array([np.uint64(seed % 2**64), np.uint64(index % 2**64)])
+    for name, value in (("seed", seed), ("index", index)):
+        if not isinstance(value, (int, np.integer)) or not 0 <= int(value) < 2**64:
+            raise ParameterError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+    key = np.array([np.uint64(seed), np.uint64(index)])
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -137,12 +139,3 @@ def _check_sampling_args(count: int, dt: float) -> None:
     if not dt > 0:
         raise ParameterError(f"dt must be > 0, got {dt}")
 
-
-def cumulants(model: LevyModel) -> tuple[float, float]:
-    """Second and fourth cumulants ``(sigma2, kappa4)`` of the unit-time increment."""
-    return model.cumulants()
-
-
-def sample_increments(model: LevyModel, count: int, dt: float, rng: np.random.Generator) -> np.ndarray:
-    """``count`` independent increments of the driver over time step ``dt``."""
-    return model.sample_increments(count, dt, rng)

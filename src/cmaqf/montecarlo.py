@@ -19,10 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats as sps
 
+from .conditions import check_conditions
 from .covariance import CoefficientSeq, covariance_lags
 from .errors import ParameterError
+from .inference import ls_kernel_pair, poly_map, yule_walker
 from .kernels import Kernel
-from .levy import LevyModel, cumulants
+from .levy import LevyModel
 from .simulate import (
     PathConfig,
     compute_qn,
@@ -43,12 +45,24 @@ STATISTICS = ("sn", "qn", "autocov_contrast", "ls_derivative")
 @dataclass(frozen=True)
 class LsSpec:
     """Least-squares derivative specification: maps ``theta -> R^k`` and the
-    expansion point (which must satisfy the projection property)."""
+    expansion point (which must satisfy the projection property).
 
-    v: object
-    vp: object
-    theta0: float
+    ``v``/``vp`` left as ``None`` mean the identity map ``v(theta) = theta``
+    and ``theta0`` left as ``None`` means the lag-1 Yule-Walker value, the
+    projection point of that map; both defaults need ``k = 1``.  For ``k > 1``
+    pass ``theta0``: its projection property is the caller's claim.
+    """
+
+    v: object = None
+    vp: object = None
+    theta0: float | None = None
     k: int = 1
+
+    def __post_init__(self):
+        if (self.v is None or self.vp is None) and self.k != 1:
+            raise ParameterError("the default identity map requires k = 1; pass v and vp for k > 1")
+        if self.theta0 is None and self.k != 1:
+            raise ParameterError("theta0 must be given for k > 1 (projection property is the caller's claim)")
 
 
 @dataclass(frozen=True)
@@ -185,7 +199,7 @@ def _sn_setup(cfg: ExperimentConfig):
         x1, x2 = simulate_pair(cfg.kernel, k2, cfg.model, cfg.path_config(r))
         return normalized_statistic(compute_sn(x1, x2), expected, cfg.n)
 
-    return rep.eta2, rep.conditions_note, one
+    return rep.eta2, rep.conditions_note, one, {}
 
 
 def _qn_setup(cfg: ExperimentConfig):
@@ -197,7 +211,7 @@ def _qn_setup(cfg: ExperimentConfig):
         x = simulate_path(cfg.kernel, cfg.model, cfg.path_config(r))
         return normalized_statistic(compute_qn(x, cfg.b), expected, cfg.n)
 
-    return rep.eta2, rep.conditions_note, one
+    return rep.eta2, rep.conditions_note, one, {}
 
 
 def _autocov_setup(cfg: ExperimentConfig):
@@ -206,9 +220,16 @@ def _autocov_setup(cfg: ExperimentConfig):
     check = "auto" if cfg.conditions == "auto" else "skip"
     sigma = autocov_clt_sigma(cfg.kernel, cfg.model, cfg.delta, m, check=check)
     target = float(alpha @ sigma @ alpha)
-    sigma2, _ = cumulants(cfg.model)
+    sigma2, _ = cfg.model.cumulants()
     gam = covariance_lags(cfg.kernel, cfg.kernel, sigma2, cfg.delta, 1, m, base_step=cfg.delta / 256.0)
-    finite_mean = (1.0 - np.arange(1, m + 1) / cfg.n) * gam  # exact finite-n mean of each lag
+    js = np.arange(1, m + 1)
+    finite_mean = (1.0 - js / cfg.n) * gam  # exact finite-n mean of each lag
+    # the deterministic per-replicate shift of centering at the finite-n mean
+    # instead of the limit lags, and a bound on it
+    extra = {
+        "centering_shift": math.sqrt(cfg.n) * float(np.dot(alpha, (js / cfg.n) * gam)),
+        "centering_shift_bound": float(np.sum(3.0 * np.abs(alpha) * js * np.abs(gam))) / math.sqrt(cfg.n),
+    }
 
     def one(r: int) -> float:
         x = simulate_path(cfg.kernel, cfg.model, cfg.path_config(r))
@@ -216,19 +237,17 @@ def _autocov_setup(cfg: ExperimentConfig):
         return math.sqrt(cfg.n) * float(alpha @ (ghat - finite_mean))
 
     note = "centering at the exact finite-n mean (1 - j/n) gamma(j Delta)"
-    return target, note, one
+    return target, note, one, extra
 
 
 def _ls_setup(cfg: ExperimentConfig):
-    from .inference import ls_kernel_pair
-
     spec = cfg.ls
-    k1, k2 = ls_kernel_pair(cfg.kernel, spec.v, spec.vp, spec.theta0, spec.k, cfg.delta)
+    v, vp = (spec.v, spec.vp) if spec.v is not None and spec.vp is not None else poly_map([[0.0, 1.0]])
+    theta0 = spec.theta0 if spec.theta0 is not None else float(yule_walker(cfg.kernel, cfg.model, cfg.delta, 1)[0])
+    k1, k2 = ls_kernel_pair(cfg.kernel, v, vp, theta0, spec.k, cfg.delta)
     check = "auto" if cfg.conditions == "auto" else "skip"
     if check == "auto":
         # license the limit through the base kernel's autocovariance conditions
-        from .conditions import check_conditions
-
         base_rep = check_conditions("autocov", cfg.kernel, Delta=cfg.delta, model=cfg.model)
         note = f"autocov conditions {base_rep.overall}"
     else:
@@ -237,15 +256,20 @@ def _ls_setup(cfg: ExperimentConfig):
 
     def one(r: int) -> float:
         x = simulate_path(cfg.kernel, cfg.model, cfg.path_config(r))
-        return normalized_statistic(ls_derivative(x, spec.v, spec.vp, spec.theta0, spec.k), 0.0, cfg.n)
+        return normalized_statistic(ls_derivative(x, v, vp, theta0, spec.k), 0.0, cfg.n)
 
-    return rep.eta2, note, one
+    return rep.eta2, note, one, {"theta0": theta0}
 
 
 def run_experiment(cfg: ExperimentConfig, *, threads: int | None = None) -> McReport:
-    """Run all replicates of the configured experiment and summarise them."""
+    """Run all replicates of the configured experiment and summarise them.
+
+    ``extra`` of the report holds what the statistic adds to the common
+    summary: ``centering_shift`` and ``centering_shift_bound`` for
+    ``autocov_contrast``, the expansion point ``theta0`` for ``ls_derivative``.
+    """
     setup = {"sn": _sn_setup, "qn": _qn_setup, "autocov_contrast": _autocov_setup, "ls_derivative": _ls_setup}
-    eta2, note, one = setup[cfg.statistic](cfg)
+    eta2, note, one, extra = setup[cfg.statistic](cfg)
     values = run_replicates(one, cfg.replicates, threads=threads)
 
     degenerate = not (eta2 > 0.0) or bool(np.all(values == values[0]))
@@ -262,5 +286,6 @@ def run_experiment(cfg: ExperimentConfig, *, threads: int | None = None) -> McRe
         ks=(ks_distance(values, eta2) if eta2 > 0 else math.nan),
         degenerate=degenerate,
         conditions_note=note,
+        extra=extra,
     )
     return report

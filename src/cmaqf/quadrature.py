@@ -261,25 +261,19 @@ def phase_integral(
     transform=None,
     power: float = 2.0,
     nodes_per_period: int = 512,
-    s_range: tuple[int, int] | None = None,
-    combine=None,
     tail_sup_fn=None,
 ) -> QuadResult:
     """Integrate ``F(t) ** power`` over one period, ``F(t) = sum_s prod_i k_i(t + s Delta)``.
 
     ``transform`` (applied to each factor's lattice values, e.g. ``np.abs``)
     turns the plain product into the absolute-value functionals used by the
-    condition checks.  ``combine`` overrides the default product-then-sum
-    reduction: it receives the list of lattice matrices and must return
-    ``F(nodes)``; in that case ``tail_sup_fn(s_hi)`` should bound the phase-sup
-    of the omitted lag terms of ``F``.  The period is split at interior
-    breakpoint phases; the closing endpoint of each piece uses left limits so
-    the jump of causal kernels at their support start is handled exactly.
+    condition checks; ``tail_sup_fn(s)``, if given, replaces the plain
+    product's bound on the phase-sup of the omitted lag terms from ``s`` on.
+    The period is split at interior breakpoint phases; the closing endpoint of
+    each piece uses left limits so the jump of causal kernels at their support
+    start is handled exactly.
     """
-    if s_range is None:
-        s_lo, s_hi = lattice_s_range(kernels, Delta)
-    else:
-        s_lo, s_hi = s_range
+    s_lo, s_hi = lattice_s_range(kernels, Delta)
 
     cuts = {0.0, Delta}
     for k in kernels:
@@ -289,18 +283,12 @@ def phase_integral(
                 cuts.add(r)
     edges = sorted(cuts)
 
-    def F(nodes, left_at):
-        if combine is not None:
-            lattices = [phase_lattice(k, nodes, s_lo, s_hi, Delta, left_at=left_at) for k in kernels]
-            return combine(lattices)
-        return phase_product_sum(kernels, nodes, s_lo, s_hi, Delta, transform=transform, left_at=left_at)
-
     total, est, fmax = 0.0, 0.0, 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         n = max(_MIN_NODES_PER_BLOCK, int(round(nodes_per_period * (b - a) / Delta)))
         n = 4 * ((n + 3) // 4)
         nodes = np.linspace(a, b, n + 1)
-        fnod = F(nodes, left_at=(b,))
+        fnod = phase_product_sum(kernels, nodes, s_lo, s_hi, Delta, transform=transform, left_at=(b,))
         fmax = max(fmax, float(np.max(np.abs(fnod))))
         vals = fnod**power
         fine = _simpson(vals, a, b)

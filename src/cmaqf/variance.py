@@ -26,8 +26,8 @@ from .conditions import ConditionReport, check_conditions
 from .covariance import CoefficientSeq, b_star_gamma, covariance_lags, fit_seq_tail, star_conv_kernel
 from .errors import ConditionsRefutedError, GridError, ParameterError
 from .kernels import Kernel, KernelGrid, LinComboKernel
-from .levy import LevyModel, cumulants
-from .quadrature import _simpson, lattice_s_range, phase_integral, phase_lattice, phase_product_sum
+from .levy import LevyModel
+from .quadrature import _simpson, lattice_s_range, phase_integral, phase_product_sum
 from .tails import ZeroSeqTail, seq_tail_power_sum
 
 __all__ = [
@@ -94,7 +94,7 @@ def fourth_moment(g1: KernelGrid, g2: KernelGrid, g3: KernelGrid, g4: KernelGrid
     Fourth-cumulant term plus the three pairing products, each integral taken
     with the left-endpoint cell rule on the shared grid.
     """
-    sigma2, kappa4 = cumulants(model)
+    sigma2, kappa4 = model.cumulants()
     step, (v1, v2, v3, v4) = _cell_values((g1, g2, g3, g4))
     i4 = step * float(np.sum(v1 * v2 * v3 * v4))
     i12, i34 = step * float(np.sum(v1 * v2)), step * float(np.sum(v3 * v4))
@@ -180,7 +180,7 @@ def eta2_sn(
     (auto x auto and cross x reversed-cross).
     """
     report, note = _gate_conditions("sn_general", (k1, k2), None, Delta, model, check, force)
-    sigma2, kappa4 = cumulants(model)
+    sigma2, kappa4 = model.cumulants()
     base_step = Delta / 256.0 if base_step is None else base_step
 
     diagnostics: dict[str, float] = {}
@@ -223,7 +223,7 @@ def eta2_qn(
     second value is stored in ``eta2_alt``.
     """
     report, note = _gate_conditions("qn_general", kernel, b, Delta, model, check, force)
-    sigma2, kappa4 = cumulants(model)
+    sigma2, kappa4 = model.cumulants()
     base_step = Delta / 256.0 if base_step is None else base_step
     conv = star_conv_kernel(b, kernel, Delta)
 
@@ -276,54 +276,36 @@ def autocov_clt_sigma(
     if m < 1:
         raise ParameterError("m must be >= 1")
     _gate_conditions("autocov", kernel, None, Delta, model, check, force)
-    sigma2, kappa4 = cumulants(model)
+    sigma2, kappa4 = model.cumulants()
     base_step = Delta / 256.0 if base_step is None else base_step
 
     if kappa4 == 0.0:
         k4_block = np.zeros((m, m))
     else:
-        k4_block = np.empty((m, m))
-        for i in range(1, m + 1):
-            ki = LinComboKernel(base=kernel, shifts=(float(-i * Delta),), coeffs=(1.0,))
-            for j in range(i, m + 1):
-                kj = LinComboKernel(base=kernel, shifts=(float(-j * Delta),), coeffs=(1.0,))
-                # int_0^Delta K_i K_j dt  =  period integral of the 4-factor lattice sum
-                val = _k_product_period(kernel, ki, kj, Delta, nodes_per_period)
-                k4_block[i - 1, j - 1] = k4_block[j - 1, i - 1] = val
-        k4_block *= kappa4
+        shifted = [LinComboKernel(base=kernel, shifts=(float(-j * Delta),), coeffs=(1.0,)) for j in range(1, m + 1)]
+        # one lag range wide enough for the four-factor lattice sum of every pair
+        ranges = [lattice_s_range([kernel, ki, kj], Delta) for i, ki in enumerate(shifted) for kj in shifted[i:]]
+        s_lo, s_hi = min(r[0] for r in ranges), max(r[1] for r in ranges)
+        n = 4 * ((nodes_per_period + 3) // 4)
+        nodes = np.linspace(0.0, Delta, n + 1)
+        # K[j - 1] is K_j at the nodes; int_0^Delta K_i K_j dt by Simpson
+        K = [phase_product_sum([kernel, kj], nodes, s_lo, s_hi, Delta, left_at=(Delta,)) for kj in shifted]
+        k4_block = kappa4 * np.array([[_simpson(Ki * Kj, 0.0, Delta) for Kj in K] for Ki in K])
 
     S = lag_radius
     gam = covariance_lags(kernel, kernel, sigma2, Delta, -(S + m), S + m, base_step=base_step)
-
-    def g(u: int) -> float:
-        return float(gam[u + S + m])
-
-    second = np.empty((m, m))
-    for j in range(1, m + 1):
-        for k in range(j, m + 1):
-            tot = 0.0
-            for s in range(-S, S + 1):
-                tot += (g(s + j) + g(j - s)) * g(s + k)
-            second[j - 1, k - 1] = second[k - 1, j - 1] = tot
-    sigma = k4_block + second
+    # G[j - 1, s + S] = gamma(s + j) and R[j - 1, s + S] = gamma(j - s), |s| <= S
+    js, ss = np.arange(1, m + 1)[:, None], np.arange(-S, S + 1)[None, :]
+    G, R = gam[js + ss + S + m], gam[js - ss + S + m]
+    sigma = k4_block + (G + R) @ G.T
     return 0.5 * (sigma + sigma.T)
-
-
-def _k_product_period(kernel, ki, kj, Delta, nodes_per_period):
-    """``int_0^Delta (sum_s phi phi_i)(t) (sum_s phi phi_j)(t) dt``, lag sums chunked."""
-    s_lo, s_hi = lattice_s_range([kernel, ki, kj], Delta)
-    n = 4 * ((nodes_per_period + 3) // 4)
-    nodes = np.linspace(0.0, Delta, n + 1)
-    Ki = phase_product_sum([kernel, ki], nodes, s_lo, s_hi, Delta, left_at=(Delta,))
-    Kj = phase_product_sum([kernel, kj], nodes, s_lo, s_hi, Delta, left_at=(Delta,))
-    return float(_simpson(Ki * Kj, 0.0, Delta))
 
 
 def expected_sn(k1: Kernel, k2: Kernel, model: LevyModel, Delta: float, n: int, *, base_step: float | None = None) -> float:
     """Exact mean of the bilinear statistic: ``n`` times the lag-0 crosscovariance."""
     if n < 1:
         raise ParameterError("n must be >= 1")
-    sigma2, _ = cumulants(model)
+    sigma2, _ = model.cumulants()
     base_step = Delta / 256.0 if base_step is None else base_step
     return n * covariance_lags(k1, k2, sigma2, Delta, 0, 0, base_step=base_step)[0]
 
@@ -344,7 +326,7 @@ def expected_qn(
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
-    sigma2, _ = cumulants(model)
+    sigma2, _ = model.cumulants()
     base_step = Delta / 256.0 if base_step is None else base_step
     from .covariance import FiniteSupport
 

@@ -185,3 +185,25 @@ def test_autocov_and_ls_clt_commands(tmp_path):
     assert run(["ls-clt", "--config", str(write_config(tmp_path, "b.json", cfg))]) == 0
     rep = json.loads((tmp_path / "b" / "report.json").read_text())
     assert "theta0" in rep["extra"]
+
+
+def test_experiment_commands_honour_tail_mass_budget(tmp_path, capsys):
+    # an 8-unit window leaves e^{-16} of the OU kernel's squared mass outside, far above 1e-9
+    common = dict(n=100, replicates=4, path={"fine_steps": 8, "horizon": 8.0, "tail_mass_budget": 1e-9})
+    runs = {
+        "mc": base_config(statistic="sn", **common),
+        "autocov-clt": base_config(lags=1, contrast=[1.0], **common),
+        "ls-clt": base_config(ls={}, **common),
+    }
+    for command, cfg in runs.items():
+        cfg["output_dir"] = str(tmp_path / command)
+        assert run([command, "--config", str(write_config(tmp_path, f"{command}.json", cfg))]) == 4, command
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "numerical", command
+
+
+def test_seed_outside_64_bits_rejected(tmp_path, capsys):
+    cfg = base_config(statistic="sn", n=50, replicates=4, path={"fine_steps": 8}, output_dir=str(tmp_path / "out"))
+    assert run(["mc", "--config", str(write_config(tmp_path, "c.json", cfg)), "--seed", "-1"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert "seed" in err["error"]["message"]

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from cmaqf.inference import AutocovExperiment, autocov_clt_check, ls_clt_check, ls_kernel_pair, poly_map, yule_walker
+from cmaqf.inference import ls_kernel_pair, poly_map, yule_walker
 from cmaqf.errors import ParameterError
 from cmaqf.kernels import ExponentialOU
 from cmaqf.levy import BrownianMotion, CompoundPoissonNormal
+from cmaqf.montecarlo import ExperimentConfig, LsSpec, run_experiment
 from cmaqf.variance import autocov_clt_sigma, eta2_sn
 
 
@@ -45,11 +46,11 @@ def test_ls_kernel_pair_shapes():
 
 
 def test_autocov_contrast_calibrates_and_reports_centering():
-    exp = AutocovExperiment(
-        kernel=ExponentialOU(1.0), model=BrownianMotion(2.0), delta=1.0,
+    cfg = ExperimentConfig(
+        statistic="autocov_contrast", kernel=ExponentialOU(1.0), model=BrownianMotion(2.0), delta=1.0,
         lags=1, contrast=(1.0,), n=1000, replicates=300, seed=6,
     )
-    rep = autocov_clt_check(exp, threads=4)
+    rep = run_experiment(cfg, threads=4)
     assert 0.75 < rep.variance_ratio < 1.25
     assert abs(rep.extra["centering_shift"]) <= rep.extra["centering_shift_bound"]
     sig = autocov_clt_sigma(ExponentialOU(1.0), BrownianMotion(2.0), 1.0, 1)
@@ -62,11 +63,11 @@ def test_autocov_contrast_calibrates_with_kappa4_block():
     # is about 0.045, so the bounds below sit about 4.4 standard errors out.
     model = CompoundPoissonNormal(1.0, 1.0)
     contrast = (1.0, -0.5)
-    exp = AutocovExperiment(
-        kernel=ExponentialOU(1.0), model=model, delta=1.0,
+    cfg = ExperimentConfig(
+        statistic="autocov_contrast", kernel=ExponentialOU(1.0), model=model, delta=1.0,
         lags=2, contrast=contrast, n=1000, replicates=1000, seed=8,
     )
-    rep = autocov_clt_check(exp, threads=2)
+    rep = run_experiment(cfg, threads=2)
     a = np.array(contrast)
     sig = autocov_clt_sigma(ExponentialOU(1.0), model, 1.0, 2)
     assert rep.eta2 == pytest.approx(float(a @ sig @ a), rel=1e-12)
@@ -74,9 +75,12 @@ def test_autocov_contrast_calibrates_with_kappa4_block():
 
 
 def test_contrast_scaling_bilinearity():
-    common = dict(kernel=ExponentialOU(1.0), model=BrownianMotion(2.0), delta=1.0, lags=1, n=400, replicates=80, seed=3)
-    r1 = autocov_clt_check(AutocovExperiment(contrast=(1.0,), **common))
-    r2 = autocov_clt_check(AutocovExperiment(contrast=(2.0,), **common))
+    common = dict(
+        statistic="autocov_contrast", kernel=ExponentialOU(1.0), model=BrownianMotion(2.0), delta=1.0,
+        lags=1, n=400, replicates=80, seed=3,
+    )
+    r1 = run_experiment(ExperimentConfig(contrast=(1.0,), **common))
+    r2 = run_experiment(ExperimentConfig(contrast=(2.0,), **common))
     assert r2.eta2 == pytest.approx(4.0 * r1.eta2, rel=1e-12)
     assert np.allclose(r2.statistics, 2.0 * r1.statistics, rtol=1e-12)
     assert r2.ks == pytest.approx(r1.ks, abs=1e-12)
@@ -92,9 +96,11 @@ def test_cramer_wold_parallelogram_on_sigma():
 
 
 def test_ls_clt_mean_zero_at_projection_point():
-    rep = ls_clt_check(
-        ExponentialOU(1.0), BrownianMotion(2.0), 1.0, n=1000, replicates=300, seed=14, threads=4,
+    cfg = ExperimentConfig(
+        statistic="ls_derivative", kernel=ExponentialOU(1.0), model=BrownianMotion(2.0), delta=1.0,
+        n=1000, replicates=300, seed=14, ls=LsSpec(),
     )
+    rep = run_experiment(cfg, threads=4)
     se = math.sqrt(rep.eta2 / rep.replicates)
     assert abs(rep.mean) < 4 * se
     assert 0.75 < rep.variance_ratio < 1.25
@@ -114,19 +120,23 @@ def test_ls_clt_brownian_eta2_has_no_kappa4_term():
 def test_ls_clt_degenerate_derivative_map():
     v, vp = poly_map([[0.0, 1.0]])
     vp0 = lambda th: np.array([0.0])
-    rep = ls_clt_check(
-        ExponentialOU(1.0), BrownianMotion(1.0), 1.0, n=50, replicates=10, seed=0,
-        v=v, vp=vp0, theta0=0.5,
+    cfg = ExperimentConfig(
+        statistic="ls_derivative", kernel=ExponentialOU(1.0), model=BrownianMotion(1.0), delta=1.0,
+        n=50, replicates=10, seed=0, ls=LsSpec(v=v, vp=vp0, theta0=0.5),
     )
+    rep = run_experiment(cfg)
     assert rep.degenerate
     assert np.all(rep.statistics == 0.0)
 
 
 def test_experiment_validation():
     with pytest.raises(ParameterError):
-        AutocovExperiment(
-            kernel=ExponentialOU(1.0), model=BrownianMotion(1.0), delta=1.0,
+        ExperimentConfig(
+            statistic="autocov_contrast", kernel=ExponentialOU(1.0), model=BrownianMotion(1.0), delta=1.0,
             lags=9, contrast=(1.0,) * 9, n=10, replicates=5,
         )
     with pytest.raises(ParameterError):
-        ls_clt_check(ExponentialOU(1.0), BrownianMotion(1.0), 1.0, n=100, replicates=10, k=2)
+        LsSpec(k=2)
+    v, vp = poly_map([[0.0, 1.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(ParameterError):
+        LsSpec(v=v, vp=vp, k=2)

@@ -11,7 +11,6 @@ from cmaqf.kernels import (
     LinComboKernel,
     TabulatedKernel,
     build_carma,
-    eval_kernel,
     grid_sample,
     solve_sdde_kernel,
 )
@@ -77,12 +76,12 @@ def test_carma_repeated_root_falls_back_to_expm():
 
 def test_eval_kernel_closed_forms():
     fn = FractionalNoise(0.1)
-    assert eval_kernel(fn, -0.5) == 0.0
-    assert eval_kernel(fn, 0.5) == pytest.approx(0.5**0.1 / math.gamma(1.1), rel=1e-14)
-    assert eval_kernel(fn, 2.0) == pytest.approx((2.0**0.1 - 1.0) / math.gamma(1.1), rel=1e-14)
+    assert fn.eval(-0.5) == 0.0
+    assert fn.eval(0.5) == pytest.approx(0.5**0.1 / math.gamma(1.1), rel=1e-14)
+    assert fn.eval(2.0) == pytest.approx((2.0**0.1 - 1.0) / math.gamma(1.1), rel=1e-14)
     ou = ExponentialOU(1.0)
-    assert eval_kernel(ou, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
-    assert eval_kernel(ou, -1e-9) == 0.0
+    assert ou.eval(1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
+    assert ou.eval(-1e-9) == 0.0
 
 
 def test_fractional_noise_domain():

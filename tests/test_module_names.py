@@ -2,9 +2,12 @@
 
 A name that no module defines or imports raises ``NameError`` only on the
 branch that loads it, so a branch no other test reaches can hide one.  This
-walks the compiled code of each module instead of running it.
+walks the compiled code of each module instead of running it.  The demos'
+imports from the package are resolved from their syntax trees, also without
+running them, so removing a public name cannot silently break a demo.
 """
 
+import ast
 import builtins
 import dis
 import importlib
@@ -47,4 +50,17 @@ def test_every_loaded_global_resolves():
         module = "cmaqf" if path.stem == "__init__" else f"cmaqf.{path.stem}"
         namespace = vars(importlib.import_module(module))
         missing += [f"{path.stem}.{entry}" for entry in unresolved_globals(path, namespace)]
+    assert missing == []
+
+
+def test_demo_imports_resolve():
+    demos = Path(__file__).resolve().parent.parent / "demos"
+    paths = sorted(demos.glob("*.py"))
+    assert paths
+    missing = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module and node.module.split(".")[0] == "cmaqf":
+                module = importlib.import_module(node.module)
+                missing += [f"{path.name}: {node.module}.{a.name}" for a in node.names if not hasattr(module, a.name)]
     assert missing == []

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from cmaqf.conditions import AssumptionCheck, ConditionReport
-from cmaqf.covariance import FiniteSupport
+from cmaqf.covariance import FiniteSupport, covariance_lags
 from cmaqf.errors import ConditionsRefutedError, GridError
-from cmaqf.kernels import ExponentialOU, LinComboKernel, TabulatedKernel, grid_sample
+from cmaqf.kernels import ExponentialOU, FractionalNoise, LinComboKernel, TabulatedKernel, grid_sample
 from cmaqf.levy import BilateralGamma, BrownianMotion, CompoundPoissonNormal, stream
 from cmaqf.simulate import stochastic_integrals_joint
 from cmaqf.variance import autocov_clt_sigma, eta2_qn, eta2_sn, expected_qn, expected_sn, fourth_moment
@@ -228,6 +228,35 @@ def test_autocov_sigma_kappa4_block_ou_closed_form():
     ij = np.arange(1, m + 1)
     expect = kappa4 * np.exp(-lam * (ij[:, None] + ij[None, :]) * Delta) * kappa4_phase_ou(lam, Delta)
     assert block == pytest.approx(expect, rel=1e-7)
+
+
+def test_autocov_sigma_off_diagonal_ou_closed_form():
+    # Brownian driver: Sigma[j, k] = sum_s (gamma(s + j) + gamma(j - s)) gamma(s + k), with
+    # the OU closed form gamma(u) = sigma2 e^{-lam |u| Delta} / (2 lam) = e^{-|u|} here
+    m = 3
+    sig = autocov_clt_sigma(ExponentialOU(1.0), BrownianMotion(2.0), 1.0, m)
+    s = np.arange(-2000, 2001)
+    g = lambda u: np.exp(-np.abs(u))
+    ref = np.array([[np.sum((g(s + j) + g(j - s)) * g(s + k)) for k in range(1, m + 1)] for j in range(1, m + 1)])
+    assert sig == pytest.approx(ref, rel=1e-9)
+
+
+def test_autocov_sigma_lag_sum_matches_loop_reference():
+    # The lag sum one term at a time, from the same lag covariances; the library
+    # sums in another order, so the two agree to rounding (2S + 1 terms), not bitwise.
+    kernel, m, S = FractionalNoise(0.1), 3, 32
+    sig = autocov_clt_sigma(kernel, BrownianMotion(1.0), 1.0, m, check="skip", lag_radius=S)
+    gam = covariance_lags(kernel, kernel, 1.0, 1.0, -(S + m), S + m, base_step=1.0 / 256.0)
+    g = lambda u: float(gam[u + S + m])
+    ref = np.empty((m, m))
+    for j in range(1, m + 1):
+        for k in range(1, m + 1):
+            tot = 0.0
+            for s in range(-S, S + 1):
+                tot += (g(s + j) + g(j - s)) * g(s + k)
+            ref[j - 1, k - 1] = tot
+    ref = 0.5 * (ref + ref.T)
+    assert np.max(np.abs(sig - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 # ---------------------------------------------------------------------------
