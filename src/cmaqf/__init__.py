@@ -15,7 +15,6 @@ Library layout:
 
 from .levy import BilateralGamma, BrownianMotion, CompoundPoissonNormal, stream
 from .kernels import (
-    AbsKernel,
     CarmaKernel,
     ExponentialOU,
     FractionalNoise,
@@ -36,7 +35,6 @@ from .covariance import (
     b_star_gamma,
     covariance_lags,
     crosscovariance,
-    star_conv,
     star_conv_kernel,
 )
 from .conditions import CONDITION_SETS, AssumptionCheck, ConditionReport, NormEstimate, check_conditions, lp_norm_sequence
@@ -51,7 +49,6 @@ from .simulate import (
     sample_autocov,
     simulate_pair,
     simulate_path,
-    stochastic_integrals,
     stochastic_integrals_joint,
 )
 from .montecarlo import ExperimentConfig, LsSpec, McReport, ks_distance, run_experiment

@@ -175,12 +175,20 @@ def _build_kernel(block: dict, base_dir: Path):
     return kernels.TabulatedKernel(t0=block["t0"], step=block["step"], values=np.asarray(block["values"], dtype=float))
 
 
-def _build_b(block: dict | None):
-    if block is None:
-        return None
+def _build_b(block: dict):
     if block["type"] == "finite_support":
         return covariance.FiniteSupport(values=tuple(block["values"]))
     return covariance.PowerDecay(c=block["c"], rho=block["rho"], b0=block["b0"])
+
+
+def _build(resolved: dict, base_dir: Path) -> tuple:
+    """``(kernel, kernel2, model, b)`` of the config, ``None`` for each block it lacks."""
+    return (
+        _build_kernel(resolved["kernel"], base_dir),
+        _build_kernel(resolved["kernel2"], base_dir) if resolved.get("kernel2") else None,
+        _build_levy(resolved["levy"]) if "levy" in resolved else None,
+        _build_b(resolved["b"]) if resolved.get("b") is not None else None,
+    )
 
 
 def _hash(obj) -> str:
@@ -251,18 +259,13 @@ def _manifest(resolved: dict, hashes: dict) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_check(resolved, outdir, base_dir):
-    kernel = _build_kernel(resolved["kernel"], base_dir)
-    ks = [kernel]
-    if resolved.get("kernel2"):
-        ks.append(_build_kernel(resolved["kernel2"], base_dir))
-    b = _build_b(resolved.get("b"))
-    model = _build_levy(resolved["levy"]) if "levy" in resolved else None
+def _cmd_check(resolved, outdir, built):
+    kernel, kernel2, model, b = built
     spec = resolved["check"]
     exponents = spec.get("exponents", "auto")
     report = check_conditions(
         spec["condition_set"],
-        tuple(ks) if len(ks) > 1 else ks[0],
+        (kernel, kernel2) if kernel2 is not None else kernel,
         b=b,
         Delta=resolved["delta"],
         exponents=exponents if exponents == "auto" else tuple(exponents),
@@ -289,17 +292,15 @@ def _print_check_table(report):
             print(f"      {n.name}: value={n.value:.6g} tail_bound={n.tail_bound:.3g}{radius}")
 
 
-def _cmd_variance(resolved, outdir, base_dir):
-    kernel = _build_kernel(resolved["kernel"], base_dir)
-    model = _build_levy(resolved["levy"])
+def _cmd_variance(resolved, outdir, built):
+    kernel, kernel2, model, b = built
     force = resolved["force"]
     if resolved["statistic"] == "qn":
-        b = _build_b(resolved.get("b"))
         if b is None:
             _fail("$.b", "required for statistic 'qn'")
         rep = variance.eta2_qn(kernel, b, model, resolved["delta"], force=force)
     else:
-        k2 = _build_kernel(resolved["kernel2"], base_dir) if resolved.get("kernel2") else kernel
+        k2 = kernel2 if kernel2 is not None else kernel
         rep = variance.eta2_sn(kernel, k2, model, resolved["delta"], force=force)
     _write(outdir / "report.json", _json_bytes(rep.to_dict()))
     print(f"eta2 = {rep.eta2!r}  ({rep.conditions_note})")
@@ -319,9 +320,8 @@ def _path_config(resolved, stream_index=0):
     )
 
 
-def _cmd_simulate(resolved, outdir, base_dir):
-    kernel = _build_kernel(resolved["kernel"], base_dir)
-    model = _build_levy(resolved["levy"])
+def _cmd_simulate(resolved, outdir, built):
+    kernel, _, model, _ = built
     path = simulate.simulate_path(kernel, model, _path_config(resolved))
     lines = ["x"] + [f"{float(v)!r}" for v in path.values]
     _write(outdir / "path.csv", ("\n".join(lines) + "\n").encode())
@@ -338,20 +338,21 @@ def _build_ls(block: dict) -> montecarlo.LsSpec:
     return montecarlo.LsSpec(v=v, vp=vp, theta0=block.get("theta0"), k=block.get("k", 1))
 
 
-def _cmd_experiment(resolved, outdir, base_dir):
+def _cmd_experiment(resolved, outdir, built):
     """``mc``, ``autocov-clt`` and ``ls-clt``: one replicated experiment each."""
+    kernel, kernel2, model, b = built
     statistic = _EXPERIMENT_STATISTIC.get(resolved["command"], resolved.get("statistic"))
     p = resolved["path"]
     cfg = montecarlo.ExperimentConfig(
         statistic=statistic,
-        kernel=_build_kernel(resolved["kernel"], base_dir),
-        model=_build_levy(resolved["levy"]),
+        kernel=kernel,
+        model=model,
         delta=resolved["delta"],
         n=resolved["n"],
         replicates=resolved["replicates"],
         seed=resolved["seed"],
-        kernel2=_build_kernel(resolved["kernel2"], base_dir) if resolved.get("kernel2") else None,
-        b=_build_b(resolved.get("b")),
+        kernel2=kernel2,
+        b=b,
         contrast=tuple(resolved["contrast"]) if resolved.get("contrast") is not None else None,
         lags=resolved.get("lags"),
         ls=_build_ls(resolved["ls"]) if statistic == "ls_derivative" else None,
@@ -372,10 +373,9 @@ def _cmd_experiment(resolved, outdir, base_dir):
     return 0
 
 
-def _cmd_kernel_export(resolved, outdir, base_dir):
-    kernel = _build_kernel(resolved["kernel"], base_dir)
+def _cmd_kernel_export(resolved, outdir, built):
     g = resolved["grid"]
-    grid = kernels.grid_sample(kernel, resolved["delta"], g["m"], g["horizon"])
+    grid = kernels.grid_sample(built[0], resolved["delta"], g["m"], g["horizon"])
     _write(outdir / "kernel.csv", _kernel_csv(grid.times(), grid.values))
     print(f"wrote {len(grid)} kernel samples")
     return 0
@@ -429,7 +429,7 @@ def run(argv=None) -> int:
             "levy": _hash(resolved.get("levy")),
             "b": _hash(resolved.get("b")),
         }
-        code = _DISPATCH[args.command](resolved, outdir, base_dir)
+        code = _DISPATCH[args.command](resolved, outdir, _build(resolved, base_dir))
         _write(outdir / "manifest.json", _manifest(resolved, hashes))
         return code
     except ConfigError as exc:

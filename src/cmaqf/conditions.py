@@ -47,7 +47,6 @@ from .covariance import (
     FiniteSupport,
     PowerDecay,
     covariance_lags,
-    fit_seq_tail,
     gamma_seq_exponent,
     star_conv_kernel,
 )
@@ -61,6 +60,7 @@ from .tails import (
     GeomSeqTail,
     SeqTail,
     ZeroSeqTail,
+    fit_seq_tail,
     kernel_tail_to_seq,
     seq_tail_power_sum,
     seq_tail_sup,
@@ -91,6 +91,9 @@ SUPPORTED, REFUTED, INDETERMINATE = "supported", "refuted", "indeterminate"
 _EXP_GRID = np.round(np.arange(1.0, 2.0 + 1e-9, 0.01), 2)
 _DECAY_GRID = np.round(np.arange(0.51, 1.0 - 1e-9, 0.01), 2)
 _SMALL_GRID = np.round(np.arange(0.01, 0.5, 0.01), 2)
+
+_TAIL_TOL = 1e-3  # largest relative tail bracket of a supported norm
+_NODES_PER_PERIOD = 256  # Simpson nodes per sampling period of the period integrals
 
 
 @dataclass(frozen=True)
@@ -215,12 +218,12 @@ def _power_exponent(kernel: Kernel) -> tuple[float, bool] | None:
     return float(d.exponent), bool(d.exact)
 
 
-def _abs_lag_sequence(k1, k2, Delta, base_step, tail_tol=1e-6, s_cap=4096):
+def _abs_lag_sequence(k1, k2, Delta, tail_tol=1e-6, s_cap=4096):
     """Sequence ``s -> int |k1(t) k2(t + s Delta)| dt`` with a fitted tail model."""
     known = gamma_seq_exponent(k1, k2)
     S = 32
     while True:
-        vals = covariance_lags(k1, k2, 1.0, Delta, -S, S, base_step=base_step, absolute=True)
+        vals = covariance_lags(k1, k2, 1.0, Delta, -S, S, absolute=True)
         lags = np.arange(-S, S + 1)
         tail = fit_seq_tail(lags, vals, known_exponent=known)
         _, up = _two_sided_tail_power_sum(tail, S + 1, 1.0)
@@ -234,10 +237,10 @@ def _norm_entry(name, values, tail, p, radius) -> NormEstimate:
     return NormEstimate(name=name, value=norm, tail_bound=bound, radius=radius)
 
 
-def _verdict_from_norms(norms, tail_tol) -> str:
+def _verdict_from_norms(norms) -> str:
     if any(not np.isfinite(n.value) for n in norms):
         return INDETERMINATE  # numerically unbounded; refutation needs arithmetic
-    if all(n.tail_rel() <= tail_tol for n in norms):
+    if all(n.tail_rel() <= _TAIL_TOL for n in norms):
         return SUPPORTED
     return INDETERMINATE
 
@@ -271,10 +274,6 @@ def check_conditions(
     Delta: float = 1.0,
     exponents="auto",
     model: LevyModel | None = None,
-    *,
-    base_step: float | None = None,
-    tail_tol: float = 1e-3,
-    nodes_per_period: int = 256,
 ) -> ConditionReport:
     """Check one assumption set and return a three-valued report.
 
@@ -287,9 +286,7 @@ def check_conditions(
     if condition_set not in CONDITION_SETS:
         raise ParameterError(f"unknown condition set {condition_set!r}; choose from {CONDITION_SETS}")
     ks = tuple(kernels) if isinstance(kernels, (tuple, list)) else (kernels,)
-    base_step = Delta / 64.0 if base_step is None else base_step
     brownian = isinstance(model, BrownianMotion)
-    args = dict(Delta=Delta, exponents=exponents, base_step=base_step, tail_tol=tail_tol, nodes=nodes_per_period)
 
     if condition_set in ("sn_general", "sn_exponent", "sn_decay"):
         if len(ks) == 1:
@@ -303,28 +300,28 @@ def check_conditions(
         raise ParameterError(f"{condition_set} requires a coefficient sequence b")
 
     if condition_set == "sn_general":
-        return _check_pair_general("sn_general", ks[0], ks[1], brownian=brownian, **args)
+        return _check_pair_general("sn_general", ks[0], ks[1], Delta, exponents, brownian)
     if condition_set == "qn_general":
         short = _qn_envelope_divergence(ks[0], b, "qn_general")
         if short is not None:
             return short
         psi = star_conv_kernel(b, ks[0], Delta, absolute=True)
-        return _check_pair_general("qn_general", ks[0], psi, brownian=brownian, **args)
+        return _check_pair_general("qn_general", ks[0], psi, Delta, exponents, brownian)
     if condition_set == "sn_exponent":
-        return _check_sn_exponent(ks[0], ks[1], **args)
+        return _check_sn_exponent(ks[0], ks[1], Delta, exponents)
     if condition_set == "sn_decay":
-        return _check_sn_decay(ks[0], ks[1], **args)
+        return _check_sn_decay(ks[0], ks[1], exponents)
     if condition_set == "qn_exponent":
-        return _check_qn_exponent(ks[0], b, **args)
+        return _check_qn_exponent(ks[0], b, Delta, exponents)
     if condition_set == "qn_decay":
-        return _check_qn_decay(ks[0], b, **args)
+        return _check_qn_decay(ks[0], b, exponents)
     if condition_set == "qn_envelope":
         short = _qn_envelope_divergence(ks[0], b, "qn_envelope")
         if short is not None:
             return short
         psi = star_conv_kernel(b, ks[0], Delta, absolute=True)
-        return _check_qn_envelope(psi, **args)
-    return _check_autocov(ks[0], **args)
+        return _check_qn_envelope(psi, Delta, exponents)
+    return _check_autocov(ks[0], Delta)
 
 
 def _qn_envelope_divergence(kernel: Kernel, b: CoefficientSeq, tag: str) -> ConditionReport | None:
@@ -345,10 +342,10 @@ def _qn_envelope_divergence(kernel: Kernel, b: CoefficientSeq, tag: str) -> Cond
     )
 
 
-def _check_pair_general(tag, k1, k2, Delta, exponents, base_step, tail_tol, nodes, brownian):
-    a1, t1, r1 = _abs_lag_sequence(k1, k1, Delta, base_step)
-    a2, t2, r2 = _abs_lag_sequence(k2, k2, Delta, base_step)
-    c12, tc, rc = _abs_lag_sequence(k1, k2, Delta, base_step)
+def _check_pair_general(tag, k1, k2, Delta, exponents, brownian):
+    a1, t1, r1 = _abs_lag_sequence(k1, k1, Delta)
+    a2, t2, r2 = _abs_lag_sequence(k2, k2, Delta)
+    c12, tc, rc = _abs_lag_sequence(k1, k2, Delta)
 
     e1 = gamma_seq_exponent(k1, k1)
     e2 = gamma_seq_exponent(k2, k2)
@@ -365,7 +362,7 @@ def _check_pair_general(tag, k1, k2, Delta, exponents, base_step, tail_tol, node
     for al1, al2 in candidates:
         n1 = _norm_entry(f"lag_self_products({al1:g})[1]", a1, t1, al1, r1)
         n2 = _norm_entry(f"lag_self_products({al2:g})[2]", a2, t2, al2, r2)
-        if _verdict_from_norms((n1, n2), tail_tol) == SUPPORTED:
+        if _verdict_from_norms((n1, n2)) == SUPPORTED:
             chosen, chosen_norms = (al1, al2), (n1, n2)
             break
     if chosen is None:
@@ -394,7 +391,7 @@ def _check_pair_general(tag, k1, k2, Delta, exponents, base_step, tail_tol, node
     ncross = _norm_entry("lag_cross_products(2)", c12, tc, 2.0, rc)
     second = AssumptionCheck(
         name="lag_cross_products_square_summable",
-        verdict=_verdict_from_norms((ncross,), tail_tol),
+        verdict=_verdict_from_norms((ncross,)),
         norms=(ncross,),
     )
 
@@ -408,24 +405,24 @@ def _check_pair_general(tag, k1, k2, Delta, exponents, base_step, tail_tol, node
             Delta,
             transform=np.abs,
             power=2.0,
-            nodes_per_period=nodes,
+            nodes_per_period=_NODES_PER_PERIOD,
             tail_sup_fn=_phase_tail_sup_fn([k1, k2], (1.0, 1.0), Delta),
         )
         nph = NormEstimate(name="period_square(abs_products)", value=math.sqrt(max(ph.value, 0.0)), tail_bound=ph.tail_bound)
         assumptions.append(
-            AssumptionCheck(name="period_square_integrable", verdict=_verdict_from_norms((nph,), tail_tol), norms=(nph,))
+            AssumptionCheck(name="period_square_integrable", verdict=_verdict_from_norms((nph,)), norms=(nph,))
         )
     return ConditionReport(condition_set=tag, exponents=exps, assumptions=tuple(assumptions), skipped=skipped)
 
 
-def _grid_sum_entry(kernel, alpha, Delta, p_out, nodes, tail_tol, label):
+def _grid_sum_entry(kernel, alpha, Delta, p_out, label):
     """Entry for ``(t -> sum_s |phi(t + s Delta)|**alpha) in L^{p_out}([0, Delta])``."""
     ph = phase_integral(
         [kernel],
         Delta,
         transform=lambda V: np.abs(V) ** alpha,
         power=p_out,
-        nodes_per_period=nodes,
+        nodes_per_period=_NODES_PER_PERIOD,
         tail_sup_fn=_phase_tail_sup_fn([kernel], (alpha,), Delta),
     )
     value = max(ph.value, 0.0) ** (1.0 / p_out)
@@ -444,7 +441,7 @@ def _feasible_alpha_min(kernel, grid, need_square=True):
     return (feas[0] if feas else None), (rho, exact)
 
 
-def _check_sn_exponent(k1, k2, Delta, exponents, base_step, tail_tol, nodes):
+def _check_sn_exponent(k1, k2, Delta, exponents):
     if exponents != "auto":
         a1, a2 = (float(x) for x in exponents)
         pins = ((a1,), (a2,))
@@ -467,9 +464,9 @@ def _check_sn_exponent(k1, k2, Delta, exponents, base_step, tail_tol, nodes):
             for a in candidates:
                 if a < amin:
                     continue
-                e_a = _grid_sum_entry(k, float(a), Delta, 2.0, nodes, tail_tol, f"grid_sum({a:g})[{i}]")
-                e_2 = _grid_sum_entry(k, 2.0, Delta, 2.0, nodes, tail_tol, f"grid_sum(2)[{i}]")
-                if _verdict_from_norms((e_a, e_2), tail_tol) == SUPPORTED:
+                e_a = _grid_sum_entry(k, float(a), Delta, 2.0, f"grid_sum({a:g})[{i}]")
+                e_2 = _grid_sum_entry(k, 2.0, Delta, 2.0, f"grid_sum(2)[{i}]")
+                if _verdict_from_norms((e_a, e_2)) == SUPPORTED:
                     chosen = (float(a), (e_a, e_2))
                     break
         alphas.append(chosen)
@@ -517,8 +514,8 @@ def _decay_sup_entry(kernel, alpha, label) -> NormEstimate:
     return NormEstimate(name=label, value=float(np.max(vals)), tail_bound=0.0)
 
 
-def _check_sn_decay(k1, k2, Delta, exponents, base_step, tail_tol, nodes):
-    del Delta, base_step, nodes  # decay-style: pure exponent arithmetic plus sups
+def _check_sn_decay(k1, k2, exponents):
+    # decay-style: pure exponent arithmetic plus sups
     caps = []
     for k in (k1, k2):
         pe = _power_exponent(k)
@@ -572,8 +569,7 @@ def _b_lq_feasible(b: CoefficientSeq, grid) -> float | None:
     return None
 
 
-def _check_qn_exponent(kernel, b, Delta, exponents, base_step, tail_tol, nodes):
-    del base_step
+def _check_qn_exponent(kernel, b, Delta, exponents):
     if exponents != "auto":
         a_pin, b_pin = (float(x) for x in exponents)
         a_grid, b_grid = (a_pin,), (b_pin,)
@@ -584,9 +580,9 @@ def _check_qn_exponent(kernel, b, Delta, exponents, base_step, tail_tol, nodes):
     beta = _b_lq_feasible(b, b_grid)
 
     if amin is not None and beta is not None and 2.0 / amin + 1.0 / beta >= 2.5:
-        e_a = _grid_sum_entry(kernel, amin, Delta, 4.0 / amin, nodes, tail_tol, f"grid_sum({amin:g})")
-        e_2 = _grid_sum_entry(kernel, 2.0, Delta, 2.0, nodes, tail_tol, f"grid_sum(2)")
-        kv = _verdict_from_norms((e_a, e_2), tail_tol)
+        e_a = _grid_sum_entry(kernel, amin, Delta, 4.0 / amin, f"grid_sum({amin:g})")
+        e_2 = _grid_sum_entry(kernel, 2.0, Delta, 2.0, f"grid_sum(2)")
+        kv = _verdict_from_norms((e_a, e_2))
         bq = _b_lq_entry(b, beta)
         assumptions = (
             AssumptionCheck("grid_sums_integrable", kv, (e_a, e_2)),
@@ -607,8 +603,7 @@ def _check_qn_exponent(kernel, b, Delta, exponents, base_step, tail_tol, nodes):
     return ConditionReport("qn_exponent", {}, (AssumptionCheck("exponent_pair", verdict, (), note),))
 
 
-def _check_qn_decay(kernel, b, Delta, exponents, base_step, tail_tol, nodes):
-    del Delta, base_step, nodes
+def _check_qn_decay(kernel, b, exponents):
     pe = _power_exponent(kernel)
     alpha_floor = 0.01 if pe is None else max(0.01, 2.0 * (1.0 - pe[0]))
     if isinstance(b, FiniteSupport):
@@ -640,13 +635,12 @@ def _check_qn_decay(kernel, b, Delta, exponents, base_step, tail_tol, nodes):
     return ConditionReport("qn_decay", {}, tuple(assumptions))
 
 
-def _check_qn_envelope(psi, Delta, exponents, base_step, tail_tol, nodes):
-    del nodes
-    g, tg, rg = _abs_lag_sequence(psi, psi, Delta, base_step)
+def _check_qn_envelope(psi, Delta, exponents):
+    g, tg, rg = _abs_lag_sequence(psi, psi, Delta)
     grid = _EXP_GRID if exponents == "auto" else tuple(float(x) for x in exponents)
     for beta in grid:
         n = _norm_entry(f"envelope_products({beta:g})", g, tg, float(beta), rg)
-        if _verdict_from_norms((n,), tail_tol) == SUPPORTED:
+        if _verdict_from_norms((n,)) == SUPPORTED:
             return ConditionReport(
                 "qn_envelope",
                 {"beta": float(beta), "alpha": _conjugate(float(beta))},
@@ -659,21 +653,20 @@ def _check_qn_envelope(psi, Delta, exponents, base_step, tail_tol, nodes):
     return ConditionReport("qn_envelope", {}, (AssumptionCheck("envelope_products_summable", verdict, (n2,)),))
 
 
-def _check_autocov(kernel, Delta, exponents, base_step, tail_tol, nodes):
-    del exponents
-    a, ta, ra = _abs_lag_sequence(kernel, kernel, Delta, base_step)
+def _check_autocov(kernel, Delta):
+    a, ta, ra = _abs_lag_sequence(kernel, kernel, Delta)
     n1 = _norm_entry("lag_products(2)", a, ta, 2.0, ra)
     ph = phase_integral(
         [kernel],
         Delta,
         transform=lambda V: V * V,
         power=2.0,
-        nodes_per_period=nodes,
+        nodes_per_period=_NODES_PER_PERIOD,
         tail_sup_fn=_phase_tail_sup_fn([kernel], (2.0,), Delta),
     )
     n2 = NormEstimate(name="period_square(grid_sum_squares)", value=math.sqrt(max(ph.value, 0.0)), tail_bound=ph.tail_bound)
     assumptions = (
-        AssumptionCheck("lag_products_square_summable", _verdict_from_norms((n1,), tail_tol), (n1,)),
-        AssumptionCheck("grid_square_sums_integrable", _verdict_from_norms((n2,), tail_tol), (n2,)),
+        AssumptionCheck("lag_products_square_summable", _verdict_from_norms((n1,)), (n1,)),
+        AssumptionCheck("grid_square_sums_integrable", _verdict_from_norms((n2,)), (n2,)),
     )
     return ConditionReport("autocov", {}, assumptions)

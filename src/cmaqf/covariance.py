@@ -17,15 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError
-from .kernels import AbsKernel, Kernel, KernelGrid, LinComboKernel, grid_sample
+from .kernels import Kernel, LinComboKernel, PowAbsKernel
 from .quadrature import QuadResult, product_integral
 from .tails import (
-    GeomSeqTail,
     PowerSeqTail,
     PowerTail,
     SeqTail,
     ZeroSeqTail,
+    fit_seq_tail,
     seq_tail_power_sum,
+    sparse_tail_sum_estimate,
     tail_sup,
 )
 
@@ -33,13 +34,18 @@ __all__ = [
     "FiniteSupport",
     "PowerDecay",
     "CoefficientSeq",
-    "star_conv",
+    "COV_STEPS_PER_DELTA",
+    "star_conv_kernel",
     "autocovariance",
     "crosscovariance",
     "covariance_lags",
     "b_star_gamma",
     "BStarGamma",
 ]
+
+#: Quadrature steps per sampling interval for the lag covariances behind the
+#: limit variances, the exact means and the Yule-Walker point.
+COV_STEPS_PER_DELTA = 256
 
 
 @dataclass(frozen=True)
@@ -143,7 +149,7 @@ def star_conv_kernel(b: CoefficientSeq, kernel: Kernel, Delta: float, *, absolut
 
     The absolute companion evaluates ``(|b| * |phi|)(t)``.
     """
-    base = AbsKernel(kernel) if absolute else kernel
+    base = PowAbsKernel(kernel, 1.0) if absolute else kernel
     tail_dropped = 0.0
     if isinstance(b, FiniteSupport):
         radius = b.radius
@@ -168,7 +174,7 @@ def _power_star_radius(b: PowerDecay, kernel: Kernel, Delta: float, rel_tol: flo
     """Truncation radius for a power-decay coefficient convolution.
 
     Power tails rarely meet fine tolerances by direct summation, so the radius
-    caps at ``cap`` and the achieved tail bound travels with the kernel as a
+    caps at ``cap`` and the estimated dropped tail travels with the kernel as a
     disclosed truncation diagnostic.
     """
     decay = kernel.decay
@@ -180,37 +186,18 @@ def _power_star_radius(b: PowerDecay, kernel: Kernel, Delta: float, rel_tol: flo
     scale = abs(b.b0) + b.c
     radius = 64
     while radius < cap:
-        tail = _star_tail_bound(b, kernel, Delta, radius)
+        tail = _star_tail_estimate(b, kernel, Delta, radius)
         if tail <= rel_tol * scale:
             return radius, tail
         radius *= 2
-    return cap, _star_tail_bound(b, kernel, Delta, cap)
+    return cap, _star_tail_estimate(b, kernel, Delta, cap)
 
 
-def _star_tail_bound(b: PowerDecay, kernel: Kernel, Delta: float, radius: int) -> float:
-    # bound sum_{|s| > radius} |b(s) phi(t - s Delta)| uniformly over a window
-    # of width ~ radius/2 * Delta around the origin; only the s -> -inf side
-    # survives for causal kernels but both sides are bounded the same way.
-    total = 0.0
-    s = radius
-    while True:
-        term = b.c * s**-b.rho * tail_sup(kernel.decay, s * Delta / 2.0)
-        total += term
-        if term == 0.0 or term < 1e-3 * total or s > 64 * radius:
-            return 2.0 * total if term > 0 else total
-        s = max(s + 1, int(1.25 * s))
-
-
-def star_conv(b: CoefficientSeq, grid: KernelGrid, Delta: float | None = None, *, absolute: bool = False) -> KernelGrid:
-    """Sample ``(b * phi)`` (or ``(|b| * |phi|)``) on the same grid as ``grid``.
-
-    For finite-support coefficients the result is backed by an exact shifted
-    linear combination of the original kernel; power-decay coefficients are
-    truncated at a radius with a relative tail below 1e-10.
-    """
-    Delta = grid.Delta if Delta is None else Delta
-    kernel = star_conv_kernel(b, grid.kernel, Delta, absolute=absolute)
-    return grid_sample(kernel, grid.Delta, grid.m, grid.horizon)
+def _star_tail_estimate(b: PowerDecay, kernel: Kernel, Delta: float, radius: int) -> float:
+    # estimate of sum_{|s| > radius} |b(s) phi(t - s Delta)| uniformly over a
+    # window of width ~ radius/2 * Delta around the origin; only the s -> -inf
+    # side survives for causal kernels but both sides are treated the same way.
+    return sparse_tail_sum_estimate(lambda s: b.c * s**-b.rho * tail_sup(kernel.decay, s * Delta / 2.0), radius)
 
 
 # ---------------------------------------------------------------------------
@@ -277,46 +264,6 @@ def covariance_lags(
     return out
 
 
-def fit_seq_tail(lags: np.ndarray, vals: np.ndarray, known_exponent: float | None = None) -> SeqTail:
-    """Tail model for a lag sequence from its last computed decade.
-
-    When ``known_exponent`` is given (analytic kernel decay), only the
-    constant is fitted against it; otherwise both power and geometric fits
-    compete.  Fitted models are conservative (constant inflated by the fit
-    residual, ``exact=False``).
-    """
-    lags = np.asarray(lags, dtype=float)
-    mags = np.abs(np.asarray(vals, dtype=float))
-    keep = (mags > 1e-280) & (lags > 0)
-    if keep.sum() < 3:
-        return ZeroSeqTail(exact=False)
-    lo = max(lags[keep].max() / 10.0, 1.0)
-    sel = keep & (lags >= lo)
-    if sel.sum() < 3:
-        sel = keep
-    x, y = lags[sel], np.log(mags[sel])
-    if known_exponent is not None:
-        shifted = y + known_exponent * np.log(x)
-        return PowerSeqTail(
-            constant=float(np.exp(np.max(shifted))),
-            exponent=known_exponent,
-            lower=float(np.exp(np.min(shifted))),
-            exact=False,
-        )
-    slope_p, icept_p = np.polyfit(np.log(x), y, 1)
-    res_p = float(np.max(np.abs(np.log(x) * slope_p + icept_p - y)))
-    slope_e, icept_e = np.polyfit(x, y, 1)
-    res_e = float(np.max(np.abs(x * slope_e + icept_e - y)))
-    if res_e <= res_p and slope_e < 0:
-        return GeomSeqTail(constant=float(np.exp(icept_e + res_e)), ratio=float(np.exp(slope_e)), exact=False)
-    return PowerSeqTail(
-        constant=float(np.exp(icept_p + res_p)),
-        exponent=float(-slope_p),
-        lower=float(np.exp(icept_p - res_p)),
-        exact=False,
-    )
-
-
 def gamma_seq_exponent(kernel: Kernel, other: Kernel | None = None) -> float | None:
     """Analytic power-decay exponent of the lag covariance when both kernels
     have exact power tails; ``None`` for exponential decay."""
@@ -350,16 +297,18 @@ class BStarGamma:
         the fitted tail model (zero inside the computed radius except at the
         edges, where it reports the model's one-sided continuation).
         """
-        from .tails import seq_tail_power_sum, ZeroSeqTail as _Zero
-
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("index,value,tail_bound\n")
             for s in range(-self.radius, self.radius + 1):
-                if abs(s) == self.radius and not isinstance(self.tail, _Zero):
+                if abs(s) == self.radius and not isinstance(self.tail, ZeroSeqTail):
                     _, bound = seq_tail_power_sum(self.tail, self.radius + 1, 1.0)
                 else:
                     bound = 0.0
                 fh.write(f"{s},{self.value(s)!r},{float(bound)!r}\n")
+
+
+_BSG_REL_TOL = 1e-8
+_BSG_S_CAP = 10**6
 
 
 def b_star_gamma(
@@ -370,14 +319,12 @@ def b_star_gamma(
     S: int | None = None,
     *,
     base_step: float | None = None,
-    rel_tol: float = 1e-8,
-    s_cap: int = 10**6,
 ) -> BStarGamma:
     """Sequence ``s -> sum_u b(u) gamma((s - u) Delta)`` with its squared l2 norm.
 
     The truncation radius doubles adaptively until the extrapolated tail of
-    the squared-norm is below ``rel_tol`` (relative), capping at ``s_cap``
-    with ``capped=True``.  A tail that provably diverges raises
+    the squared-norm is below 1e-8 (relative), capping at ``10**6`` with
+    ``capped=True``.  A tail that provably diverges raises
     :class:`ConvergenceError`.
     """
     gamma_exp = _gamma_power_exponent_or_check(b, kernel)
@@ -403,15 +350,15 @@ def b_star_gamma(
         t_lo, t_hi = seq_tail_power_sum(tail, S_eff + 1, 2.0) if not isinstance(tail, ZeroSeqTail) else (0.0, 0.0)
         tail_sq = 2.0 * t_hi  # both sides
         if not np.isfinite(tail_sq):
-            if S is not None or S_eff >= s_cap:
+            if S is not None or S_eff >= _BSG_S_CAP:
                 raise ConvergenceError("squared-norm tail of (b * gamma) diverges or cannot be bounded")
         if S is not None:
             capped = False
             break
-        if tail_sq <= rel_tol * max(head, 1e-300):
+        if tail_sq <= _BSG_REL_TOL * max(head, 1e-300):
             capped = False
             break
-        if S_eff >= s_cap:
+        if S_eff >= _BSG_S_CAP:
             capped = True
             break
         S_eff *= 2

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .covariance import covariance_lags
+from .covariance import COV_STEPS_PER_DELTA, covariance_lags
 from .errors import ParameterError
 from .kernels import Kernel, LinComboKernel
 from .levy import LevyModel
@@ -22,14 +22,13 @@ from .levy import LevyModel
 __all__ = ["yule_walker", "ls_kernel_pair", "poly_map"]
 
 
-def yule_walker(kernel: Kernel, model: LevyModel, delta: float, k: int, *, base_step: float | None = None) -> np.ndarray:
+def yule_walker(kernel: Kernel, model: LevyModel, delta: float, k: int) -> np.ndarray:
     """Coefficients of the best linear predictor of ``X_{(k+1) delta}`` from the
     previous ``k`` sampled values (Toeplitz solve)."""
     if k < 1:
         raise ParameterError("k must be >= 1")
     sigma2, _ = model.cumulants()
-    base_step = delta / 256.0 if base_step is None else base_step
-    gam = covariance_lags(kernel, kernel, sigma2, delta, 0, k, base_step=base_step)
+    gam = covariance_lags(kernel, kernel, sigma2, delta, 0, k, base_step=delta / COV_STEPS_PER_DELTA)
     col = gam[:k]
     rhs = gam[1 : k + 1]
     return scipy.linalg.solve_toeplitz((col, col), rhs)

@@ -6,11 +6,11 @@ real line, reports a decay model for its tail (exact constants for the
 analytic families, fitted envelopes for tabulated ones), and exposes the
 locations where its smoothness breaks so quadrature can split there.
 
-Derived kernels (:class:`LinComboKernel`, :class:`AbsKernel`) represent
+Derived kernels (:class:`LinComboKernel`, :class:`PowAbsKernel`) represent
 lag-shifted linear combinations such as coefficient-convolved kernels and
-lagged contrast vectors; they evaluate exactly through their base kernel, which
-is what makes the cross-route variance identities hold to near machine
-precision.
+lagged contrast vectors, and pointwise powers of absolute values; they
+evaluate exactly through their base kernel, which is what makes the
+cross-route variance identities hold to near machine precision.
 """
 
 from __future__ import annotations
@@ -32,11 +32,12 @@ __all__ = [
     "SddeKernel",
     "TabulatedKernel",
     "LinComboKernel",
-    "AbsKernel",
+    "PowAbsKernel",
     "KernelGrid",
     "build_carma",
     "solve_sdde_kernel",
     "grid_sample",
+    "grid_cells",
 ]
 
 _NODE_SNAP = 1e-9  # relative tolerance for snapping eval points onto table nodes
@@ -673,42 +674,6 @@ def _powered_tail(tail: TailModel, power: float) -> TailModel:
     )
 
 
-@dataclass(frozen=True)
-class AbsKernel(Kernel):
-    """Pointwise absolute value of a base kernel."""
-
-    base: Kernel
-
-    def __post_init__(self):
-        object.__setattr__(self, "support_lo", self.base.support_lo)
-        object.__setattr__(self, "decay", self.base.decay)
-
-    def eval(self, t):
-        return np.abs(self.base.eval(t))
-
-    def eval_side(self, t, side: str = "right"):
-        return np.abs(self.base.eval_side(t, side))
-
-    @property
-    def breakpoints(self):
-        return self.base.breakpoints
-
-    @property
-    def jumps(self):
-        return self.base.jumps
-
-    @property
-    def singular_points(self):
-        return self.base.singular_points
-
-    @property
-    def quad_step_hint(self):
-        return self.base.quad_step_hint
-
-    def spec_dict(self) -> dict:
-        return {"type": "abs", "base": self.base.spec_dict()}
-
-
 # ---------------------------------------------------------------------------
 # uniform grid sampling
 # ---------------------------------------------------------------------------
@@ -770,3 +735,13 @@ def grid_sample(kernel: Kernel, Delta: float, m: int, horizon: float) -> KernelG
         sel = times > 0
     tail = fit_tail(times[sel], values[sel])
     return KernelGrid(kernel=kernel, Delta=float(Delta), m=int(m), horizon=float(horizon), values=values, tail=tail)
+
+
+def grid_cells(grids) -> tuple[float, np.ndarray]:
+    """Shared step and left-endpoint cell values (one row per grid) of grids
+    that share step and window; raises :class:`GridError` otherwise."""
+    g0 = grids[0]
+    for g in grids[1:]:
+        if (g.Delta, g.m, g.horizon, len(g)) != (g0.Delta, g0.m, g0.horizon, len(g0)):
+            raise GridError("all grids must share step and window")
+    return g0.step, np.stack([np.asarray(g.values[:-1], dtype=float) for g in grids])

@@ -37,6 +37,7 @@ __all__ = [
     "BilateralGamma",
     "LevyModel",
     "stream",
+    "check_key",
 ]
 
 
@@ -48,11 +49,16 @@ def stream(seed: int, index: int) -> np.random.Generator:
     which they are consumed.  Both must be integers in ``[0, 2**64)``: any
     other value would wrap onto, or truncate to, another pair's key.
     """
-    for name, value in (("seed", seed), ("index", index)):
-        if not isinstance(value, (int, np.integer)) or not 0 <= int(value) < 2**64:
-            raise ParameterError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+    check_key("seed", seed)
+    check_key("index", index)
     key = np.array([np.uint64(seed), np.uint64(index)])
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def check_key(name: str, value) -> None:
+    """Raise :class:`ParameterError` unless ``value`` is an integer in ``[0, 2**64)``."""
+    if not isinstance(value, (int, np.integer)) or not 0 <= int(value) < 2**64:
+        raise ParameterError(f"{name} must be an integer in [0, 2**64), got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -20,11 +20,11 @@ import numpy as np
 from scipy import stats as sps
 
 from .conditions import check_conditions
-from .covariance import CoefficientSeq, covariance_lags
+from .covariance import COV_STEPS_PER_DELTA, CoefficientSeq, covariance_lags
 from .errors import ParameterError
 from .inference import ls_kernel_pair, poly_map, yule_walker
 from .kernels import Kernel
-from .levy import LevyModel
+from .levy import LevyModel, check_key
 from .simulate import (
     PathConfig,
     compute_qn,
@@ -108,6 +108,7 @@ class ExperimentConfig:
             raise ParameterError("ls_derivative experiments need an LsSpec")
         if self.conditions not in ("auto", "waive"):
             raise ParameterError("conditions must be 'auto' or 'waive'")
+        check_key("seed", self.seed)
 
     def path_config(self, stream_index: int) -> PathConfig:
         return PathConfig(
@@ -221,7 +222,7 @@ def _autocov_setup(cfg: ExperimentConfig):
     sigma = autocov_clt_sigma(cfg.kernel, cfg.model, cfg.delta, m, check=check)
     target = float(alpha @ sigma @ alpha)
     sigma2, _ = cfg.model.cumulants()
-    gam = covariance_lags(cfg.kernel, cfg.kernel, sigma2, cfg.delta, 1, m, base_step=cfg.delta / 256.0)
+    gam = covariance_lags(cfg.kernel, cfg.kernel, sigma2, cfg.delta, 1, m, base_step=cfg.delta / COV_STEPS_PER_DELTA)
     js = np.arange(1, m + 1)
     finite_mean = (1.0 - js / cfg.n) * gam  # exact finite-n mean of each lag
     # the deterministic per-replicate shift of centering at the finite-n mean

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .kernels import Kernel
-from .tails import product_tail_integral, tail_sup
+from .tails import product_tail_integral, sparse_tail_sum_estimate, tail_sup
 
 __all__ = ["QuadResult", "product_integral", "phase_lattice", "phase_product_sum", "phase_integral"]
 
@@ -33,6 +33,10 @@ _GRADE_RATIO = 0.5
 _GRADE_LEVELS = 48
 _MAX_NODES_PER_BLOCK = 4096
 _MIN_NODES_PER_BLOCK = 8
+_PRODUCT_REL_TOL = 1e-10
+_PRODUCT_MAX_SPAN = float(2**24)
+_LATTICE_REL_TOL = 1e-9
+_LATTICE_S_CAP = 2**20
 
 
 @dataclass(frozen=True)
@@ -55,14 +59,12 @@ def _simpson(fvals: np.ndarray, a: float, b: float) -> float:
     return h / 3.0 * (fvals[0] + fvals[-1] + 4.0 * fvals[1:-1:2].sum() + 2.0 * fvals[2:-2:2].sum())
 
 
-def _block(feval, a: float, b: float, n: int, fa: float | None = None, fb: float | None = None):
+def _block(feval, a: float, b: float, n: int, fb: float | None = None):
     """Nested Simpson on [a, b]: returns (fine value, |fine - coarse|/15)."""
     n = max(_MIN_NODES_PER_BLOCK, min(int(n), _MAX_NODES_PER_BLOCK))
     n = 4 * ((n + 3) // 4)
     nodes = np.linspace(a, b, n + 1)
     vals = np.asarray(feval(nodes), dtype=float)
-    if fa is not None:
-        vals[0] = fa
     if fb is not None:
         vals[-1] = fb
     fine = _simpson(vals, a, b)
@@ -97,23 +99,21 @@ def product_integral(
     *,
     absolute: bool = False,
     base_step: float = 1.0 / 64.0,
-    rel_tol: float = 1e-10,
-    max_span: float = float(2**24),
 ) -> QuadResult:
     """Integrate ``k1(t) * k2(t + shift)`` (or its absolute value) over the line.
 
     The window grows in dyadic blocks until the closed-form tail bound drops
-    below ``rel_tol`` times the accumulated value; a divergent tail (by the
-    decay models) raises :class:`ConvergenceError`.
+    below 1e-10 times the accumulated value (or the window passes 2**24); a
+    divergent tail (by the decay models) raises :class:`ConvergenceError`.
     """
 
     def feval(ts):
         v = np.asarray(k1.eval(ts)) * np.asarray(k2.eval(ts + shift))
         return np.abs(v) if absolute else v
 
-    def fside(t, side):
-        v = float(np.asarray(k1.eval_side(np.array([t]), side))[0]) * float(
-            np.asarray(k2.eval_side(np.array([t + shift]), side))[0]
+    def left_limit(t):
+        v = float(np.asarray(k1.eval_side(np.array([t]), "left"))[0]) * float(
+            np.asarray(k2.eval_side(np.array([t + shift]), "left"))[0]
         )
         return abs(v) if absolute else v
 
@@ -146,23 +146,16 @@ def product_integral(
             v, e = _graded(feval, bb - w, bb, toward_left=False)
             total, est, bb = total + v, est + e, bb - w
         if bb > aa:
-            v, e = _block(
-                feval,
-                aa,
-                bb,
-                int(math.ceil((bb - aa) / step)),
-                fa=fside(aa, "right"),
-                fb=fside(bb, "left"),
-            )
+            v, e = _block(feval, aa, bb, int(math.ceil((bb - aa) / step)), fb=left_limit(bb))
             total, est = total + v, est + e
 
     # dyadic extension until the decay-model tail bound is negligible
     u = core_end
     while True:
         tail = product_tail_integral(k1.decay, k2.decay, u, shift)
-        if tail <= rel_tol * max(abs(total), 1e-300) or tail == 0.0:
+        if tail <= _PRODUCT_REL_TOL * max(abs(total), 1e-300) or tail == 0.0:
             break
-        if u > max_span:
+        if u > _PRODUCT_MAX_SPAN:
             if not np.isfinite(tail):
                 raise ConvergenceError(
                     f"product integral tail diverges (decay models {k1.decay} x {k2.decay})"
@@ -183,36 +176,27 @@ def product_integral(
 # ---------------------------------------------------------------------------
 
 
-def lattice_s_range(kernels, Delta: float, s_max_cap: int = 2**20, rel_tol: float = 1e-9) -> tuple[int, int]:
+def lattice_s_range(kernels, Delta: float) -> tuple[int, int]:
     """Lag range ``[s_lo, s_hi]`` so the omitted product terms are negligible.
 
-    The lower end is fixed by the supports; the upper end grows until the
-    product of the decay-model sups at ``s * Delta`` sums below ``rel_tol``.
+    The lower end is fixed by the supports; the upper end doubles until the
+    estimated sum of the product of the decay-model sups at ``s * Delta``
+    beyond it is below 1e-9, up to ``2**20``.
     """
     support = max(k.support_lo for k in kernels)
     s_lo = int(math.floor(support / Delta)) - 1
     s_hi = max(8, -s_lo + 8)
-    while s_hi < s_max_cap:
+    while s_hi < _LATTICE_S_CAP:
         sup = _product_sup_tail_sum(kernels, Delta, s_hi)
-        if sup <= rel_tol or sup == 0.0:
+        if sup <= _LATTICE_REL_TOL or sup == 0.0:
             break
         s_hi *= 2
     return s_lo, s_hi
 
 
 def _product_sup_tail_sum(kernels, Delta, S):
-    # sum_{s > S} prod_i sup |k_i(s Delta)|; geometric/power closed forms via sampling
-    total = 0.0
-    s = S
-    while True:
-        term = 1.0
-        for k in kernels:
-            term *= tail_sup(k.decay, s * Delta)
-        total += term
-        if term <= total * 1e-3 or term == 0.0 or s > 64 * S:
-            # crude geometric continuation of the last ratio
-            return total * 2.0 if term > 0 else total
-        s = max(s + 1, int(s * 1.25))
+    # estimate of sum_{s >= S} prod_i sup |k_i(s Delta)|
+    return sparse_tail_sum_estimate(lambda s: math.prod(tail_sup(k.decay, s * Delta) for k in kernels), S)
 
 
 def phase_lattice(kernel: Kernel, nodes: np.ndarray, s_lo: int, s_hi: int, Delta: float, left_at=None) -> np.ndarray:

@@ -11,7 +11,7 @@ mass outside the truncation window is a disclosed bias budget; when the
 relative squared mass exceeds the budget the simulation refuses with the
 offending number rather than silently truncating.
 
-:func:`stochastic_integrals` deliberately uses the *left-endpoint* cell rule
+:func:`stochastic_integrals_joint` deliberately uses the *left-endpoint* cell rule
 on kernel grids instead: it is the sampling twin of
 :func:`cmaqf.variance.fourth_moment`, and the two sides of that moment
 cross-check must discretise identically.
@@ -29,8 +29,8 @@ import scipy.signal
 
 from .covariance import CoefficientSeq, FiniteSupport
 from .errors import ParameterError, TruncationError
-from .kernels import Kernel, KernelGrid
-from .levy import LevyModel, stream
+from .kernels import Kernel, grid_cells
+from .levy import LevyModel, check_key, stream
 from .quadrature import product_integral
 from .tails import PowerTail, tail_integral
 
@@ -39,7 +39,6 @@ __all__ = [
     "SamplePath",
     "simulate_path",
     "simulate_pair",
-    "stochastic_integrals",
     "stochastic_integrals_joint",
     "compute_sn",
     "compute_qn",
@@ -50,6 +49,7 @@ __all__ = [
 ]
 
 _POWER_HORIZON_CAP = 1024  # multiples of delta; power-tail truncation is disclosed, not silent
+_INTEGRAL_CHUNK = 100_000  # replicates per increment matrix in stochastic_integrals_joint
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,8 @@ class PathConfig:
             raise ParameterError("n must be >= 1")
         if self.fine_steps < 1:
             raise ParameterError("fine_steps must be >= 1")
+        check_key("seed", self.seed)
+        check_key("stream_index", self.stream_index)
         if self.horizon is not None:
             ratio = self.horizon / self.delta
             if not self.horizon > 0 or abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
@@ -224,31 +226,18 @@ def _simulate(kernels, model: LevyModel, cfg: PathConfig, method: str):
     return tuple(paths)
 
 
-def stochastic_integrals(grid: KernelGrid, model: LevyModel, count: int, rng, *, chunk: int = 100_000) -> np.ndarray:
-    """``count`` independent draws of the stochastic integral of the gridded kernel.
-
-    Left-endpoint cell rule on the grid cells with exact increment laws; the
-    discretisation matches :func:`cmaqf.variance.fourth_moment` exactly.
-    """
-    return stochastic_integrals_joint((grid,), model, count, rng, chunk=chunk)[0]
-
-
-def stochastic_integrals_joint(grids, model: LevyModel, count: int, rng, *, chunk: int = 100_000) -> list[np.ndarray]:
+def stochastic_integrals_joint(grids, model: LevyModel, count: int, rng) -> list[np.ndarray]:
     """Joint draws of several stochastic integrals sharing one driver realization.
 
     All grids must share step and window; each replicate draws one increment
-    vector and dots it against every grid's left-endpoint cell values.
+    vector and dots it against every grid's left-endpoint cell values, the
+    discretisation of :func:`cmaqf.variance.fourth_moment`.
     """
-    g0 = grids[0]
-    for g in grids[1:]:
-        if (g.Delta, g.m, g.horizon, len(g)) != (g0.Delta, g0.m, g0.horizon, len(g0)):
-            raise ParameterError("all grids must share step and window")
-    cells = np.stack([np.asarray(g.values[:-1], dtype=float) for g in grids])
-    step = g0.step
+    step, cells = grid_cells(grids)
     out = np.empty((len(grids), count))
     done = 0
     while done < count:
-        k = min(chunk, count - done)
+        k = min(_INTEGRAL_CHUNK, count - done)
         dL = model.sample_increments(k * cells.shape[1], step, rng).reshape(k, cells.shape[1])
         out[:, done : done + k] = cells @ dL.T
         done += k

@@ -102,10 +102,7 @@ def fit_tail(ts: np.ndarray, values: np.ndarray) -> TailFit:
     if keep.sum() < 3:
         return TailFit(math.inf, 0.0, 0.0, math.inf, 0.0, 0.0, "power", (lo, hi))
     t, y = ts[keep], np.log(mags[keep])
-    slope_p, icept_p = np.polyfit(np.log(t), y, 1)
-    res_p = float(np.max(np.abs(np.log(t) * slope_p + icept_p - y)))
-    slope_e, icept_e = np.polyfit(t, y, 1)
-    res_e = float(np.max(np.abs(t * slope_e + icept_e - y)))
+    (slope_p, icept_p, res_p), (slope_e, icept_e, res_e) = _log_fits(t, y)
     preferred = "exponential" if res_e < res_p else "power"
     return TailFit(
         exponent=float(-slope_p),
@@ -117,6 +114,16 @@ def fit_tail(ts: np.ndarray, values: np.ndarray) -> TailFit:
         preferred=preferred,
         fit_range=(float(t[0]), float(t[-1])),
     )
+
+
+def _log_fits(x: np.ndarray, y: np.ndarray):
+    """Power (``y`` linear in ``log x``) and exponential (``y`` linear in ``x``)
+    least-squares fits, each as ``(slope, intercept, max |residual|)``."""
+    slope_p, icept_p = np.polyfit(np.log(x), y, 1)
+    res_p = float(np.max(np.abs(np.log(x) * slope_p + icept_p - y)))
+    slope_e, icept_e = np.polyfit(x, y, 1)
+    res_e = float(np.max(np.abs(x * slope_e + icept_e - y)))
+    return (slope_p, icept_p, res_p), (slope_e, icept_e, res_e)
 
 
 def tail_sup(tail: TailModel, t: float) -> float:
@@ -215,6 +222,60 @@ class ZeroSeqTail:
 
 
 SeqTail = GeomSeqTail | PowerSeqTail | ZeroSeqTail
+
+
+def fit_seq_tail(lags: np.ndarray, vals: np.ndarray, known_exponent: float | None = None) -> SeqTail:
+    """Tail model for a lag sequence from its last computed decade.
+
+    When ``known_exponent`` is given (analytic kernel decay), only the
+    constant is fitted against it; otherwise both power and geometric fits
+    compete.  Fitted models are conservative (constant inflated by the fit
+    residual, ``exact=False``).
+    """
+    lags = np.asarray(lags, dtype=float)
+    mags = np.abs(np.asarray(vals, dtype=float))
+    keep = (mags > 1e-280) & (lags > 0)
+    if keep.sum() < 3:
+        return ZeroSeqTail(exact=False)
+    lo = max(lags[keep].max() / 10.0, 1.0)
+    sel = keep & (lags >= lo)
+    if sel.sum() < 3:
+        sel = keep
+    x, y = lags[sel], np.log(mags[sel])
+    if known_exponent is not None:
+        shifted = y + known_exponent * np.log(x)
+        return PowerSeqTail(
+            constant=float(np.exp(np.max(shifted))),
+            exponent=known_exponent,
+            lower=float(np.exp(np.min(shifted))),
+            exact=False,
+        )
+    (slope_p, icept_p, res_p), (slope_e, icept_e, res_e) = _log_fits(x, y)
+    if res_e <= res_p and slope_e < 0:
+        return GeomSeqTail(constant=float(np.exp(icept_e + res_e)), ratio=float(np.exp(slope_e)), exact=False)
+    return PowerSeqTail(
+        constant=float(np.exp(icept_p + res_p)),
+        exponent=float(-slope_p),
+        lower=float(np.exp(icept_p - res_p)),
+        exact=False,
+    )
+
+
+def sparse_tail_sum_estimate(term, start: int) -> float:
+    """Estimate ``sum_{s >= start} term(s)`` for a non-negative decreasing ``term``
+    from samples on a ladder ``s -> 1.25 s``, doubled for the continuation.
+
+    The ladder skips terms, so this is not an upper bound: for power-law terms
+    it falls short of the true sum.
+    """
+    total = 0.0
+    s = start
+    while True:
+        t = term(s)
+        total += t
+        if t <= total * 1e-3 or t == 0.0 or s > 64 * start:
+            return total * 2.0 if t > 0 else total
+        s = max(s + 1, int(s * 1.25))
 
 
 def seq_tail_power_sum(tail: SeqTail, start: int, p: float) -> tuple[float, float]:

@@ -23,12 +23,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conditions import ConditionReport, check_conditions
-from .covariance import CoefficientSeq, b_star_gamma, covariance_lags, fit_seq_tail, star_conv_kernel
-from .errors import ConditionsRefutedError, GridError, ParameterError
-from .kernels import Kernel, KernelGrid, LinComboKernel
+from .covariance import (
+    COV_STEPS_PER_DELTA,
+    CoefficientSeq,
+    FiniteSupport,
+    b_star_gamma,
+    covariance_lags,
+    star_conv_kernel,
+)
+from .errors import ConditionsRefutedError, ParameterError
+from .kernels import Kernel, KernelGrid, LinComboKernel, grid_cells
 from .levy import LevyModel
 from .quadrature import _simpson, lattice_s_range, phase_integral, phase_product_sum
-from .tails import ZeroSeqTail, seq_tail_power_sum
+from .tails import ZeroSeqTail, fit_seq_tail, seq_tail_power_sum
 
 __all__ = [
     "VarianceReport",
@@ -75,17 +82,12 @@ class VarianceReport:
         return out
 
 
+_NODES_PER_PERIOD = 512  # Simpson nodes (a multiple of 4) per sampling period of the fourth-cumulant integrals
+
+
 # ---------------------------------------------------------------------------
 # fourth-moment oracle
 # ---------------------------------------------------------------------------
-
-
-def _cell_values(grids) -> tuple[float, list[np.ndarray]]:
-    g0 = grids[0]
-    for g in grids[1:]:
-        if (g.Delta, g.m, g.horizon, len(g)) != (g0.Delta, g0.m, g0.horizon, len(g0)):
-            raise GridError("all four grids must share step and window")
-    return g0.step, [np.asarray(g.values[:-1], dtype=float) for g in grids]
 
 
 def fourth_moment(g1: KernelGrid, g2: KernelGrid, g3: KernelGrid, g4: KernelGrid, model: LevyModel) -> float:
@@ -95,7 +97,7 @@ def fourth_moment(g1: KernelGrid, g2: KernelGrid, g3: KernelGrid, g4: KernelGrid
     with the left-endpoint cell rule on the shared grid.
     """
     sigma2, kappa4 = model.cumulants()
-    step, (v1, v2, v3, v4) = _cell_values((g1, g2, g3, g4))
+    step, (v1, v2, v3, v4) = grid_cells((g1, g2, g3, g4))
     i4 = step * float(np.sum(v1 * v2 * v3 * v4))
     i12, i34 = step * float(np.sum(v1 * v2)), step * float(np.sum(v3 * v4))
     i13, i24 = step * float(np.sum(v1 * v3)), step * float(np.sum(v2 * v4))
@@ -133,7 +135,7 @@ def _gate_conditions(condition_set, kernels, b, Delta, model, check, force):
 # ---------------------------------------------------------------------------
 
 
-def _product_sum_with_tail(lags, prod, rel_tol):
+def _product_sum_with_tail(lags, prod):
     head = float(np.sum(prod))
     tail = fit_seq_tail(lags, prod)
     if isinstance(tail, ZeroSeqTail):
@@ -142,15 +144,16 @@ def _product_sum_with_tail(lags, prod, rel_tol):
     return head, 2.0 * up if np.isfinite(up) else math.inf
 
 
-def _cov_product_sums(k1, k2, sigma2, Delta, base_step, rel_tol=1e-9, s_cap=2**14):
+def _cov_product_sums(k1, k2, sigma2, Delta, rel_tol=1e-9, s_cap=2**14):
+    base_step = Delta / COV_STEPS_PER_DELTA
     S = 32
     while True:
         g11 = covariance_lags(k1, k1, sigma2, Delta, -S, S, base_step=base_step)
         g22 = covariance_lags(k2, k2, sigma2, Delta, -S, S, base_step=base_step)
         g12 = covariance_lags(k1, k2, sigma2, Delta, -S, S, base_step=base_step)
         lags = np.arange(-S, S + 1)
-        t_auto, tail_a = _product_sum_with_tail(lags, g11 * g22, rel_tol)
-        t_cross, tail_c = _product_sum_with_tail(lags, g12 * g12[::-1], rel_tol)
+        t_auto, tail_a = _product_sum_with_tail(lags, g11 * g22)
+        t_cross, tail_c = _product_sum_with_tail(lags, g12 * g12[::-1])
         scale = max(abs(t_auto) + abs(t_cross), 1e-300)
         if (tail_a + tail_c) <= rel_tol * scale or S >= s_cap:
             capped = (tail_a + tail_c) > rel_tol * scale
@@ -163,6 +166,14 @@ def _cov_product_sums(k1, k2, sigma2, Delta, base_step, rel_tol=1e-9, s_cap=2**1
 # ---------------------------------------------------------------------------
 
 
+def _kappa4_term(kernels, kappa4, Delta):
+    """``kappa4`` times the period integral of the squared lattice sum, with its diagnostics."""
+    if kappa4 == 0.0:
+        return 0.0, {}
+    ph = phase_integral(kernels, Delta, nodes_per_period=_NODES_PER_PERIOD)
+    return kappa4 * ph.value, {"phase_disc_estimate": ph.disc_estimate, "phase_tail_bound": ph.tail_bound}
+
+
 def eta2_sn(
     k1: Kernel,
     k2: Kernel,
@@ -171,8 +182,6 @@ def eta2_sn(
     *,
     check="auto",
     force: bool = False,
-    base_step: float | None = None,
-    nodes_per_period: int = 512,
 ) -> VarianceReport:
     """Limit variance of the normalised bilinear statistic of two kernels.
 
@@ -181,17 +190,8 @@ def eta2_sn(
     """
     report, note = _gate_conditions("sn_general", (k1, k2), None, Delta, model, check, force)
     sigma2, kappa4 = model.cumulants()
-    base_step = Delta / 256.0 if base_step is None else base_step
-
-    diagnostics: dict[str, float] = {}
-    if kappa4 == 0.0:
-        k4_term = 0.0
-    else:
-        ph = phase_integral([k1, k2], Delta, nodes_per_period=nodes_per_period)
-        k4_term = kappa4 * ph.value
-        diagnostics.update({"phase_disc_estimate": ph.disc_estimate, "phase_tail_bound": ph.tail_bound})
-
-    t_auto, t_cross, diag = _cov_product_sums(k1, k2, sigma2, Delta, base_step)
+    k4_term, diagnostics = _kappa4_term([k1, k2], kappa4, Delta)
+    t_auto, t_cross, diag = _cov_product_sums(k1, k2, sigma2, Delta)
     diagnostics.update(diag)
     return VarianceReport(
         eta2=k4_term + t_auto + t_cross,
@@ -212,8 +212,6 @@ def eta2_qn(
     *,
     check="auto",
     force: bool = False,
-    base_step: float | None = None,
-    nodes_per_period: int = 512,
 ) -> VarianceReport:
     """Limit variance of the normalised quadratic form with even weights ``b``.
 
@@ -224,22 +222,14 @@ def eta2_qn(
     """
     report, note = _gate_conditions("qn_general", kernel, b, Delta, model, check, force)
     sigma2, kappa4 = model.cumulants()
-    base_step = Delta / 256.0 if base_step is None else base_step
     conv = star_conv_kernel(b, kernel, Delta)
+    k4_term, diagnostics = _kappa4_term([kernel, conv], kappa4, Delta)
 
-    diagnostics: dict[str, float] = {}
-    if kappa4 == 0.0:
-        k4_term = 0.0
-    else:
-        ph = phase_integral([kernel, conv], Delta, nodes_per_period=nodes_per_period)
-        k4_term = kappa4 * ph.value
-        diagnostics.update({"phase_disc_estimate": ph.disc_estimate, "phase_tail_bound": ph.tail_bound})
-
-    bsg = b_star_gamma(b, kernel, sigma2, Delta, base_step=base_step)
+    bsg = b_star_gamma(b, kernel, sigma2, Delta, base_step=Delta / COV_STEPS_PER_DELTA)
     direct = 2.0 * bsg.l2_sq
     diagnostics.update({"bsg_radius": float(bsg.radius), "bsg_l2_tail": bsg.l2_sq_tail, "bsg_capped": float(bsg.capped)})
 
-    t_auto, t_cross, diag = _cov_product_sums(kernel, conv, sigma2, Delta, base_step)
+    t_auto, t_cross, diag = _cov_product_sums(kernel, conv, sigma2, Delta)
     diagnostics.update(diag)
 
     return VarianceReport(
@@ -262,8 +252,6 @@ def autocov_clt_sigma(
     *,
     check="auto",
     force: bool = False,
-    base_step: float | None = None,
-    nodes_per_period: int = 512,
     lag_radius: int = 512,
 ) -> np.ndarray:
     """Asymptotic covariance matrix of the first ``m`` scaled sample autocovariances.
@@ -277,7 +265,6 @@ def autocov_clt_sigma(
         raise ParameterError("m must be >= 1")
     _gate_conditions("autocov", kernel, None, Delta, model, check, force)
     sigma2, kappa4 = model.cumulants()
-    base_step = Delta / 256.0 if base_step is None else base_step
 
     if kappa4 == 0.0:
         k4_block = np.zeros((m, m))
@@ -286,14 +273,13 @@ def autocov_clt_sigma(
         # one lag range wide enough for the four-factor lattice sum of every pair
         ranges = [lattice_s_range([kernel, ki, kj], Delta) for i, ki in enumerate(shifted) for kj in shifted[i:]]
         s_lo, s_hi = min(r[0] for r in ranges), max(r[1] for r in ranges)
-        n = 4 * ((nodes_per_period + 3) // 4)
-        nodes = np.linspace(0.0, Delta, n + 1)
+        nodes = np.linspace(0.0, Delta, _NODES_PER_PERIOD + 1)
         # K[j - 1] is K_j at the nodes; int_0^Delta K_i K_j dt by Simpson
         K = [phase_product_sum([kernel, kj], nodes, s_lo, s_hi, Delta, left_at=(Delta,)) for kj in shifted]
         k4_block = kappa4 * np.array([[_simpson(Ki * Kj, 0.0, Delta) for Kj in K] for Ki in K])
 
     S = lag_radius
-    gam = covariance_lags(kernel, kernel, sigma2, Delta, -(S + m), S + m, base_step=base_step)
+    gam = covariance_lags(kernel, kernel, sigma2, Delta, -(S + m), S + m, base_step=Delta / COV_STEPS_PER_DELTA)
     # G[j - 1, s + S] = gamma(s + j) and R[j - 1, s + S] = gamma(j - s), |s| <= S
     js, ss = np.arange(1, m + 1)[:, None], np.arange(-S, S + 1)[None, :]
     G, R = gam[js + ss + S + m], gam[js - ss + S + m]
@@ -301,24 +287,15 @@ def autocov_clt_sigma(
     return 0.5 * (sigma + sigma.T)
 
 
-def expected_sn(k1: Kernel, k2: Kernel, model: LevyModel, Delta: float, n: int, *, base_step: float | None = None) -> float:
+def expected_sn(k1: Kernel, k2: Kernel, model: LevyModel, Delta: float, n: int) -> float:
     """Exact mean of the bilinear statistic: ``n`` times the lag-0 crosscovariance."""
     if n < 1:
         raise ParameterError("n must be >= 1")
     sigma2, _ = model.cumulants()
-    base_step = Delta / 256.0 if base_step is None else base_step
-    return n * covariance_lags(k1, k2, sigma2, Delta, 0, 0, base_step=base_step)[0]
+    return n * covariance_lags(k1, k2, sigma2, Delta, 0, 0, base_step=Delta / COV_STEPS_PER_DELTA)[0]
 
 
-def expected_qn(
-    b: CoefficientSeq,
-    kernel: Kernel,
-    model: LevyModel,
-    Delta: float,
-    n: int,
-    *,
-    base_step: float | None = None,
-) -> float:
+def expected_qn(b: CoefficientSeq, kernel: Kernel, model: LevyModel, Delta: float, n: int) -> float:
     """Exact mean of the quadratic form, collapsed to a single lag sum.
 
     ``E Q_n = n * sum_{|u| < n} (1 - |u|/n) b(u) gamma(u Delta)``; lags whose
@@ -327,9 +304,7 @@ def expected_qn(
     if n < 1:
         raise ParameterError("n must be >= 1")
     sigma2, _ = model.cumulants()
-    base_step = Delta / 256.0 if base_step is None else base_step
-    from .covariance import FiniteSupport
-
+    base_step = Delta / COV_STEPS_PER_DELTA
     u_max = n - 1
     if isinstance(b, FiniteSupport):
         u_max = min(u_max, b.radius)

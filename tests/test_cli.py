@@ -207,3 +207,17 @@ def test_seed_outside_64_bits_rejected(tmp_path, capsys):
     assert run(["mc", "--config", str(write_config(tmp_path, "c.json", cfg)), "--seed", "-1"]) == 2
     err = json.loads(capsys.readouterr().err)
     assert "seed" in err["error"]["message"]
+
+
+def test_seed_checked_before_the_analytic_setup(tmp_path, capsys):
+    # the conditions of this config are refuted (exit 3 once the set-up runs),
+    # so exit 2 shows the seed is rejected before any set-up work
+    cfg = base_config(
+        levy={"type": "compound_poisson_normal", "rate": 1.0, "jump_variance": 1.0},
+        kernel={"type": "fractional_noise", "d": 0.1},
+        b={"type": "power_decay", "c": 1.0, "rho": 0.3, "b0": 1.0},
+        statistic="qn", n=50, replicates=4, output_dir=str(tmp_path / "out"),
+    )
+    assert run(["mc", "--config", str(write_config(tmp_path, "c.json", cfg)), "--seed", "-1"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert "seed" in err["error"]["message"]

@@ -11,7 +11,6 @@ from cmaqf.covariance import (
     b_star_gamma,
     covariance_lags,
     crosscovariance,
-    star_conv,
     star_conv_kernel,
 )
 from cmaqf.errors import ConvergenceError, ParameterError
@@ -128,16 +127,15 @@ def test_fractional_lag_sums_diverge_in_l1_converge_in_l2():
 
 def test_star_conv_identity_element():
     g = grid_sample(ExponentialOU(1.0), 1.0, 8, 8.0)
-    out = star_conv(FiniteSupport.delta0(), g)
-    assert np.array_equal(out.values, g.values)
+    out = star_conv_kernel(FiniteSupport.delta0(), g.kernel, g.Delta).eval(g.times())
+    assert np.array_equal(out, g.values)
 
 
 def test_star_conv_two_shifted_indicators():
     vals = np.ones(9)
     vals[-1] = 0.0
     box = TabulatedKernel(t0=0.0, step=0.125, values=vals)  # indicator of [0, 1)
-    g = grid_sample(box, 1.0, 8, 4.0)
-    out = star_conv(FiniteSupport(values=(0.0, 1.0)), g)
+    out = grid_sample(star_conv_kernel(FiniteSupport(values=(0.0, 1.0)), box, 1.0), 1.0, 8, 4.0)
     ts = out.times()
     expect = ((ts >= -1) & (ts < 0)).astype(float) + ((ts >= 1) & (ts < 2)).astype(float)
     assert np.array_equal(out.values, expect)
@@ -146,12 +144,12 @@ def test_star_conv_two_shifted_indicators():
 def test_star_conv_absolute_companion():
     ou = ExponentialOU(1.0)
     b = FiniteSupport(values=(0.0, -1.0))  # sign flips under the absolute companion
-    g = grid_sample(ou, 1.0, 4, 8.0)
-    signed = star_conv(b, g)
-    absolute = star_conv(b, g, absolute=True)
-    assert np.allclose(np.abs(signed.values), absolute.values, rtol=0, atol=1e-15)
-    assert np.any(signed.values < 0)
-    assert np.all(absolute.values >= 0)
+    ts = grid_sample(ou, 1.0, 4, 8.0).times()
+    signed = star_conv_kernel(b, ou, 1.0).eval(ts)
+    absolute = star_conv_kernel(b, ou, 1.0, absolute=True).eval(ts)
+    assert np.allclose(np.abs(signed), absolute, rtol=0, atol=1e-15)
+    assert np.any(signed < 0)
+    assert np.all(absolute >= 0)
 
 
 def test_b_star_gamma_delta0_reduces_to_lags():

@@ -44,6 +44,8 @@ def test_config_validation():
     with pytest.raises(ParameterError):
         ExperimentConfig(statistic="bogus", kernel=ou, model=bm, delta=1.0, n=10, replicates=4)
     with pytest.raises(ParameterError):
+        ExperimentConfig(statistic="sn", kernel=ou, model=bm, delta=1.0, n=10, replicates=4, seed=-1)
+    with pytest.raises(ParameterError):
         ExperimentConfig(
             statistic="autocov_contrast", kernel=ou, model=bm, delta=1.0, n=10, replicates=4,
             contrast=(0.0,), lags=1,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cmaqf.covariance import FiniteSupport, PowerDecay
-from cmaqf.errors import ParameterError, TruncationError
+from cmaqf.errors import GridError, ParameterError, TruncationError
 from cmaqf.kernels import ExponentialOU, FractionalNoise, LinComboKernel, TabulatedKernel, grid_sample
 from cmaqf.levy import BrownianMotion, CompoundPoissonNormal, stream
 from cmaqf.simulate import (
@@ -16,7 +16,7 @@ from cmaqf.simulate import (
     sample_autocov,
     simulate_pair,
     simulate_path,
-    stochastic_integrals,
+    stochastic_integrals_joint,
 )
 
 
@@ -103,6 +103,13 @@ def test_truncation_budget_enforced():
     assert resolve_horizon(fn, PathConfig(delta=1.0, n=10, fine_steps=8)) == 1024.0
     with pytest.raises(ParameterError):
         PathConfig(delta=1.0, n=10, horizon=3.5)
+
+
+def test_path_config_rejects_keys_outside_64_bits():
+    with pytest.raises(ParameterError):
+        PathConfig(delta=1.0, n=10, seed=2**64)
+    with pytest.raises(ParameterError):
+        PathConfig(delta=1.0, n=10, stream_index=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +204,12 @@ def test_fractional_path_smoke_and_disclosed_bias():
 
 def test_stochastic_integrals_deterministic():
     g = grid_sample(ExponentialOU(1.0), 1.0, 8, 8.0)
-    a = stochastic_integrals(g, CompoundPoissonNormal(1.0, 1.0), 1000, stream(3, 1))
-    b = stochastic_integrals(g, CompoundPoissonNormal(1.0, 1.0), 1000, stream(3, 1))
+    a = stochastic_integrals_joint((g,), CompoundPoissonNormal(1.0, 1.0), 1000, stream(3, 1))[0]
+    b = stochastic_integrals_joint((g,), CompoundPoissonNormal(1.0, 1.0), 1000, stream(3, 1))[0]
     assert np.array_equal(a, b)
+
+
+def test_stochastic_integrals_reject_mismatched_grids():
+    ou = ExponentialOU(1.0)
+    with pytest.raises(GridError):
+        stochastic_integrals_joint((grid_sample(ou, 1.0, 8, 8.0), grid_sample(ou, 1.0, 4, 8.0)), BrownianMotion(1.0), 10, stream(0, 0))
