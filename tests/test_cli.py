@@ -97,6 +97,7 @@ def test_simulate_outputs_and_sidecar(tmp_path):
     sidecar = json.loads((tmp_path / "out" / "path.json").read_text())
     assert {"config", "kernel", "model"} <= set(sidecar["provenance"])
     assert sidecar["provenance"]["tail_mass_rel"] < 1e-4
+    assert sidecar["provenance"]["route"] == "blocked"
 
 
 def test_mc_round_trip_bit_identical(tmp_path):

@@ -91,6 +91,22 @@ def test_thread_count_does_not_change_results():
     assert a.to_dict() == b.to_dict()
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        dict(statistic="qn", model=CompoundPoissonNormal(1.0, 1.0), b=FiniteSupport(values=(0.0, 1.0, 0.5))),
+        dict(statistic="sn", model=BrownianMotion(1.0), kernel2=ExponentialOU(0.5)),
+    ],
+    ids=["qn_compound_poisson", "sn_pair"],
+)
+def test_thread_count_invariance_beyond_brownian_qn(extra):
+    cfg = ExperimentConfig(kernel=ExponentialOU(1.0), delta=1.0, n=300, replicates=24, seed=5, **extra)
+    reports = [run_experiment(cfg, threads=t) for t in (1, 2, 4)]
+    for rep in reports[1:]:
+        assert np.array_equal(rep.statistics, reports[0].statistics)
+        assert rep.to_dict() == reports[0].to_dict()
+
+
 def test_ks_shrinks_with_sample_length():
     # finite-n footprint of the limit: median KS over seed groups falls as n grows
     def median_ks(n, seeds, reps=150):

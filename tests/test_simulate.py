@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cmaqf.covariance import FiniteSupport, PowerDecay
 from cmaqf.errors import GridError, ParameterError, TruncationError
@@ -38,6 +40,12 @@ def test_simulation_deterministic_and_provenance():
     assert a.provenance == b.provenance
     c = simulate_path(ExponentialOU(1.0), BrownianMotion(2.0), PathConfig(delta=1.0, n=64, fine_steps=16, seed=9, stream_index=3))
     assert not np.array_equal(a.values, c.values)
+    assert a.provenance["route"] == "blocked"
+    assert simulate_path(ExponentialOU(1.0), BrownianMotion(2.0), cfg, method="direct").provenance["route"] == "direct"
+    wide = simulate_path(FractionalNoise(0.1), BrownianMotion(1.0), PathConfig(delta=1.0, n=300, fine_steps=8, horizon=1024.0))
+    assert wide.provenance["route"] == "fft"
+    with pytest.raises(ParameterError):
+        simulate_path(ExponentialOU(1.0), BrownianMotion(2.0), cfg, method="fft")
 
 
 def test_ou_sample_variance_near_stationary_value():
@@ -60,6 +68,27 @@ def test_fft_matches_direct_for_noncausal_combo():
     fast = simulate_path(combo, BrownianMotion(1.0), cfg)
     slow = simulate_path(combo, BrownianMotion(1.0), cfg, method="direct")
     assert np.allclose(fast.values, slow.values, rtol=1e-10, atol=1e-12)
+
+
+NONCAUSAL = LinComboKernel(base=ExponentialOU(1.0), shifts=(-1.3, 0.7), coeffs=(0.5, -1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kernel=st.sampled_from([ExponentialOU(1.0), ExponentialOU(2.0), NONCAUSAL]),
+    fine_steps=st.integers(1, 64),
+    n=st.integers(1, 300),
+    horizon=st.sampled_from([8.0, 16.0, 32.0, 64.0]),
+    seed=st.integers(0, 2**32),
+)
+@example(kernel=ExponentialOU(1.0), fine_steps=64, n=300, horizon=64.0, seed=0)  # block product
+@example(kernel=FractionalNoise(0.1), fine_steps=8, n=300, horizon=1024.0, seed=0)  # FFT
+def test_fast_routes_match_direct_property(kernel, fine_steps, n, horizon, seed):
+    cfg = PathConfig(delta=1.0, n=n, fine_steps=fine_steps, horizon=horizon, seed=seed)
+    fast = simulate_path(kernel, CompoundPoissonNormal(1.0, 1.0), cfg)
+    slow = simulate_path(kernel, CompoundPoissonNormal(1.0, 1.0), cfg, method="direct")
+    assert fast.provenance["route"] in ("blocked", "fft")
+    assert np.max(np.abs(fast.values - slow.values)) <= 1e-12 * np.max(np.abs(slow.values))
 
 
 def test_discretization_second_order_and_within_budget():
@@ -88,11 +117,16 @@ def test_paired_simulation_common_driver_crosscovariance():
 
 
 def test_pair_with_same_kernel_reproduces_single_path():
-    cfg = PathConfig(delta=1.0, n=64, fine_steps=8, seed=1)
-    x1, x2 = simulate_pair(ExponentialOU(1.0), ExponentialOU(1.0), BrownianMotion(1.0), cfg)
-    single = simulate_path(ExponentialOU(1.0), BrownianMotion(1.0), cfg)
-    assert np.array_equal(x1.values, x2.values)
-    assert np.array_equal(x1.values, single.values)
+    cases = (
+        (ExponentialOU(1.0), PathConfig(delta=1.0, n=64, fine_steps=8, seed=1), "blocked"),
+        (FractionalNoise(0.1), PathConfig(delta=1.0, n=300, fine_steps=8, horizon=1024.0, seed=1), "fft"),
+    )
+    for kernel, cfg, route in cases:
+        x1, x2 = simulate_pair(kernel, kernel, BrownianMotion(1.0), cfg)
+        single = simulate_path(kernel, BrownianMotion(1.0), cfg)
+        assert single.provenance["route"] == route
+        assert np.array_equal(x1.values, x2.values)
+        assert np.array_equal(x1.values, single.values)
 
 
 def test_truncation_budget_enforced():
