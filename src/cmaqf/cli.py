@@ -213,11 +213,18 @@ def _resolve(cfg: dict, command: str, args) -> dict:
     path.setdefault("horizon", None)
     path.setdefault("tail_mass_budget", 1e-4)
     out["path"] = path
+    env = os.environ.get("CMAQF_THREADS", "").strip()
     if args.threads is not None:
-        out["threads"] = args.threads
-    elif out.get("threads") is None:
-        env = os.environ.get("CMAQF_THREADS")
-        out["threads"] = int(env) if env else (os.cpu_count() or 1)
+        source, threads = "--threads", args.threads
+    elif out.get("threads") is not None:
+        source, threads = "$.threads", out["threads"]
+    elif env:
+        source, threads = "CMAQF_THREADS", int(env) if env.isdecimal() else env
+    else:
+        source, threads = "cpu count", os.cpu_count() or 1
+    if type(threads) is not int or threads < 1:  # a JSON true is a bool, not a count
+        _fail(source, f"threads must be an integer >= 1, got {threads!r}")
+    out["threads"] = threads
     out.pop("manifest_meta", None)
     return out
 

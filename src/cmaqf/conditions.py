@@ -94,6 +94,7 @@ _SMALL_GRID = np.round(np.arange(0.01, 0.5, 0.01), 2)
 
 _TAIL_TOL = 1e-3  # largest relative tail bracket of a supported norm
 _NODES_PER_PERIOD = 256  # Simpson nodes per sampling period of the period integrals
+_NORM_STEPS_PER_DELTA = 64  # quadrature steps per sampling period of the absolute lag products
 
 
 @dataclass(frozen=True)
@@ -134,12 +135,6 @@ class ConditionReport:
         if all(v == SUPPORTED for v in verdicts):
             return SUPPORTED
         return INDETERMINATE
-
-    def assumption(self, name: str) -> AssumptionCheck:
-        for a in self.assumptions:
-            if a.name == name:
-                return a
-        raise KeyError(name)
 
     def to_dict(self) -> dict:
         return {
@@ -223,7 +218,7 @@ def _abs_lag_sequence(k1, k2, Delta, tail_tol=1e-6, s_cap=4096):
     known = gamma_seq_exponent(k1, k2)
     S = 32
     while True:
-        vals = covariance_lags(k1, k2, 1.0, Delta, -S, S, absolute=True)
+        vals = covariance_lags(k1, k2, 1.0, Delta, -S, S, base_step=Delta / _NORM_STEPS_PER_DELTA, absolute=True)
         lags = np.arange(-S, S + 1)
         tail = fit_seq_tail(lags, vals, known_exponent=known)
         _, up = _two_sided_tail_power_sum(tail, S + 1, 1.0)

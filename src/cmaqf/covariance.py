@@ -43,8 +43,9 @@ __all__ = [
     "BStarGamma",
 ]
 
-#: Quadrature steps per sampling interval for the lag covariances behind the
-#: limit variances, the exact means and the Yule-Walker point.
+#: Default quadrature steps per sampling interval of :func:`covariance_lags` and
+#: :func:`b_star_gamma`: the lag covariances behind the limit variances, the
+#: exact means and the Yule-Walker point.
 COV_STEPS_PER_DELTA = 256
 
 
@@ -100,9 +101,6 @@ class FiniteSupport:
     def seq_tail(self) -> SeqTail:
         return ZeroSeqTail()
 
-    def spec_dict(self) -> dict:
-        return {"type": "finite_support", "values": list(self.values)}
-
 
 @dataclass(frozen=True)
 class PowerDecay:
@@ -130,9 +128,6 @@ class PowerDecay:
 
     def seq_tail(self) -> SeqTail:
         return PowerSeqTail(constant=self.c, exponent=self.rho, lower=self.c)
-
-    def spec_dict(self) -> dict:
-        return {"type": "power_decay", "c": self.c, "rho": self.rho, "b0": self.b0}
 
 
 CoefficientSeq = FiniteSupport | PowerDecay
@@ -217,8 +212,7 @@ def crosscovariance(
     h: float,
     *,
     base_step: float = 1.0 / 64.0,
-    full_output: bool = False,
-):
+) -> float:
     """``sigma2 * int phi_1(t) phi_2(t + h) dt`` by breakpoint-aware quadrature.
 
     Emits a warning when the decay-model tail bound beyond the integration
@@ -231,14 +225,12 @@ def crosscovariance(
         warnings.warn(
             f"covariance tail bound {tail:.3g} exceeds 1% of value {value:.3g}", RuntimeWarning, stacklevel=2
         )
-    if full_output:
-        return value, QuadResult(value=value, disc_estimate=sigma2 * r.disc_estimate, tail_bound=tail)
     return value
 
 
-def autocovariance(kernel: Kernel, sigma2: float, h: float, *, base_step: float = 1.0 / 64.0, full_output: bool = False):
+def autocovariance(kernel: Kernel, sigma2: float, h: float, *, base_step: float = 1.0 / 64.0) -> float:
     """Autocovariance at lag ``h``; even in ``h`` by direct symmetrisation."""
-    return crosscovariance(kernel, kernel, sigma2, abs(h), base_step=base_step, full_output=full_output)
+    return crosscovariance(kernel, kernel, sigma2, abs(h), base_step=base_step)
 
 
 def covariance_lags(
@@ -252,8 +244,9 @@ def covariance_lags(
     base_step: float | None = None,
     absolute: bool = False,
 ) -> np.ndarray:
-    """Array of ``sigma2 * int phi_1(t) phi_2(t + s Delta) dt`` for ``s_min <= s <= s_max``."""
-    base_step = Delta / 64.0 if base_step is None else base_step
+    """Array of ``sigma2 * int phi_1(t) phi_2(t + s Delta) dt`` for ``s_min <= s <= s_max``
+    (quadrature step ``base_step``, by default ``Delta / COV_STEPS_PER_DELTA``)."""
+    base_step = Delta / COV_STEPS_PER_DELTA if base_step is None else base_step
     same = k1 is k2 or k1 == k2
     out = np.empty(s_max - s_min + 1)
     for i, s in enumerate(range(s_min, s_max + 1)):
@@ -285,27 +278,6 @@ class BStarGamma:
     l2_sq_tail: float
     capped: bool
 
-    def value(self, s: int) -> float:
-        if abs(s) > self.radius:
-            raise IndexError(f"lag {s} outside computed radius {self.radius}")
-        return float(self.values[s + self.radius])
-
-    def to_csv(self, path) -> None:
-        """Write the sequence as ``index,value,tail_bound`` rows.
-
-        The tail-bound column bounds the omitted mass beyond each index from
-        the fitted tail model (zero inside the computed radius except at the
-        edges, where it reports the model's one-sided continuation).
-        """
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("index,value,tail_bound\n")
-            for s in range(-self.radius, self.radius + 1):
-                if abs(s) == self.radius and not isinstance(self.tail, ZeroSeqTail):
-                    _, bound = seq_tail_power_sum(self.tail, self.radius + 1, 1.0)
-                else:
-                    bound = 0.0
-                fh.write(f"{s},{self.value(s)!r},{float(bound)!r}\n")
-
 
 _BSG_REL_TOL = 1e-8
 _BSG_S_CAP = 10**6
@@ -316,7 +288,6 @@ def b_star_gamma(
     kernel: Kernel,
     sigma2: float,
     Delta: float,
-    S: int | None = None,
     *,
     base_step: float | None = None,
 ) -> BStarGamma:
@@ -325,7 +296,7 @@ def b_star_gamma(
     The truncation radius doubles adaptively until the extrapolated tail of
     the squared-norm is below 1e-8 (relative), capping at ``10**6`` with
     ``capped=True``.  A tail that provably diverges raises
-    :class:`ConvergenceError`.
+    :class:`ConvergenceError`.  ``base_step`` is as in :func:`covariance_lags`.
     """
     gamma_exp = _gamma_power_exponent_or_check(b, kernel)
 
@@ -334,35 +305,31 @@ def b_star_gamma(
     else:
         b_radius = None  # grows with S below
 
-    S_eff = 32 if S is None else S
+    S = 32
     while True:
-        ub = b_radius if b_radius is not None else max(64, 4 * S_eff)
-        g_lo, g_hi = -(S_eff + ub), S_eff + ub
+        ub = b_radius if b_radius is not None else max(64, 4 * S)
+        g_lo, g_hi = -(S + ub), S + ub
         gam = covariance_lags(kernel, kernel, sigma2, Delta, g_lo, g_hi, base_step=base_step)
         w = b.weights(ub)
-        # full convolution, then crop to [-S_eff, S_eff]
+        # full convolution, then crop to [-S, S]
         conv = np.convolve(gam, w, mode="same")
         mid = len(gam) // 2
-        vals = conv[mid - S_eff : mid + S_eff + 1]
-        lags = np.arange(-S_eff, S_eff + 1)
+        vals = conv[mid - S : mid + S + 1]
+        lags = np.arange(-S, S + 1)
         tail = fit_seq_tail(lags, vals, known_exponent=_bsg_exponent(b, gamma_exp))
         head = float(np.sum(vals**2))
-        t_lo, t_hi = seq_tail_power_sum(tail, S_eff + 1, 2.0) if not isinstance(tail, ZeroSeqTail) else (0.0, 0.0)
+        t_lo, t_hi = seq_tail_power_sum(tail, S + 1, 2.0) if not isinstance(tail, ZeroSeqTail) else (0.0, 0.0)
         tail_sq = 2.0 * t_hi  # both sides
-        if not np.isfinite(tail_sq):
-            if S is not None or S_eff >= _BSG_S_CAP:
-                raise ConvergenceError("squared-norm tail of (b * gamma) diverges or cannot be bounded")
-        if S is not None:
-            capped = False
-            break
+        if not np.isfinite(tail_sq) and S >= _BSG_S_CAP:
+            raise ConvergenceError("squared-norm tail of (b * gamma) diverges or cannot be bounded")
         if tail_sq <= _BSG_REL_TOL * max(head, 1e-300):
             capped = False
             break
-        if S_eff >= _BSG_S_CAP:
+        if S >= _BSG_S_CAP:
             capped = True
             break
-        S_eff *= 2
-    return BStarGamma(values=vals, radius=S_eff, tail=tail, l2_sq=head + tail_sq / 2.0, l2_sq_tail=tail_sq, capped=capped)
+        S *= 2
+    return BStarGamma(values=vals, radius=S, tail=tail, l2_sq=head + tail_sq / 2.0, l2_sq_tail=tail_sq, capped=capped)
 
 
 def _gamma_power_exponent_or_check(b: CoefficientSeq, kernel: Kernel) -> float | None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .covariance import COV_STEPS_PER_DELTA, covariance_lags
+from .covariance import covariance_lags
 from .errors import ParameterError
 from .kernels import Kernel, LinComboKernel
 from .levy import LevyModel
@@ -28,7 +28,7 @@ def yule_walker(kernel: Kernel, model: LevyModel, delta: float, k: int) -> np.nd
     if k < 1:
         raise ParameterError("k must be >= 1")
     sigma2, _ = model.cumulants()
-    gam = covariance_lags(kernel, kernel, sigma2, delta, 0, k, base_step=delta / COV_STEPS_PER_DELTA)
+    gam = covariance_lags(kernel, kernel, sigma2, delta, 0, k)
     col = gam[:k]
     rhs = gam[1 : k + 1]
     return scipy.linalg.solve_toeplitz((col, col), rhs)

@@ -44,7 +44,9 @@ _NODE_SNAP = 1e-9  # relative tolerance for snapping eval points onto table node
 
 
 class Kernel:
-    """Base class: a real kernel evaluable on all of R."""
+    """Base class: a real kernel evaluable on all of R, right-continuous by
+    :meth:`eval` and with left limits by :meth:`left_limit`, which quadrature
+    takes at the closing node of each Simpson piece."""
 
     #: kernel vanishes for t < support_lo
     support_lo: float = 0.0
@@ -52,24 +54,23 @@ class Kernel:
     decay: TailModel = CompactTail(end=0.0)
     #: native table step if the kernel is interpolated from a table
     quad_step_hint: float | None = None
+    #: locations where the kernel itself jumps (left limit 0)
+    jumps: tuple[float, ...] = ()
 
     def eval(self, t):
         """Kernel value, right-continuous at jump points."""
         raise NotImplementedError
 
-    def eval_side(self, t, side: str = "right"):
-        """Kernel value with one-sided limits at jump points.
+    def left_limit(self, t):
+        """Kernel value with left limits at jump points.
 
-        Only differs from :meth:`eval` when ``side == "left"`` and an entry of
-        ``t`` coincides exactly with a jump location (the left limit there is 0
-        for every shipped family).
+        Differs from :meth:`eval` only where an entry of ``t`` equals a jump
+        location; the left limit there is 0 for every shipped family.
         """
         vals = self.eval(t)
-        if side == "left" and self.jumps:
-            t = np.asarray(t, dtype=float)
-            mask = np.isin(t, np.asarray(self.jumps))
-            if np.any(mask):
-                vals = np.where(mask, 0.0, vals)
+        t = np.asarray(t, dtype=float)
+        for j in self.jumps:
+            vals = np.where(t == j, 0.0, vals)
         return vals
 
     __call__ = eval
@@ -78,11 +79,6 @@ class Kernel:
     def breakpoints(self) -> tuple[float, ...]:
         """Locations where the kernel or its derivative is discontinuous."""
         return (self.support_lo,)
-
-    @property
-    def jumps(self) -> tuple[float, ...]:
-        """Locations where the kernel itself jumps (left limit 0)."""
-        return ()
 
     @property
     def singular_points(self) -> tuple[tuple[float, float], ...]:
@@ -132,7 +128,7 @@ class CarmaKernel(Kernel):
     a: tuple[float, ...]
     b: tuple[float, ...]
     q: int
-    _eig: tuple = field(default=None, compare=False, repr=False)
+    _eig: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         a = tuple(float(x) for x in self.a)
@@ -338,7 +334,7 @@ class TabulatedKernel(_TableKernel):
     t0: float
     step: float
     values: np.ndarray
-    tail_fit: TailFit = field(default=None, repr=False)
+    tail_fit: TailFit = field(init=False, repr=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -347,8 +343,7 @@ class TabulatedKernel(_TableKernel):
         if not self.step > 0:
             raise ParameterError(f"step must be > 0, got {self.step}")
         object.__setattr__(self, "values", values)
-        if self.tail_fit is None:
-            object.__setattr__(self, "tail_fit", _fit_table_tail(self.t0, self.step, values))
+        object.__setattr__(self, "tail_fit", _fit_table_tail(self.t0, self.step, values))
         object.__setattr__(self, "support_lo", float(self.t0))
         object.__setattr__(self, "decay", self.tail_fit.as_tail())
 
@@ -410,9 +405,9 @@ class SddeKernel(_TableKernel):
     atoms: tuple[tuple[float, float], ...]
     horizon: float
     step: float
-    t0: float = 0.0
-    values: np.ndarray = field(default=None, repr=False)
-    tail_fit: TailFit = field(default=None, repr=False)
+    t0: float = field(default=0.0, init=False)
+    values: np.ndarray = field(init=False, repr=False)
+    tail_fit: TailFit = field(init=False, repr=False)
 
     def __post_init__(self):
         atoms = tuple((float(tau), float(w)) for tau, w in self.atoms)
@@ -429,10 +424,8 @@ class SddeKernel(_TableKernel):
             )
         # a numerical verdict, not a proof: contour resolution is finite
         object.__setattr__(self, "stationarity", f"supported at horizon (min contour modulus {min_mod:.3g})")
-        if self.values is None:
-            object.__setattr__(self, "values", _solve_sdde_table(atoms, self.horizon, self.step))
-        if self.tail_fit is None:
-            object.__setattr__(self, "tail_fit", _fit_table_tail(0.0, self.step, self.values))
+        object.__setattr__(self, "values", _solve_sdde_table(atoms, self.horizon, self.step))
+        object.__setattr__(self, "tail_fit", _fit_table_tail(0.0, self.step, self.values))
         object.__setattr__(self, "decay", self.tail_fit.as_tail())
 
     @property
@@ -551,7 +544,7 @@ class LinComboKernel(Kernel):
         object.__setattr__(self, "support_lo", self.base.support_lo + min(shifts))
         object.__setattr__(self, "decay", _shifted_sum_tail(self.base.decay, shifts, coeffs))
 
-    def _combine(self, t, side: str | None):
+    def _combine(self, t, base_eval):
         t = np.asarray(t, dtype=float)
         shifts = np.asarray(self.shifts)
         coeffs = np.asarray(self.coeffs)
@@ -562,29 +555,20 @@ class LinComboKernel(Kernel):
         chunk = max(1, int(4e6 // max(flat.size, 1)))
         for i in range(0, len(shifts), chunk):
             args = flat[None, :] - shifts[i : i + chunk, None]
-            if side == "left":
-                vals = np.asarray(self.base.eval_side(args.ravel(), side="left")).reshape(args.shape)
-            else:
-                vals = np.asarray(self.base.eval(args.ravel())).reshape(args.shape)
+            vals = np.asarray(base_eval(args.ravel())).reshape(args.shape)
             out += coeffs[i : i + chunk] @ vals
         out = out.reshape(t.shape)
         return out if out.ndim else float(out)
 
     def eval(self, t):
-        return self._combine(t, None)
+        return self._combine(t, self.base.eval)
 
-    def eval_side(self, t, side: str = "right"):
-        if side != "left":
-            return self.eval(t)
-        return self._combine(t, "left")
+    def left_limit(self, t):
+        return self._combine(t, self.base.left_limit)
 
     @property
     def breakpoints(self):
         return tuple(sorted({bp + s for bp in self.base.breakpoints for s in self.shifts}))
-
-    @property
-    def jumps(self):
-        return tuple(sorted({j + s for j in self.base.jumps for s in self.shifts}))
 
     @property
     def singular_points(self):
@@ -637,16 +621,12 @@ class PowAbsKernel(Kernel):
     def eval(self, t):
         return np.abs(self.base.eval(t)) ** self.power
 
-    def eval_side(self, t, side: str = "right"):
-        return np.abs(self.base.eval_side(t, side)) ** self.power
+    def left_limit(self, t):
+        return np.abs(self.base.left_limit(t)) ** self.power
 
     @property
     def breakpoints(self):
         return self.base.breakpoints
-
-    @property
-    def jumps(self):
-        return self.base.jumps
 
     @property
     def singular_points(self):

@@ -11,9 +11,10 @@ Two geometries recur throughout the package:
 Both split the domain at kernel breakpoints, use composite Simpson rules on
 the smooth pieces (nested so a discretisation estimate comes for free), grade
 the mesh geometrically into algebraic kinks, and complete the truncated
-domain with closed-form bounds from the kernels' decay models.  Kernels with
-a jump are evaluated with the correct one-sided limit when a node lands
-exactly on the jump.
+domain with closed-form bounds from the kernels' decay models.  A Simpson
+piece that closes on a breakpoint takes :meth:`Kernel.left_limit` at its last
+node, so a kernel that jumps there contributes its value from inside the
+piece, not the value after the jump.
 """
 
 from __future__ import annotations
@@ -112,8 +113,8 @@ def product_integral(
         return np.abs(v) if absolute else v
 
     def left_limit(t):
-        v = float(np.asarray(k1.eval_side(np.array([t]), "left"))[0]) * float(
-            np.asarray(k2.eval_side(np.array([t + shift]), "left"))[0]
+        v = float(np.asarray(k1.left_limit(np.array([t])))[0]) * float(
+            np.asarray(k2.left_limit(np.array([t + shift])))[0]
         )
         return abs(v) if absolute else v
 
@@ -199,27 +200,23 @@ def _product_sup_tail_sum(kernels, Delta, S):
     return sparse_tail_sum_estimate(lambda s: math.prod(tail_sup(k.decay, s * Delta) for k in kernels), S)
 
 
-def phase_lattice(kernel: Kernel, nodes: np.ndarray, s_lo: int, s_hi: int, Delta: float, left_at=None) -> np.ndarray:
+def phase_lattice(kernel: Kernel, nodes: np.ndarray, s_lo: int, s_hi: int, Delta: float) -> np.ndarray:
     """Matrix ``V[i, j] = kernel(nodes[j] + (s_lo + i) * Delta)``.
 
-    ``left_at`` lists node values (typically ``Delta``) where the lattice must
-    carry left limits instead of right-continuous values.
+    ``nodes`` span one Simpson piece, so the last column, which closes it,
+    carries left limits instead of right-continuous values.
     """
     s_vals = np.arange(s_lo, s_hi + 1)
     args = nodes[None, :] + s_vals[:, None] * Delta
     V = np.asarray(kernel.eval(args.ravel()), dtype=float).reshape(args.shape)
-    if left_at is not None:
-        for t in left_at:
-            cols = np.nonzero(nodes == t)[0]
-            for c in cols:
-                V[:, c] = np.asarray(kernel.eval_side(args[:, c], side="left"), dtype=float)
+    V[:, -1] = np.asarray(kernel.left_limit(args[:, -1]), dtype=float)
     return V
 
 
 _LATTICE_CHUNK = 8192
 
 
-def phase_product_sum(kernels, nodes, s_lo, s_hi, Delta, transform=None, left_at=None) -> np.ndarray:
+def phase_product_sum(kernels, nodes, s_lo, s_hi, Delta, transform=None) -> np.ndarray:
     """``F(nodes) = sum_s prod_i transform(k_i(nodes + s Delta))``.
 
     Accumulates over lag chunks so slowly decaying kernels (lag ranges in the
@@ -230,7 +227,7 @@ def phase_product_sum(kernels, nodes, s_lo, s_hi, Delta, transform=None, left_at
         hi = min(lo + _LATTICE_CHUNK - 1, s_hi)
         prod = None
         for k in kernels:
-            V = phase_lattice(k, nodes, lo, hi, Delta, left_at=left_at)
+            V = phase_lattice(k, nodes, lo, hi, Delta)
             if transform is not None:
                 V = transform(V)
             prod = V if prod is None else prod * V
@@ -272,7 +269,7 @@ def phase_integral(
         n = max(_MIN_NODES_PER_BLOCK, int(round(nodes_per_period * (b - a) / Delta)))
         n = 4 * ((n + 3) // 4)
         nodes = np.linspace(a, b, n + 1)
-        fnod = phase_product_sum(kernels, nodes, s_lo, s_hi, Delta, transform=transform, left_at=(b,))
+        fnod = phase_product_sum(kernels, nodes, s_lo, s_hi, Delta, transform=transform)
         fmax = max(fmax, float(np.max(np.abs(fnod))))
         vals = fnod**power
         fine = _simpson(vals, a, b)

@@ -24,7 +24,6 @@ import numpy as np
 
 from .conditions import ConditionReport, check_conditions
 from .covariance import (
-    COV_STEPS_PER_DELTA,
     CoefficientSeq,
     FiniteSupport,
     b_star_gamma,
@@ -145,12 +144,11 @@ def _product_sum_with_tail(lags, prod):
 
 
 def _cov_product_sums(k1, k2, sigma2, Delta, rel_tol=1e-9, s_cap=2**14):
-    base_step = Delta / COV_STEPS_PER_DELTA
     S = 32
     while True:
-        g11 = covariance_lags(k1, k1, sigma2, Delta, -S, S, base_step=base_step)
-        g22 = covariance_lags(k2, k2, sigma2, Delta, -S, S, base_step=base_step)
-        g12 = covariance_lags(k1, k2, sigma2, Delta, -S, S, base_step=base_step)
+        g11 = covariance_lags(k1, k1, sigma2, Delta, -S, S)
+        g22 = covariance_lags(k2, k2, sigma2, Delta, -S, S)
+        g12 = covariance_lags(k1, k2, sigma2, Delta, -S, S)
         lags = np.arange(-S, S + 1)
         t_auto, tail_a = _product_sum_with_tail(lags, g11 * g22)
         t_cross, tail_c = _product_sum_with_tail(lags, g12 * g12[::-1])
@@ -225,7 +223,7 @@ def eta2_qn(
     conv = star_conv_kernel(b, kernel, Delta)
     k4_term, diagnostics = _kappa4_term([kernel, conv], kappa4, Delta)
 
-    bsg = b_star_gamma(b, kernel, sigma2, Delta, base_step=Delta / COV_STEPS_PER_DELTA)
+    bsg = b_star_gamma(b, kernel, sigma2, Delta)
     direct = 2.0 * bsg.l2_sq
     diagnostics.update({"bsg_radius": float(bsg.radius), "bsg_l2_tail": bsg.l2_sq_tail, "bsg_capped": float(bsg.capped)})
 
@@ -275,11 +273,11 @@ def autocov_clt_sigma(
         s_lo, s_hi = min(r[0] for r in ranges), max(r[1] for r in ranges)
         nodes = np.linspace(0.0, Delta, _NODES_PER_PERIOD + 1)
         # K[j - 1] is K_j at the nodes; int_0^Delta K_i K_j dt by Simpson
-        K = [phase_product_sum([kernel, kj], nodes, s_lo, s_hi, Delta, left_at=(Delta,)) for kj in shifted]
+        K = [phase_product_sum([kernel, kj], nodes, s_lo, s_hi, Delta) for kj in shifted]
         k4_block = kappa4 * np.array([[_simpson(Ki * Kj, 0.0, Delta) for Kj in K] for Ki in K])
 
     S = lag_radius
-    gam = covariance_lags(kernel, kernel, sigma2, Delta, -(S + m), S + m, base_step=Delta / COV_STEPS_PER_DELTA)
+    gam = covariance_lags(kernel, kernel, sigma2, Delta, -(S + m), S + m)
     # G[j - 1, s + S] = gamma(s + j) and R[j - 1, s + S] = gamma(j - s), |s| <= S
     js, ss = np.arange(1, m + 1)[:, None], np.arange(-S, S + 1)[None, :]
     G, R = gam[js + ss + S + m], gam[js - ss + S + m]
@@ -292,7 +290,7 @@ def expected_sn(k1: Kernel, k2: Kernel, model: LevyModel, Delta: float, n: int) 
     if n < 1:
         raise ParameterError("n must be >= 1")
     sigma2, _ = model.cumulants()
-    return n * covariance_lags(k1, k2, sigma2, Delta, 0, 0, base_step=Delta / COV_STEPS_PER_DELTA)[0]
+    return n * covariance_lags(k1, k2, sigma2, Delta, 0, 0)[0]
 
 
 def expected_qn(b: CoefficientSeq, kernel: Kernel, model: LevyModel, Delta: float, n: int) -> float:
@@ -304,15 +302,14 @@ def expected_qn(b: CoefficientSeq, kernel: Kernel, model: LevyModel, Delta: floa
     if n < 1:
         raise ParameterError("n must be >= 1")
     sigma2, _ = model.cumulants()
-    base_step = Delta / COV_STEPS_PER_DELTA
     u_max = n - 1
     if isinstance(b, FiniteSupport):
         u_max = min(u_max, b.radius)
-    gam0 = covariance_lags(kernel, kernel, sigma2, Delta, 0, 0, base_step=base_step)[0]
+    gam0 = covariance_lags(kernel, kernel, sigma2, Delta, 0, 0)[0]
     total = b.weight(0) * gam0
     floor, dead = abs(gam0) * 1e-18, 0
     for u in range(1, u_max + 1):
-        g = covariance_lags(kernel, kernel, sigma2, Delta, u, u, base_step=base_step)[0]
+        g = covariance_lags(kernel, kernel, sigma2, Delta, u, u)[0]
         total += 2.0 * (1.0 - u / n) * b.weight(u) * g
         dead = dead + 1 if abs(g) < floor else 0
         if dead >= 8:

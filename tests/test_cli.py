@@ -222,3 +222,30 @@ def test_seed_checked_before_the_analytic_setup(tmp_path, capsys):
     assert run(["mc", "--config", str(write_config(tmp_path, "c.json", cfg)), "--seed", "-1"]) == 2
     err = json.loads(capsys.readouterr().err)
     assert "seed" in err["error"]["message"]
+
+
+def _refuted_qn_config(tmp_path, **extra):
+    # conditions refuted: exit 3 once the analytic set-up runs, so exit 2 shows
+    # a rejection before any set-up work
+    return base_config(
+        levy={"type": "compound_poisson_normal", "rate": 1.0, "jump_variance": 1.0},
+        kernel={"type": "fractional_noise", "d": 0.1},
+        b={"type": "power_decay", "c": 1.0, "rho": 0.3, "b0": 1.0},
+        statistic="qn", n=50, replicates=4, output_dir=str(tmp_path / "out"), **extra,
+    )
+
+
+def test_bad_thread_count_from_environment_rejected(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CMAQF_THREADS", "abc")
+    assert run(["mc", "--config", str(write_config(tmp_path, "c.json", _refuted_qn_config(tmp_path)))]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "config" and "CMAQF_THREADS" in err["error"]["message"]
+
+
+def test_bad_thread_count_from_config_rejected(tmp_path, capsys):
+    cfg = _refuted_qn_config(tmp_path, threads="2")
+    assert run(["mc", "--config", str(write_config(tmp_path, "c.json", cfg))]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "config" and "$.threads" in err["error"]["message"]
+    assert run(["mc", "--config", str(write_config(tmp_path, "c.json", dict(cfg, threads=2))), "--threads", "0"]) == 2
+    assert "--threads" in json.loads(capsys.readouterr().err)["error"]["message"]

@@ -15,6 +15,7 @@ from cmaqf.covariance import (
 )
 from cmaqf.errors import ConvergenceError, ParameterError
 from cmaqf.kernels import ExponentialOU, FractionalNoise, TabulatedKernel, build_carma, grid_sample
+from cmaqf.quadrature import phase_lattice, product_integral
 
 
 def fn_gamma_oracle(d):
@@ -73,9 +74,10 @@ def test_crosscovariance_closed_forms_and_symmetry():
 def test_quadrature_change_bounded_by_error_estimate():
     for kernel in (ExponentialOU(1.0), build_carma((3.0, 2.0), (3.0, 1.0), 1)):
         for h in (0.0, 1.0):
-            v1, d1 = autocovariance(kernel, 2.0, h, base_step=1 / 64, full_output=True)
-            v2, d2 = autocovariance(kernel, 2.0, h, base_step=1 / 128, full_output=True)
-            budget = d1.disc_estimate + d2.disc_estimate + d1.tail_bound + d2.tail_bound
+            d1 = product_integral(kernel, kernel, h, base_step=1 / 64)
+            d2 = product_integral(kernel, kernel, h, base_step=1 / 128)
+            v1, v2 = 2.0 * d1.value, 2.0 * d2.value
+            budget = 2.0 * (d1.disc_estimate + d2.disc_estimate + d1.tail_bound + d2.tail_bound)
             assert abs(v1 - v2) <= budget + 1e-15
 
 
@@ -154,8 +156,8 @@ def test_star_conv_absolute_companion():
 
 def test_b_star_gamma_delta0_reduces_to_lags():
     ou = ExponentialOU(1.0)
-    res = b_star_gamma(FiniteSupport.delta0(), ou, 2.0, 1.0, S=16)
-    lags = covariance_lags(ou, ou, 2.0, 1.0, -16, 16, base_step=1 / 64)
+    res = b_star_gamma(FiniteSupport.delta0(), ou, 2.0, 1.0, base_step=1 / 64)
+    lags = covariance_lags(ou, ou, 2.0, 1.0, -res.radius, res.radius, base_step=1 / 64)
     assert np.array_equal(res.values, lags)
 
 
@@ -169,7 +171,7 @@ def test_b_star_gamma_geometric_l2():
 
 def test_b_star_gamma_even_output():
     ou = ExponentialOU(1.0)
-    res = b_star_gamma(FiniteSupport(values=(0.5, 1.0, 0.25)), ou, 2.0, 1.0, S=12)
+    res = b_star_gamma(FiniteSupport(values=(0.5, 1.0, 0.25)), ou, 2.0, 1.0)
     assert np.allclose(res.values, res.values[::-1], rtol=1e-12, atol=1e-14)
 
 
@@ -177,29 +179,24 @@ def test_b_star_gamma_divergence_raises():
     # power-decay weights against a long-memory covariance: rho_b + rho_gamma <= 1
     fn = FractionalNoise(0.1)  # gamma exponent 1 - 2d = 0.8
     with pytest.raises(ConvergenceError):
-        b_star_gamma(PowerDecay(c=1.0, rho=0.15, b0=1.0), fn, 1.0, 1.0, S=8)
+        b_star_gamma(PowerDecay(c=1.0, rho=0.15, b0=1.0), fn, 1.0, 1.0)
 
 
 def test_product_integral_covers_negative_support():
     # combination shifted left of the origin: the window between its
     # breakpoints and the dyadic extension must not be skipped
     from cmaqf.kernels import LinComboKernel
-    from cmaqf.quadrature import product_integral
 
     k = LinComboKernel(base=ExponentialOU(1.0), shifts=(-5.0,), coeffs=(1.0,))
     r = product_integral(k, k, 0.0)
     assert r.value == pytest.approx(0.5, rel=1e-6)
 
 
-def test_bsg_csv_export(tmp_path):
-    res = b_star_gamma(FiniteSupport.delta0(), ExponentialOU(1.0), 2.0, 1.0, S=4)
-    p = tmp_path / "seq.csv"
-    res.to_csv(p)
-    lines = p.read_text().splitlines()
-    assert lines[0] == "index,value,tail_bound"
-    assert len(lines) == 10  # lags -4..4
-    idx, val, bound = lines[5].split(",")
-    assert idx == "0" and float(val) == pytest.approx(1.0, rel=1e-6) and float(bound) == 0.0
+def test_phase_lattice_closes_on_left_limits():
+    # rows are lags s = -2..1; the OU kernel jumps where t + s = 0
+    V = phase_lattice(ExponentialOU(1.0), np.linspace(0.0, 1.0, 5), -2, 1, 1.0)
+    assert V[1, -1] == 0.0  # s = -1 at the closing node t = 1: left limit
+    assert V[2, 0] == 1.0  # s = 0 at the opening node t = 0: right value
 
 
 def test_tail_warning_when_bound_exceeds_one_percent():

@@ -9,6 +9,7 @@ from cmaqf.kernels import (
     ExponentialOU,
     FractionalNoise,
     LinComboKernel,
+    PowAbsKernel,
     TabulatedKernel,
     build_carma,
     grid_sample,
@@ -218,9 +219,16 @@ def test_lincombo_eval_and_support():
 
 def test_left_limit_at_jump():
     ou = ExponentialOU(1.0)
-    assert ou.eval_side(np.array([0.0]), "left")[0] == 0.0
-    assert ou.eval_side(np.array([0.0]), "right")[0] == 1.0
-    assert ou.eval_side(np.array([0.5]), "left")[0] == ou.eval(0.5)
+    assert ou.left_limit(np.array([0.0]))[0] == 0.0
+    assert ou.eval(np.array([0.0]))[0] == 1.0
+    assert ou.left_limit(np.array([0.5]))[0] == ou.eval(0.5)
+    # a shifted copy jumps by its coefficient inside the combination's support
+    k = LinComboKernel(ou, shifts=(0.0, 1.0), coeffs=(1.0, 2.0))
+    assert k.left_limit(1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
+    assert k.eval(1.0) == pytest.approx(math.exp(-1.0) + 2.0, rel=1e-15)
+    p = PowAbsKernel(k, 2.0)
+    assert p.left_limit(1.0) == pytest.approx(math.exp(-2.0), rel=1e-15)
+    assert p.eval(1.0) == pytest.approx((math.exp(-1.0) + 2.0) ** 2, rel=1e-15)
 
 
 from decimal import Decimal, localcontext
