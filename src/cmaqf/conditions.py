@@ -54,17 +54,7 @@ from .errors import ParameterError
 from .kernels import Kernel, PowAbsKernel
 from .levy import BrownianMotion, LevyModel
 from .quadrature import phase_integral, product_integral
-from .tails import (
-    CompactTail,
-    ExpTail,
-    GeomSeqTail,
-    SeqTail,
-    ZeroSeqTail,
-    fit_seq_tail,
-    kernel_tail_to_seq,
-    seq_tail_power_sum,
-    seq_tail_sup,
-)
+from .tails import CompactTail, ExpTail, TailModel, fit_tail, lattice_tail_sum, tail_sup
 
 __all__ = [
     "CONDITION_SETS",
@@ -162,14 +152,15 @@ class ConditionReport:
 # ---------------------------------------------------------------------------
 
 
-def lp_norm_sequence(values: np.ndarray, tail: SeqTail, p: float) -> tuple[float, float]:
+def lp_norm_sequence(values: np.ndarray, tail: TailModel, p: float) -> tuple[float, float]:
     """Norm of the two-sided infinite sequence: truncated part plus tail.
 
-    ``values`` covers lags ``-S..S`` (odd length); ``tail`` bounds both sides
-    beyond ``S``.  Returns ``(norm, tail_bound)`` where the norm includes the
-    closed-form upper tail sum and ``tail_bound`` is the bracket width between
-    the upper and lower tail completions.  A divergent tail yields
-    ``(inf, inf)`` -- refutation evidence, not an error.
+    ``values`` covers lags ``-S..S`` (odd length); ``tail`` models ``|a_s|``
+    as a function of ``|s|`` and bounds both sides beyond ``S``.  Returns
+    ``(norm, tail_bound)`` where the norm includes the closed-form upper tail
+    sum and ``tail_bound`` is the bracket width between the upper and lower
+    tail completions.  A divergent tail yields ``(inf, inf)`` -- refutation
+    evidence, not an error.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size % 2 != 1:
@@ -179,24 +170,15 @@ def lp_norm_sequence(values: np.ndarray, tail: SeqTail, p: float) -> tuple[float
     radius = values.size // 2
     if p == math.inf:
         head = float(np.max(np.abs(values)))
-        t = seq_tail_sup(tail, radius + 1)
+        t = tail_sup(tail, radius + 1)
         return max(head, t), (0.0 if t <= head else t - head)
     head = float(np.sum(np.abs(values) ** p))
-    lo, up = _two_sided_tail_power_sum(tail, radius + 1, p)
+    lo, up = lattice_tail_sum(tail, radius + 1, p)
     if not np.isfinite(up):
         return math.inf, math.inf
     norm = (head + up) ** (1.0 / p)
     norm_lo = (head + lo) ** (1.0 / p)
     return norm, norm - norm_lo
-
-
-def _two_sided_tail_power_sum(tail: SeqTail, start: int, p: float) -> tuple[float, float]:
-    if isinstance(tail, ZeroSeqTail):
-        return 0.0, 0.0
-    lo, up = seq_tail_power_sum(tail, start, p)
-    if isinstance(tail, GeomSeqTail) and tail.exact:
-        lo = up  # geometric continuation is an exact sum, not a bracket
-    return 2.0 * lo, 2.0 * up
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +198,12 @@ def _power_exponent(kernel: Kernel) -> tuple[float, bool] | None:
 def _abs_lag_sequence(k1, k2, Delta, tail_tol=1e-6, s_cap=4096):
     """Sequence ``s -> int |k1(t) k2(t + s Delta)| dt`` with a fitted tail model."""
     known = gamma_seq_exponent(k1, k2)
+    abs1, abs2 = PowAbsKernel(k1, 1.0), PowAbsKernel(k2, 1.0)
     S = 32
     while True:
-        vals = covariance_lags(k1, k2, 1.0, Delta, -S, S, base_step=Delta / _NORM_STEPS_PER_DELTA, absolute=True)
-        lags = np.arange(-S, S + 1)
-        tail = fit_seq_tail(lags, vals, known_exponent=known)
-        _, up = _two_sided_tail_power_sum(tail, S + 1, 1.0)
+        vals = covariance_lags(abs1, abs2, 1.0, Delta, -S, S, base_step=Delta / _NORM_STEPS_PER_DELTA)
+        tail = fit_tail(np.arange(-S, S + 1), vals, S / 10, known_exponent=known).as_tail()
+        _, up = lattice_tail_sum(tail, S + 1)
         if up <= tail_tol * max(float(np.sum(np.abs(vals))), 1e-300) or S >= s_cap:
             return vals, tail, S
         S *= 2
@@ -241,16 +223,7 @@ def _verdict_from_norms(norms) -> str:
 
 
 def _phase_tail_sup_fn(kernels, powers, Delta):
-    seqs = [kernel_tail_to_seq(k.decay, Delta) for k in kernels]
-
-    def fn(start):
-        total = 0.0
-        for seq, p in zip(seqs, powers):
-            _, up = seq_tail_power_sum(seq, start, p)
-            total += 2.0 * up
-        return total
-
-    return fn
+    return lambda start: sum(lattice_tail_sum(k.decay, start, p, Delta)[1] for k, p in zip(kernels, powers))
 
 
 def _conjugate(p: float) -> float:
@@ -551,10 +524,16 @@ def _check_sn_decay(k1, k2, exponents):
     return ConditionReport("sn_decay", {}, tuple(assumptions))
 
 
-def _b_lq_entry(b: CoefficientSeq, q: float, radius: int = 64) -> NormEstimate:
+def _b_lq_entry(b: CoefficientSeq, q: float) -> NormEstimate:
+    radius = _coeff_radius(b)
     vals = b.weights(radius)
     norm, bound = lp_norm_sequence(vals, b.seq_tail(), q)
     return NormEstimate(name=f"coeff_lq({q:g})", value=norm, tail_bound=bound, radius=radius)
+
+
+def _coeff_radius(b: CoefficientSeq) -> int:
+    """Radius of the coefficient norms: 64 lags, or the whole finite support."""
+    return max(64, b.radius) if isinstance(b, FiniteSupport) else 64
 
 
 def _b_lq_feasible(b: CoefficientSeq, grid) -> float | None:
@@ -620,8 +599,8 @@ def _check_qn_decay(kernel, b, exponents):
     assumptions = [AssumptionCheck("kernel_in_l4", SUPPORTED if l4_ok else REFUTED, (l4,))]
     if pair is not None:
         sup_k = _decay_sup_entry(kernel, 1.0 - pair[0] / 2.0, f"kernel_decay_sup({1.0 - pair[0] / 2.0:g})")
-        bvals = b.weights(64)
-        svals = np.abs(bvals) * np.maximum(np.abs(np.arange(-64, 65)), 1.0) ** (1.0 - pair[1])
+        r = _coeff_radius(b)
+        svals = np.abs(b.weights(r)) * np.maximum(np.abs(np.arange(-r, r + 1)), 1.0) ** (1.0 - pair[1])
         sup_b = NormEstimate(name=f"coeff_decay_sup({1.0 - pair[1]:g})", value=float(np.max(svals)), tail_bound=0.0)
         assumptions.append(AssumptionCheck("decay_exponents", SUPPORTED, (sup_k, sup_b)))
         return ConditionReport("qn_decay", {"alpha": pair[0], "beta": pair[1]}, tuple(assumptions))

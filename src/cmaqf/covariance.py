@@ -20,12 +20,11 @@ from .errors import ConvergenceError, ParameterError
 from .kernels import Kernel, LinComboKernel, PowAbsKernel
 from .quadrature import QuadResult, product_integral
 from .tails import (
-    PowerSeqTail,
+    CompactTail,
     PowerTail,
-    SeqTail,
-    ZeroSeqTail,
-    fit_seq_tail,
-    seq_tail_power_sum,
+    TailModel,
+    fit_tail,
+    lattice_tail_sum,
     sparse_tail_sum_estimate,
     tail_sup,
 )
@@ -98,8 +97,8 @@ class FiniteSupport:
     def lq_member(self, q: float) -> bool:
         return True
 
-    def seq_tail(self) -> SeqTail:
-        return ZeroSeqTail()
+    def seq_tail(self) -> TailModel:
+        return CompactTail(end=float(self.radius))
 
 
 @dataclass(frozen=True)
@@ -126,8 +125,8 @@ class PowerDecay:
         """Exact membership in the q-summable class: ``q * rho > 1``."""
         return q * self.rho > 1.0
 
-    def seq_tail(self) -> SeqTail:
-        return PowerSeqTail(constant=self.c, exponent=self.rho, lower=self.c)
+    def seq_tail(self) -> TailModel:
+        return PowerTail(constant=self.c, exponent=self.rho, start=1.0, lower=self.c)
 
 
 CoefficientSeq = FiniteSupport | PowerDecay
@@ -201,8 +200,8 @@ def _star_tail_estimate(b: PowerDecay, kernel: Kernel, Delta: float, radius: int
 
 
 @functools.lru_cache(maxsize=100_000)
-def _cached_product(k1: Kernel, k2: Kernel, shift: float, absolute: bool, base_step: float) -> QuadResult:
-    return product_integral(k1, k2, shift, absolute=absolute, base_step=base_step)
+def _cached_product(k1: Kernel, k2: Kernel, shift: float, base_step: float) -> QuadResult:
+    return product_integral(k1, k2, shift, base_step=base_step)
 
 
 def crosscovariance(
@@ -218,7 +217,7 @@ def crosscovariance(
     Emits a warning when the decay-model tail bound beyond the integration
     window exceeds 1% of the value.
     """
-    r = _cached_product(k1, k2, float(h), False, base_step)
+    r = _cached_product(k1, k2, float(h), base_step)
     value = sigma2 * r.value
     tail = sigma2 * r.tail_bound
     if tail > 0.01 * abs(value) and abs(value) > 0:
@@ -242,7 +241,6 @@ def covariance_lags(
     s_max: int,
     *,
     base_step: float | None = None,
-    absolute: bool = False,
 ) -> np.ndarray:
     """Array of ``sigma2 * int phi_1(t) phi_2(t + s Delta) dt`` for ``s_min <= s <= s_max``
     (quadrature step ``base_step``, by default ``Delta / COV_STEPS_PER_DELTA``)."""
@@ -253,7 +251,7 @@ def covariance_lags(
         shift = s * Delta
         if same and s < 0 and -s <= s_max:
             shift = -shift  # symmetric: reuse the positive-lag cache entry
-        out[i] = sigma2 * _cached_product(k1, k2, float(shift), absolute, base_step).value
+        out[i] = sigma2 * _cached_product(k1, k2, float(shift), base_step).value
     return out
 
 
@@ -273,7 +271,7 @@ class BStarGamma:
 
     values: np.ndarray
     radius: int
-    tail: SeqTail
+    tail: TailModel
     l2_sq: float
     l2_sq_tail: float
     capped: bool
@@ -315,11 +313,9 @@ def b_star_gamma(
         conv = np.convolve(gam, w, mode="same")
         mid = len(gam) // 2
         vals = conv[mid - S : mid + S + 1]
-        lags = np.arange(-S, S + 1)
-        tail = fit_seq_tail(lags, vals, known_exponent=_bsg_exponent(b, gamma_exp))
+        tail = fit_tail(np.arange(-S, S + 1), vals, S / 10, known_exponent=_bsg_exponent(b, gamma_exp)).as_tail()
         head = float(np.sum(vals**2))
-        t_lo, t_hi = seq_tail_power_sum(tail, S + 1, 2.0) if not isinstance(tail, ZeroSeqTail) else (0.0, 0.0)
-        tail_sq = 2.0 * t_hi  # both sides
+        _, tail_sq = lattice_tail_sum(tail, S + 1, 2.0)
         if not np.isfinite(tail_sq) and S >= _BSG_S_CAP:
             raise ConvergenceError("squared-norm tail of (b * gamma) diverges or cannot be bounded")
         if tail_sq <= _BSG_REL_TOL * max(head, 1e-300):

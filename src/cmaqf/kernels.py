@@ -381,13 +381,13 @@ def _fit_table_tail(t0: float, step: float, values: np.ndarray) -> TailFit:
     if values[-1] == 0.0:
         # table ends in zeros: compact support inside the window, no extension
         return TailFit(math.inf, 0.0, 0.0, math.inf, 0.0, 0.0, "power", (t0, end))
-    lo = max(end / 10.0, t0 + step, step)
-    ts = t0 + step * np.arange(len(values))
-    sel = ts >= lo
-    if sel.sum() < 3:
-        sel = np.zeros_like(sel)
-        sel[-min(3, len(values)) :] = True
-    return fit_tail(ts[sel], values[sel])
+    fit = fit_tail(t0 + step * np.arange(len(values)), values, max(end / 10.0, t0 + step, step))
+    if fit.points < 3:
+        raise ParameterError(
+            f"a table ending in a non-zero value needs three usable (non-zero) nodes at t > 0 "
+            f"to fit its tail; it has {fit.points}"
+        )
+    return fit
 
 
 @dataclass(frozen=True, eq=False)
@@ -644,7 +644,13 @@ def _powered_tail(tail: TailModel, power: float) -> TailModel:
     if isinstance(tail, CompactTail):
         return tail
     if isinstance(tail, ExpTail):
-        return ExpTail(constant=tail.constant**power, rate=tail.rate * power, start=tail.start, exact=tail.exact)
+        return ExpTail(
+            constant=tail.constant**power,
+            rate=tail.rate * power,
+            start=tail.start,
+            lower=tail.lower**power,
+            exact=tail.exact,
+        )
     return PowerTail(
         constant=tail.constant**power,
         exponent=tail.exponent * power,
@@ -709,11 +715,7 @@ def grid_sample(kernel: Kernel, Delta: float, m: int, horizon: float) -> KernelG
     n = int(round(horizon / step))
     times = np.arange(-n, n + 1) * step
     values = np.asarray(kernel.eval(times), dtype=float)
-    lo = max(horizon / 10.0, step)
-    sel = times >= lo
-    if sel.sum() < 3:
-        sel = times > 0
-    tail = fit_tail(times[sel], values[sel])
+    tail = fit_tail(times, values, horizon / 10.0)
     return KernelGrid(kernel=kernel, Delta=float(Delta), m=int(m), horizon=float(horizon), values=values, tail=tail)
 
 

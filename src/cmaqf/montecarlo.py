@@ -24,7 +24,7 @@ from .covariance import CoefficientSeq, covariance_lags
 from .errors import ParameterError
 from .inference import ls_kernel_pair, poly_map, yule_walker
 from .kernels import Kernel
-from .levy import LevyModel, check_key
+from .levy import LevyModel
 from .simulate import (
     PathConfig,
     compute_qn,
@@ -108,7 +108,7 @@ class ExperimentConfig:
             raise ParameterError("ls_derivative experiments need an LsSpec")
         if self.conditions not in ("auto", "waive"):
             raise ParameterError("conditions must be 'auto' or 'waive'")
-        check_key("seed", self.seed)
+        self.path_config(0)  # path geometry and seed, checked before any set-up
 
     def path_config(self, stream_index: int) -> PathConfig:
         return PathConfig(

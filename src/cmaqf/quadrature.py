@@ -98,10 +98,9 @@ def product_integral(
     k2: Kernel,
     shift: float = 0.0,
     *,
-    absolute: bool = False,
     base_step: float = 1.0 / 64.0,
 ) -> QuadResult:
-    """Integrate ``k1(t) * k2(t + shift)`` (or its absolute value) over the line.
+    """Integrate ``k1(t) * k2(t + shift)`` over the line.
 
     The window grows in dyadic blocks until the closed-form tail bound drops
     below 1e-10 times the accumulated value (or the window passes 2**24); a
@@ -109,14 +108,12 @@ def product_integral(
     """
 
     def feval(ts):
-        v = np.asarray(k1.eval(ts)) * np.asarray(k2.eval(ts + shift))
-        return np.abs(v) if absolute else v
+        return np.asarray(k1.eval(ts)) * np.asarray(k2.eval(ts + shift))
 
     def left_limit(t):
-        v = float(np.asarray(k1.left_limit(np.array([t])))[0]) * float(
+        return float(np.asarray(k1.left_limit(np.array([t])))[0]) * float(
             np.asarray(k2.left_limit(np.array([t + shift])))[0]
         )
-        return abs(v) if absolute else v
 
     lo = max(k1.support_lo, k2.support_lo - shift)
     step = base_step

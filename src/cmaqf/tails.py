@@ -1,10 +1,19 @@
-"""Decay models for kernels and lag sequences, with closed-form tail sums.
+"""Decay models with closed-form tail sums, for kernels and lag sequences alike.
 
-A tail model records how fast a function or sequence decays beyond a finite
-window, so that truncated norms and sums can be completed (or refuted) in
-closed form.  ``exact=True`` means the constants come from analysis of the
-kernel family (two-sided envelopes hold pointwise); fitted models carry their
-fit residual instead and are treated conservatively downstream.
+A tail model records how fast a function decays beyond a finite window, so
+that truncated integrals, norms and lag sums can be completed (or refuted) in
+closed form.  Lag sequences use the same models on the lag axis: a model of
+``f`` bounds the sequence ``a_s = f(|s| * spacing)``, so a kernel's decay
+model bounds its samples on the lattice ``s * Delta`` and a sequence's own
+model has spacing 1.  ``exact=True`` means the constants come from analysis
+of the kernel family; fitted models carry their fit residual instead and are
+treated conservatively downstream.  A model whose ``lower`` envelope equals
+its ``constant`` is the function itself, and its tail sums are exact.
+
+How a tail is modelled, fitted and completed is decided here alone:
+:func:`fit_tail` fits every sampled tail (kernel tables, kernel grids, lag
+sequences), and :func:`lattice_tail_sum` completes every truncated two-sided
+lag sum.
 """
 
 from __future__ import annotations
@@ -17,11 +26,15 @@ import numpy as np
 
 @dataclass(frozen=True)
 class ExpTail:
-    """``|f(t)| <= constant * exp(-rate * t)`` for ``t >= start``."""
+    """``lower * exp(-rate * t) <= |f(t)| <= constant * exp(-rate * t)`` for ``t >= start``.
+
+    ``lower`` may be 0 when only an upper envelope is known.
+    """
 
     constant: float
     rate: float
     start: float = 0.0
+    lower: float = 0.0
     exact: bool = True
 
 
@@ -52,13 +65,15 @@ TailModel = ExpTail | PowerTail | CompactTail
 
 @dataclass(frozen=True)
 class TailFit:
-    """Power-law envelope fitted to the last decade of a sampled window.
+    """Decay envelopes fitted to the last decade of a sampled window.
 
     ``residual`` is the maximum absolute log-deviation of the samples from
     ``constant * t**-exponent`` over the fitted range, so the samples satisfy
-    ``|phi(t)| <= constant * exp(residual) * t**-exponent`` there.  ``exp_rate``
-    and ``exp_residual`` describe the competing log-linear (exponential) fit;
-    ``preferred`` names whichever fit has the smaller residual.
+    ``constant * exp(-residual) <= |y| * t**exponent <= constant * exp(residual)``
+    there.  ``exp_rate`` and ``exp_residual`` describe the competing log-linear
+    (exponential) fit, absent (``nan`` rate) when the exponent was known;
+    ``preferred`` names the fit :meth:`as_tail` uses.  ``points`` counts the
+    samples fitted; below three the fit vanishes (``constant == 0``).
     """
 
     exponent: float
@@ -69,9 +84,14 @@ class TailFit:
     exp_residual: float
     preferred: str
     fit_range: tuple[float, float]
+    points: int = 0
 
     def as_tail(self) -> TailModel:
-        """Tail model implied by the better of the two fits (not exact)."""
+        """Envelope implied by the preferred fit (not exact).
+
+        The power envelope is two-sided; the exponential one bounds from
+        above only, which keeps its sums conservative.
+        """
         if self.constant == 0.0:
             return CompactTail(end=self.fit_range[1], exact=False)
         if self.preferred == "exponential":
@@ -85,25 +105,38 @@ class TailFit:
             constant=self.constant * math.exp(self.residual),
             exponent=self.exponent,
             start=self.fit_range[0],
+            lower=self.constant * math.exp(-self.residual),
             exact=False,
         )
 
 
-def fit_tail(ts: np.ndarray, values: np.ndarray) -> TailFit:
-    """Fit power-law and exponential envelopes to ``|values|`` over ``ts``.
+def fit_tail(x, y, lo: float, known_exponent: float | None = None) -> TailFit:
+    """Fit decay envelopes to ``|y|`` over the window ``x >= lo`` (``x`` ascending).
 
-    Zero (or denormal) samples are dropped; an all-zero tail yields a
-    degenerate fit with ``constant == 0``.
+    Only ``x > 0`` counts; a window with fewer than three abscissae widens to
+    every ``x > 0``.  Samples with ``|y| <= 1e-300`` are dropped, and fewer
+    than three remaining give a vanishing fit (``constant == 0``, a compact
+    tail).  With ``known_exponent`` (analytic decay) only the power constant
+    is fitted, as the centre of the samples' log band; otherwise power and
+    exponential least-squares fits compete.
     """
-    ts = np.asarray(ts, dtype=float)
-    mags = np.abs(np.asarray(values, dtype=float))
-    keep = mags > 1e-300
-    lo, hi = (float(ts[0]), float(ts[-1])) if ts.size else (0.0, 0.0)
-    if keep.sum() < 3:
-        return TailFit(math.inf, 0.0, 0.0, math.inf, 0.0, 0.0, "power", (lo, hi))
-    t, y = ts[keep], np.log(mags[keep])
-    (slope_p, icept_p, res_p), (slope_e, icept_e, res_e) = _log_fits(t, y)
-    preferred = "exponential" if res_e < res_p else "power"
+    x = np.asarray(x, dtype=float)
+    mags = np.abs(np.asarray(y, dtype=float))
+    window = (x > 0) & (x >= lo)
+    if window.sum() < 3:
+        window = x > 0
+    sel = window & (mags > 1e-300)
+    if sel.sum() < 3:
+        span = (float(x[window][0]), float(x[window][-1])) if window.any() else (0.0, 0.0)
+        return TailFit(math.inf, 0.0, 0.0, math.inf, 0.0, 0.0, "power", span, int(sel.sum()))
+    t, logy = x[sel], np.log(mags[sel])
+    span = (float(t[0]), float(t[-1]))
+    if known_exponent is not None:
+        shifted = logy + known_exponent * np.log(t)
+        top, bottom = float(np.max(shifted)), float(np.min(shifted))
+        centre, half = 0.5 * (top + bottom), 0.5 * (top - bottom)
+        return TailFit(known_exponent, math.exp(centre), half, math.nan, 0.0, math.inf, "power", span, t.size)
+    (slope_p, icept_p, res_p), (slope_e, icept_e, res_e) = _log_fits(t, logy)
     return TailFit(
         exponent=float(-slope_p),
         constant=float(np.exp(icept_p)),
@@ -111,8 +144,9 @@ def fit_tail(ts: np.ndarray, values: np.ndarray) -> TailFit:
         exp_rate=float(-slope_e),
         exp_constant=float(np.exp(icept_e)),
         exp_residual=res_e,
-        preferred=preferred,
-        fit_range=(float(t[0]), float(t[-1])),
+        preferred="exponential" if res_e < res_p and slope_e < 0 else "power",
+        fit_range=span,
+        points=int(t.size),
     )
 
 
@@ -190,77 +224,6 @@ def _joint_power_integral(tail1, tail2, t, shift):
     return head + c * lo ** (1.0 - a - b) / (a + b - 1.0)
 
 
-# ---------------------------------------------------------------------------
-# sequence tails (two-sided lag sequences, bound applies for |s| > radius)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GeomSeqTail:
-    """``|a_s| <= constant * ratio**|s|`` beyond the stored radius."""
-
-    constant: float
-    ratio: float
-    exact: bool = True
-
-
-@dataclass(frozen=True)
-class PowerSeqTail:
-    """``lower*|s|**-exponent <= |a_s| <= constant*|s|**-exponent`` beyond the radius."""
-
-    constant: float
-    exponent: float
-    lower: float = 0.0
-    exact: bool = True
-
-
-@dataclass(frozen=True)
-class ZeroSeqTail:
-    """Sequence vanishes beyond the stored radius."""
-
-    exact: bool = True
-
-
-SeqTail = GeomSeqTail | PowerSeqTail | ZeroSeqTail
-
-
-def fit_seq_tail(lags: np.ndarray, vals: np.ndarray, known_exponent: float | None = None) -> SeqTail:
-    """Tail model for a lag sequence from its last computed decade.
-
-    When ``known_exponent`` is given (analytic kernel decay), only the
-    constant is fitted against it; otherwise both power and geometric fits
-    compete.  Fitted models are conservative (constant inflated by the fit
-    residual, ``exact=False``).
-    """
-    lags = np.asarray(lags, dtype=float)
-    mags = np.abs(np.asarray(vals, dtype=float))
-    keep = (mags > 1e-280) & (lags > 0)
-    if keep.sum() < 3:
-        return ZeroSeqTail(exact=False)
-    lo = max(lags[keep].max() / 10.0, 1.0)
-    sel = keep & (lags >= lo)
-    if sel.sum() < 3:
-        sel = keep
-    x, y = lags[sel], np.log(mags[sel])
-    if known_exponent is not None:
-        shifted = y + known_exponent * np.log(x)
-        return PowerSeqTail(
-            constant=float(np.exp(np.max(shifted))),
-            exponent=known_exponent,
-            lower=float(np.exp(np.min(shifted))),
-            exact=False,
-        )
-    (slope_p, icept_p, res_p), (slope_e, icept_e, res_e) = _log_fits(x, y)
-    if res_e <= res_p and slope_e < 0:
-        return GeomSeqTail(constant=float(np.exp(icept_e + res_e)), ratio=float(np.exp(slope_e)), exact=False)
-    return PowerSeqTail(
-        constant=float(np.exp(icept_p + res_p)),
-        exponent=float(-slope_p),
-        lower=float(np.exp(icept_p - res_p)),
-        exact=False,
-    )
-
-
 def sparse_tail_sum_estimate(term, start: int) -> float:
     """Estimate ``sum_{s >= start} term(s)`` for a non-negative decreasing ``term``
     from samples on a ladder ``s -> 1.25 s``, doubled for the continuation.
@@ -278,49 +241,35 @@ def sparse_tail_sum_estimate(term, start: int) -> float:
         s = max(s + 1, int(s * 1.25))
 
 
-def seq_tail_power_sum(tail: SeqTail, start: int, p: float) -> tuple[float, float]:
-    """Bracket ``sum_{s >= start} |a_s|**p`` as ``(lower, upper)``.
+def lattice_tail_sum(tail: TailModel, start: int, p: float = 1.0, spacing: float = 1.0) -> tuple[float, float]:
+    """Bracket ``sum_{|s| >= start} |a_s|**p`` as ``(lower, upper)``, where ``tail``
+    bounds the two-sided sequence as ``|a_s| <= f(|s| * spacing)``.
 
-    ``start`` must be >= 1.  Returns ``(inf, inf)`` when the upper bound
-    diverges; the lower bound uses the model's ``lower`` constant when present.
+    ``start`` must be >= 1.  The upper bound is ``inf`` when the sum diverges
+    or when ``start * spacing`` lies before the model's range; the lower bound
+    uses the model's ``lower`` envelope, so ``lower == constant`` gives a
+    zero-width bracket.
     """
     if start < 1:
         raise ValueError("start must be >= 1")
-    if isinstance(tail, ZeroSeqTail):
-        return 0.0, 0.0
-    if isinstance(tail, GeomSeqTail):
-        q = tail.ratio**p
+    if isinstance(tail, CompactTail):
+        return (0.0, 0.0) if start * spacing > tail.end else (0.0, math.inf)
+    if start * spacing < tail.start:
+        return 0.0, math.inf
+    if isinstance(tail, ExpTail):
+        ratio = math.exp(-tail.rate * spacing)
+        q = ratio**p
         if q >= 1.0:
-            return (math.inf, math.inf) if tail.constant > 0 else (0.0, 0.0)
-        up = (tail.constant**p) * (tail.ratio ** (start * p)) / (1.0 - q)
-        return 0.0, up
+            return (math.inf if tail.lower > 0 else 0.0), (math.inf if tail.constant > 0 else 0.0)
+        up = (tail.constant**p) * (ratio ** (start * p)) / (1.0 - q)
+        lo = (tail.lower**p) * (ratio ** (start * p)) / (1.0 - q)
+        return 2.0 * lo, 2.0 * up
     a = tail.exponent * p
     if a <= 1.0:
-        lo = math.inf if tail.lower > 0 else 0.0
-        return lo, math.inf
-    up = (tail.constant**p) * (max(start - 1, 1)) ** (1.0 - a) / (a - 1.0)
-    lo = (tail.lower**p) * (start + 1) ** (1.0 - a) / (a - 1.0)
-    return lo, up
-
-
-def seq_tail_sup(tail: SeqTail, start: int) -> float:
-    """Upper bound for ``sup_{|s| >= start} |a_s|``."""
-    if isinstance(tail, ZeroSeqTail):
-        return 0.0
-    if isinstance(tail, GeomSeqTail):
-        return tail.constant * tail.ratio**start
-    return tail.constant * start ** -tail.exponent
-
-
-def kernel_tail_to_seq(tail: TailModel, spacing: float) -> SeqTail:
-    """Sequence-tail model for ``s -> f(s * spacing)``."""
-    if isinstance(tail, CompactTail):
-        return ZeroSeqTail(exact=tail.exact)
-    if isinstance(tail, ExpTail):
-        return GeomSeqTail(constant=tail.constant, ratio=math.exp(-tail.rate * spacing), exact=tail.exact)
-    return PowerSeqTail(
-        constant=tail.constant * spacing**-tail.exponent,
-        exponent=tail.exponent,
-        lower=tail.lower * spacing**-tail.exponent,
-        exact=tail.exact,
-    )
+        return (math.inf if tail.lower > 0 else 0.0), math.inf
+    scale = spacing**-tail.exponent
+    c, l = tail.constant * scale, tail.lower * scale
+    # integral test: the sum from start lies between the integrals from start + 1 and start - 1
+    up = (c**p) * (start - 1) ** (1.0 - a) / (a - 1.0) if start > 1 else (c**p) * a / (a - 1.0)
+    lo = (l**p) * (start + 1) ** (1.0 - a) / (a - 1.0)
+    return 2.0 * lo, 2.0 * up

@@ -17,7 +17,6 @@ indicator kernels).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +25,7 @@ from .conditions import ConditionReport, check_conditions
 from .covariance import (
     CoefficientSeq,
     FiniteSupport,
+    _gamma_power_exponent_or_check,
     b_star_gamma,
     covariance_lags,
     star_conv_kernel,
@@ -34,7 +34,7 @@ from .errors import ConditionsRefutedError, ParameterError
 from .kernels import Kernel, KernelGrid, LinComboKernel, grid_cells
 from .levy import LevyModel
 from .quadrature import _simpson, lattice_s_range, phase_integral, phase_product_sum
-from .tails import ZeroSeqTail, fit_seq_tail, seq_tail_power_sum
+from .tails import fit_tail, lattice_tail_sum
 
 __all__ = [
     "VarianceReport",
@@ -134,13 +134,10 @@ def _gate_conditions(condition_set, kernels, b, Delta, model, check, force):
 # ---------------------------------------------------------------------------
 
 
-def _product_sum_with_tail(lags, prod):
-    head = float(np.sum(prod))
-    tail = fit_seq_tail(lags, prod)
-    if isinstance(tail, ZeroSeqTail):
-        return head, 0.0
-    _, up = seq_tail_power_sum(tail, lags.max() + 1, 1.0)
-    return head, 2.0 * up if np.isfinite(up) else math.inf
+def _product_sum_with_tail(S, prod):
+    """Sum of the lag products on ``-S..S`` and the upper bracket of the rest."""
+    _, up = lattice_tail_sum(fit_tail(np.arange(-S, S + 1), prod, S / 10).as_tail(), S + 1)
+    return float(np.sum(prod)), up
 
 
 def _cov_product_sums(k1, k2, sigma2, Delta, rel_tol=1e-9, s_cap=2**14):
@@ -149,9 +146,8 @@ def _cov_product_sums(k1, k2, sigma2, Delta, rel_tol=1e-9, s_cap=2**14):
         g11 = covariance_lags(k1, k1, sigma2, Delta, -S, S)
         g22 = covariance_lags(k2, k2, sigma2, Delta, -S, S)
         g12 = covariance_lags(k1, k2, sigma2, Delta, -S, S)
-        lags = np.arange(-S, S + 1)
-        t_auto, tail_a = _product_sum_with_tail(lags, g11 * g22)
-        t_cross, tail_c = _product_sum_with_tail(lags, g12 * g12[::-1])
+        t_auto, tail_a = _product_sum_with_tail(S, g11 * g22)
+        t_cross, tail_c = _product_sum_with_tail(S, g12 * g12[::-1])
         scale = max(abs(t_auto) + abs(t_cross), 1e-300)
         if (tail_a + tail_c) <= rel_tol * scale or S >= s_cap:
             capped = (tail_a + tail_c) > rel_tol * scale
@@ -162,14 +158,6 @@ def _cov_product_sums(k1, k2, sigma2, Delta, rel_tol=1e-9, s_cap=2**14):
 # ---------------------------------------------------------------------------
 # limit variances
 # ---------------------------------------------------------------------------
-
-
-def _kappa4_term(kernels, kappa4, Delta):
-    """``kappa4`` times the period integral of the squared lattice sum, with its diagnostics."""
-    if kappa4 == 0.0:
-        return 0.0, {}
-    ph = phase_integral(kernels, Delta, nodes_per_period=_NODES_PER_PERIOD)
-    return kappa4 * ph.value, {"phase_disc_estimate": ph.disc_estimate, "phase_tail_bound": ph.tail_bound}
 
 
 def eta2_sn(
@@ -188,7 +176,11 @@ def eta2_sn(
     """
     report, note = _gate_conditions("sn_general", (k1, k2), None, Delta, model, check, force)
     sigma2, kappa4 = model.cumulants()
-    k4_term, diagnostics = _kappa4_term([k1, k2], kappa4, Delta)
+    k4_term, diagnostics = 0.0, {}
+    if kappa4 != 0.0:
+        ph = phase_integral([k1, k2], Delta, nodes_per_period=_NODES_PER_PERIOD)
+        k4_term = kappa4 * ph.value
+        diagnostics = {"phase_disc_estimate": ph.disc_estimate, "phase_tail_bound": ph.tail_bound}
     t_auto, t_cross, diag = _cov_product_sums(k1, k2, sigma2, Delta)
     diagnostics.update(diag)
     return VarianceReport(
@@ -215,30 +207,29 @@ def eta2_qn(
 
     Computed two ways: directly (fourth-cumulant period integral plus twice
     the squared lag-sequence norm of the coefficient-convolved covariance) and
-    through the bilinear route with the convolved kernel as second factor; the
-    second value is stored in ``eta2_alt``.
+    through the bilinear route, :func:`eta2_sn` with the convolved kernel as
+    second factor; the second value is stored in ``eta2_alt``.
     """
     report, note = _gate_conditions("qn_general", kernel, b, Delta, model, check, force)
-    sigma2, kappa4 = model.cumulants()
     conv = star_conv_kernel(b, kernel, Delta)
-    k4_term, diagnostics = _kappa4_term([kernel, conv], kappa4, Delta)
-
-    bsg = b_star_gamma(b, kernel, sigma2, Delta)
+    _gamma_power_exponent_or_check(b, kernel)  # refuse a divergent b * gamma before the slow lag sums
+    # the bilinear route first: its period integral peaks in memory, so it runs before the lag caches fill
+    bilinear = eta2_sn(kernel, conv, model, Delta, check="skip")
+    bsg = b_star_gamma(b, kernel, model.cumulants()[0], Delta)
     direct = 2.0 * bsg.l2_sq
+    diagnostics = dict(bilinear.diagnostics)
+    cov = {key: diagnostics.pop(key) for key in ("cov_radius", "cov_tail_bound", "cov_capped")}
     diagnostics.update({"bsg_radius": float(bsg.radius), "bsg_l2_tail": bsg.l2_sq_tail, "bsg_capped": float(bsg.capped)})
-
-    t_auto, t_cross, diag = _cov_product_sums(kernel, conv, sigma2, Delta)
-    diagnostics.update(diag)
-
+    diagnostics.update(cov)
     return VarianceReport(
-        eta2=k4_term + direct,
-        kappa4_term=k4_term,
+        eta2=bilinear.kappa4_term + direct,
+        kappa4_term=bilinear.kappa4_term,
         covariance_terms={"weighted_covariance_l2_sq_doubled": direct},
         diagnostics=diagnostics,
         condition_set="qn_general",
         conditions=report,
         conditions_note=note,
-        eta2_alt=k4_term + t_auto + t_cross,
+        eta2_alt=bilinear.eta2,
     )
 
 

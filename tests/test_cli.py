@@ -235,6 +235,25 @@ def _refuted_qn_config(tmp_path, **extra):
     )
 
 
+def test_path_geometry_checked_before_the_analytic_setup(tmp_path, capsys):
+    for path in ({"fine_steps": 0}, {"horizon": 1.5}):
+        cfg = _refuted_qn_config(tmp_path, path=path)
+        assert run(["mc", "--config", str(write_config(tmp_path, "c.json", cfg))]) == 2, path
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "config" and next(iter(path)) in err["error"]["message"]
+
+
+def test_kernel_export_rejects_a_table_too_short_for_a_tail_fit(tmp_path, capsys):
+    cfg = base_config(
+        kernel={"type": "tabulated", "t0": 0.0, "step": 0.5, "values": [1.0, 0.5, 0.2]},
+        grid={"m": 2, "horizon": 2.0},
+        output_dir=str(tmp_path / "out"),
+    )
+    assert run(["kernel-export", "--config", str(write_config(tmp_path, "c.json", cfg))]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "config" and "usable" in err["error"]["message"]
+
+
 def test_bad_thread_count_from_environment_rejected(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CMAQF_THREADS", "abc")
     assert run(["mc", "--config", str(write_config(tmp_path, "c.json", _refuted_qn_config(tmp_path)))]) == 2

@@ -8,7 +8,7 @@ from cmaqf.covariance import FiniteSupport, PowerDecay
 from cmaqf.errors import ParameterError
 from cmaqf.kernels import ExponentialOU, FractionalNoise, TabulatedKernel, build_carma
 from cmaqf.levy import BrownianMotion
-from cmaqf.tails import GeomSeqTail, PowerSeqTail, ZeroSeqTail
+from cmaqf.tails import CompactTail, ExpTail, PowerTail
 
 
 def tail07_kernel():
@@ -27,7 +27,8 @@ def tail07_kernel():
 def test_lp_norm_geometric_series():
     S = 25
     vals = np.exp(-np.abs(np.arange(-S, S + 1)))
-    norm, bound = lp_norm_sequence(vals, GeomSeqTail(constant=1.0, ratio=math.exp(-1.0)), 1.0)
+    # lower == constant: the tail model is the sequence itself, so the bracket has zero width
+    norm, bound = lp_norm_sequence(vals, ExpTail(constant=1.0, rate=1.0, lower=1.0), 1.0)
     exact = (1 + math.exp(-1)) / (1 - math.exp(-1))
     assert norm == pytest.approx(exact, rel=1e-12)
     assert bound == pytest.approx(0.0, abs=1e-12)
@@ -35,9 +36,9 @@ def test_lp_norm_geometric_series():
 
 def test_lp_norm_sup():
     vals = np.array([0.5, -3.0, 0.5])
-    norm, _ = lp_norm_sequence(vals, ZeroSeqTail(), math.inf)
+    norm, _ = lp_norm_sequence(vals, CompactTail(end=1.0), math.inf)
     assert norm == 3.0
-    norm, _ = lp_norm_sequence(np.array([0.1]), GeomSeqTail(constant=9.0, ratio=0.5), math.inf)
+    norm, _ = lp_norm_sequence(np.array([0.1]), ExpTail(constant=9.0, rate=math.log(2.0)), math.inf)
     assert norm == 4.5  # tail sup dominates
 
 
@@ -45,18 +46,18 @@ def test_lp_norm_divergent_power_tail():
     S = 10
     s = np.arange(-S, S + 1, dtype=float)
     vals = np.where(s == 0, 1.0, np.abs(np.where(s == 0, 1.0, s)) ** -0.9)
-    norm, bound = lp_norm_sequence(vals, PowerSeqTail(constant=1.0, exponent=0.9, lower=1.0), 1.0)
+    norm, bound = lp_norm_sequence(vals, PowerTail(constant=1.0, exponent=0.9, start=1.0, lower=1.0), 1.0)
     assert norm == math.inf and bound == math.inf
     # same sequence is square-summable
-    norm2, _ = lp_norm_sequence(vals, PowerSeqTail(constant=1.0, exponent=0.9, lower=1.0), 2.0)
+    norm2, _ = lp_norm_sequence(vals, PowerTail(constant=1.0, exponent=0.9, start=1.0, lower=1.0), 2.0)
     assert np.isfinite(norm2)
 
 
 def test_lp_norm_input_validation():
     with pytest.raises(ParameterError):
-        lp_norm_sequence(np.ones(4), ZeroSeqTail(), 2.0)  # even length
+        lp_norm_sequence(np.ones(4), CompactTail(end=2.0), 2.0)  # even length
     with pytest.raises(ParameterError):
-        lp_norm_sequence(np.ones(3), ZeroSeqTail(), 0.5)
+        lp_norm_sequence(np.ones(3), CompactTail(end=1.0), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +89,16 @@ def test_sn_decay_tail07_pair_refuted():
     assert abs(k.tail_fit.exponent - 0.7) < 0.02
     rep = check_conditions("sn_decay", (k, k), Delta=1.0)
     assert rep.overall == "refuted"
+
+
+def test_coefficient_norms_cover_the_whole_finite_support():
+    b = FiniteSupport(values=(1.0,) * 101)  # wider than the 64 lags the norms start from
+    rep = check_conditions("qn_exponent", ExponentialOU(1.0), b=b, Delta=1.0)
+    (coeff,) = next(a for a in rep.assumptions if a.name == "coefficients_summable").norms
+    assert (coeff.name, coeff.value, coeff.tail_bound, coeff.radius) == ("coeff_lq(1)", 201.0, 0.0, 100)
+    rep = check_conditions("qn_decay", ExponentialOU(1.0), b=b, Delta=1.0)
+    _, sup_b = next(a for a in rep.assumptions if a.name == "decay_exponents").norms
+    assert sup_b.value == 100.0 ** (1.0 - rep.exponents["beta"])
 
 
 def test_power_decay_membership_sweep_matches_exact_arithmetic():
@@ -168,8 +179,9 @@ def test_lp_norm_nonincreasing_in_p(vals, p, q):
     if p > q:
         p, q = q, p
     two_sided = np.array(vals[::-1] + [1.0] + vals)
-    np_norm, _ = lp_norm_sequence(two_sided, ZeroSeqTail(), p)
-    nq_norm, _ = lp_norm_sequence(two_sided, ZeroSeqTail(), q)
+    zero = CompactTail(end=float(len(vals)))
+    np_norm, _ = lp_norm_sequence(two_sided, zero, p)
+    nq_norm, _ = lp_norm_sequence(two_sided, zero, q)
     assert nq_norm <= np_norm * (1 + 1e-12)
 
 

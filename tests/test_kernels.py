@@ -15,6 +15,7 @@ from cmaqf.kernels import (
     grid_sample,
     solve_sdde_kernel,
 )
+from cmaqf.tails import fit_tail
 
 
 def residue_kernel(a_coeffs, b_coeffs):
@@ -175,13 +176,36 @@ def test_carma_tail_is_exponential():
     assert g.tail.exp_rate > 0  # negative log-linear slope
 
 
-def test_tail_fit_envelope_holds_on_fitted_range():
-    g = grid_sample(FractionalNoise(0.15), 1.0, 4, 256.0)
-    ts = g.times()
-    lo, hi = g.tail.fit_range
+def _sampled_tail(kind):
+    """``(x, y, fit)``: samples and their tail fit, for each kind of window ``fit_tail`` serves."""
+    if kind == "grid":
+        g = grid_sample(FractionalNoise(0.15), 1.0, 4, 256.0)
+        return g.times(), g.values, g.tail
+    if kind == "table":
+        ts = np.arange(0, 1025) / 16.0
+        k = TabulatedKernel(t0=0.0, step=1.0 / 16.0, values=(1.0 + ts) ** -0.8 * (1.0 + 0.05 * np.cos(ts)))
+        return ts, k.values, k.tail_fit
+    lags = np.arange(-128, 129)
+    vals = (1.0 + np.abs(lags)) ** -1.5 * (1.0 + 0.1 * np.cos(lags))
+    return lags, vals, fit_tail(lags, vals, 12.8, known_exponent=1.5)
+
+
+@pytest.mark.parametrize("kind", ["grid", "table", "lag_sequence"])
+def test_tail_fit_envelope_holds_on_fitted_range(kind):
+    ts, values, fit = _sampled_tail(kind)
+    lo, hi = fit.fit_range
     sel = (ts >= lo) & (ts <= hi)
-    bound = g.tail.constant * math.exp(g.tail.residual) * ts[sel] ** -g.tail.exponent
-    assert np.all(np.abs(g.values[sel]) <= bound * (1 + 1e-12))
+    bound = fit.constant * math.exp(fit.residual) * ts[sel] ** -fit.exponent
+    assert np.all(np.abs(values[sel]) <= bound * (1 + 1e-12))
+    # the power envelope of as_tail is two-sided on the fitted range
+    env = fit.as_tail()
+    assert np.all(np.abs(values[sel]) >= env.lower * ts[sel] ** -env.exponent * (1 - 1e-12))
+
+
+def test_table_too_short_for_a_tail_fit_raises():
+    # two nodes at t > 0: the fit must not fall back onto t = 0, where log|t| is -inf
+    with pytest.raises(ParameterError, match="it has 2"):
+        TabulatedKernel(t0=0.0, step=0.5, values=[1.0, 0.5, 0.2])
 
 
 def test_carma_order_one_equals_ou_pointwise():

@@ -4,7 +4,10 @@ A name that no module defines or imports raises ``NameError`` only on the
 branch that loads it, so a branch no other test reaches can hide one.  This
 walks the compiled code of each module instead of running it.  The demos'
 imports from the package are resolved from their syntax trees, also without
-running them, so removing a public name cannot silently break a demo.
+running them, so removing a public name cannot silently break a demo.  The
+benchmark's references into the package (attribute chains on ``cmaqf`` and
+its modules, and the entry points its tracer patches by name) are resolved
+the same way, so a rename shows up here and not first in a benchmark run.
 """
 
 import ast
@@ -64,3 +67,59 @@ def test_demo_imports_resolve():
                 module = importlib.import_module(node.module)
                 missing += [f"{path.name}: {node.module}.{a.name}" for a in node.names if not hasattr(module, a.name)]
     assert missing == []
+
+
+def _package_bindings(tree) -> dict:
+    """Names an ``import cmaqf...`` or ``from cmaqf... import`` statement binds, with their objects."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "cmaqf":
+                    module = importlib.import_module(alias.name)  # loads the submodule onto the package
+                    bound[alias.asname or "cmaqf"] = module if alias.asname else cmaqf
+        elif isinstance(node, ast.ImportFrom) and node.module and node.module.split(".")[0] == "cmaqf":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                bound[alias.asname or alias.name] = getattr(module, alias.name, None)
+    return bound
+
+
+def _attribute_chain(node):
+    """``(root name, [attr, ...])`` of ``a.b.c``, or ``None``."""
+    attrs = []
+    while isinstance(node, ast.Attribute):
+        attrs.append(node.attr)
+        node = node.value
+    return (node.id, attrs[::-1]) if isinstance(node, ast.Name) else None
+
+
+def test_benchmark_references_resolve():
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    paths = sorted(bench.glob("*.py")) + sorted(bench.glob("tests/*.py"))
+    assert paths
+    missing = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        bound = _package_bindings(tree)
+        missing += [f"{path.name}: {name}" for name, obj in bound.items() if obj is None]
+        for node in ast.walk(tree):
+            chain = _attribute_chain(node) if isinstance(node, ast.Attribute) else None
+            if chain is None or chain[0] not in bound or bound[chain[0]] is None:
+                continue
+            obj = bound[chain[0]]
+            for attr in chain[1]:
+                if not hasattr(obj, attr):
+                    missing.append(f"{path.name}: {'.'.join([chain[0], *chain[1]])}")
+                    break
+                obj = getattr(obj, attr)
+        # the tracer patches entry points named by string tables: (module, function) pairs and levy classes
+        for node in tree.body:
+            targets = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
+            if targets not in (["FUNCTIONS"], ["LEVY_CLASSES"]):
+                continue
+            for entry in ast.literal_eval(node.value):
+                mod_name, name = entry if isinstance(entry, tuple) else ("levy", entry)
+                if not hasattr(importlib.import_module(f"cmaqf.{mod_name}"), name):
+                    missing.append(f"{path.name}: cmaqf.{mod_name}.{name}")
+    assert sorted(set(missing)) == []

@@ -52,6 +52,15 @@ def test_config_validation():
         )
 
 
+def test_config_checks_path_geometry_when_built():
+    # these used to pass construction and fail in replicate 0, after the whole set-up
+    ou, bm = ExponentialOU(1.0), BrownianMotion(1.0)
+    with pytest.raises(ParameterError, match="fine_steps"):
+        ExperimentConfig(statistic="sn", kernel=ou, model=bm, delta=1.0, n=10, replicates=4, fine_steps=0)
+    with pytest.raises(ParameterError, match="horizon"):
+        ExperimentConfig(statistic="sn", kernel=ou, model=bm, delta=1.0, n=10, replicates=4, horizon=1.5)
+
+
 def test_sn_experiment_matches_limit_at_moderate_scale():
     cfg = ExperimentConfig(
         statistic="sn", kernel=ExponentialOU(1.0), model=BrownianMotion(2.0),
