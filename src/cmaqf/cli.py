@@ -269,13 +269,12 @@ def _manifest(resolved: dict, hashes: dict) -> bytes:
 def _cmd_check(resolved, outdir, built):
     kernel, kernel2, model, b = built
     spec = resolved["check"]
-    exponents = spec.get("exponents", "auto")
     report = check_conditions(
         spec["condition_set"],
         (kernel, kernel2) if kernel2 is not None else kernel,
         b=b,
         Delta=resolved["delta"],
-        exponents=exponents if exponents == "auto" else tuple(exponents),
+        exponents=spec.get("exponents", "auto"),
         model=model,
     )
     _write(outdir / "report.json", _json_bytes(report.to_dict()))

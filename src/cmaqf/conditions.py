@@ -5,11 +5,20 @@ entry per assumption and a three-valued verdict each:
 
 * ``supported`` -- every truncated norm is finite and the closed-form tail
   brackets are below tolerance;
-* ``refuted`` -- a divergence is provable from closed-form decay arithmetic
-  (exact kernel envelopes, or the fitted tail exponent of a tabulated kernel
-  for the decay-style sets);
+* ``refuted`` -- a divergence is provable from closed-form decay arithmetic;
 * ``indeterminate`` -- the numerics cannot resolve the tail (slowly
   convergent sums, fitted models with large residuals).
+
+Refutation depends on the style of the set.  Exact exponent arithmetic (the
+analytic envelopes of the kernel families) refutes in every set.  The fitted
+tail exponent of a tabulated kernel refutes only in the decay-style sets
+(``sn_decay``, ``qn_decay``), whose hypotheses are those exponents; in the
+other sets a fitted exponent that caps the search leaves the set
+indeterminate.
+
+Each norm is computed once per check: period norms go through one
+:func:`~cmaqf.quadrature.phase_integral` each, lag sequences through one
+quadrature each, and two equal kernels share theirs.
 
 Condition sets, keyed by the statistic they license and the style of
 hypothesis:
@@ -38,7 +47,8 @@ report the first satisfying pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -195,8 +205,15 @@ def _power_exponent(kernel: Kernel) -> tuple[float, bool] | None:
     return float(d.exponent), bool(d.exact)
 
 
+def _rho_cap(kernel: Kernel) -> tuple[float, bool]:
+    """``(min(rho, 1), exact)`` for the refutation arithmetic; ``(1, True)``
+    when the decay is faster than any power."""
+    pe = _power_exponent(kernel)
+    return (1.0, True) if pe is None else (min(pe[0], 1.0), pe[1])
+
+
 def _abs_lag_sequence(k1, k2, Delta, tail_tol=1e-6, s_cap=4096):
-    """Sequence ``s -> int |k1(t) k2(t + s Delta)| dt`` with a fitted tail model."""
+    """``(values, tail, radius)`` of ``s -> int |k1(t) k2(t + s Delta)| dt`` with a fitted tail model."""
     known = gamma_seq_exponent(k1, k2)
     abs1, abs2 = PowAbsKernel(k1, 1.0), PowAbsKernel(k2, 1.0)
     S = 32
@@ -209,9 +226,17 @@ def _abs_lag_sequence(k1, k2, Delta, tail_tol=1e-6, s_cap=4096):
         S *= 2
 
 
-def _norm_entry(name, values, tail, p, radius) -> NormEstimate:
+def _norm_entry(name, seq, p) -> NormEstimate:
+    """l^p norm of a lag sequence ``(values, tail, radius)`` from :func:`_abs_lag_sequence`."""
+    values, tail, radius = seq
     norm, bound = lp_norm_sequence(values, tail, p)
     return NormEstimate(name=name, value=norm, tail_bound=bound, radius=radius)
+
+
+def _period_norm(kernels, alpha, p_out, Delta, label) -> NormEstimate:
+    """Norm of ``t -> sum_s prod_i |k_i(t + s Delta)|**alpha`` in ``L^{p_out}([0, Delta])``."""
+    ph = phase_integral(kernels, Delta, alpha=alpha, power=p_out, nodes_per_period=_NODES_PER_PERIOD)
+    return NormEstimate(name=label, value=max(ph.value, 0.0) ** (1.0 / p_out), tail_bound=ph.tail_bound)
 
 
 def _verdict_from_norms(norms) -> str:
@@ -222,12 +247,31 @@ def _verdict_from_norms(norms) -> str:
     return INDETERMINATE
 
 
-def _phase_tail_sup_fn(kernels, powers, Delta):
-    return lambda start: sum(lattice_tail_sum(k.decay, start, p, Delta)[1] for k, p in zip(kernels, powers))
-
-
 def _conjugate(p: float) -> float:
     return math.inf if p <= 1.0 else p / (p - 1.0)
+
+
+def _check_pins(condition_set: str, exponents) -> None:
+    """Reject pinned exponents other than a list or tuple of real numbers: two
+    of them, or one or more for ``qn_envelope``.  The general sets pin a
+    conjugate pair, so one of them may be ``inf``."""
+    if condition_set == "autocov" or (isinstance(exponents, str) and exponents == "auto"):
+        return
+    envelope = condition_set == "qn_envelope"
+    allow_inf = condition_set in ("sn_general", "qn_general")
+    ok = (
+        isinstance(exponents, (list, tuple))
+        and (len(exponents) >= 1 if envelope else len(exponents) == 2)
+        and all(
+            isinstance(x, numbers.Real)
+            and not isinstance(x, bool)
+            and (math.isfinite(x) or (allow_inf and x == math.inf))
+            for x in exponents
+        )
+    )
+    if not ok:
+        count = "one or more" if envelope else "two"
+        raise ParameterError(f"{condition_set} exponents must be 'auto' or a list of {count} real numbers, got {exponents!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +291,14 @@ def check_conditions(
 
     ``kernels`` is a single kernel or a pair; coefficient-form sets require
     ``b``.  ``exponents="auto"`` searches the admissible grid (step 0.01) and
-    reports the first satisfying combination; an explicit tuple pins the
-    candidates.  Passing a Brownian ``model`` drops the period-square
-    assumption from the general sets (it only feeds the fourth-cumulant term).
+    reports the first satisfying combination; a list or tuple of numbers pins
+    the candidates (two, or one or more for ``qn_envelope``; ``autocov`` has
+    none).  Passing a Brownian ``model`` drops the period-square assumption
+    from the general sets (it only feeds the fourth-cumulant term).
     """
     if condition_set not in CONDITION_SETS:
         raise ParameterError(f"unknown condition set {condition_set!r}; choose from {CONDITION_SETS}")
+    _check_pins(condition_set, exponents)
     ks = tuple(kernels) if isinstance(kernels, (tuple, list)) else (kernels,)
     brownian = isinstance(model, BrownianMotion)
 
@@ -269,12 +315,14 @@ def check_conditions(
 
     if condition_set == "sn_general":
         return _check_pair_general("sn_general", ks[0], ks[1], Delta, exponents, brownian)
-    if condition_set == "qn_general":
-        short = _qn_envelope_divergence(ks[0], b, "qn_general")
+    if condition_set in ("qn_general", "qn_envelope"):
+        short = _qn_envelope_divergence(ks[0], b, condition_set)
         if short is not None:
             return short
         psi = star_conv_kernel(b, ks[0], Delta, absolute=True)
-        return _check_pair_general("qn_general", ks[0], psi, Delta, exponents, brownian)
+        if condition_set == "qn_general":
+            return _check_pair_general("qn_general", ks[0], psi, Delta, exponents, brownian)
+        return _check_qn_envelope(psi, Delta, exponents)
     if condition_set == "sn_exponent":
         return _check_sn_exponent(ks[0], ks[1], Delta, exponents)
     if condition_set == "sn_decay":
@@ -283,12 +331,6 @@ def check_conditions(
         return _check_qn_exponent(ks[0], b, Delta, exponents)
     if condition_set == "qn_decay":
         return _check_qn_decay(ks[0], b, exponents)
-    if condition_set == "qn_envelope":
-        short = _qn_envelope_divergence(ks[0], b, "qn_envelope")
-        if short is not None:
-            return short
-        psi = star_conv_kernel(b, ks[0], Delta, absolute=True)
-        return _check_qn_envelope(psi, Delta, exponents)
     return _check_autocov(ks[0], Delta)
 
 
@@ -311,12 +353,11 @@ def _qn_envelope_divergence(kernel: Kernel, b: CoefficientSeq, tag: str) -> Cond
 
 
 def _check_pair_general(tag, k1, k2, Delta, exponents, brownian):
-    a1, t1, r1 = _abs_lag_sequence(k1, k1, Delta)
-    a2, t2, r2 = _abs_lag_sequence(k2, k2, Delta)
-    c12, tc, rc = _abs_lag_sequence(k1, k2, Delta)
-
-    e1 = gamma_seq_exponent(k1, k1)
-    e2 = gamma_seq_exponent(k2, k2)
+    seq1 = _abs_lag_sequence(k1, k1, Delta)
+    if k2 == k1:
+        seq2 = cross = seq1
+    else:
+        seq2, cross = _abs_lag_sequence(k2, k2, Delta), _abs_lag_sequence(k1, k2, Delta)
 
     if exponents == "auto":
         candidates = []
@@ -328,13 +369,14 @@ def _check_pair_general(tag, k1, k2, Delta, exponents, brownian):
 
     chosen, chosen_norms = None, None
     for al1, al2 in candidates:
-        n1 = _norm_entry(f"lag_self_products({al1:g})[1]", a1, t1, al1, r1)
-        n2 = _norm_entry(f"lag_self_products({al2:g})[2]", a2, t2, al2, r2)
+        n1 = _norm_entry(f"lag_self_products({al1:g})[1]", seq1, al1)
+        n2 = _norm_entry(f"lag_self_products({al2:g})[2]", seq2, al2)
         if _verdict_from_norms((n1, n2)) == SUPPORTED:
             chosen, chosen_norms = (al1, al2), (n1, n2)
             break
     if chosen is None:
         # provable infeasibility: both sequences have exact power exponents
+        e1, e2 = gamma_seq_exponent(k1, k1), gamma_seq_exponent(k2, k2)
         refutable = (
             e1 is not None
             and e2 is not None
@@ -346,8 +388,8 @@ def _check_pair_general(tag, k1, k2, Delta, exponents, brownian):
             name="lag_self_products_summable",
             verdict=REFUTED if refutable else INDETERMINATE,
             norms=(
-                _norm_entry("lag_self_products(2)[1]", a1, t1, 2.0, r1),
-                _norm_entry("lag_self_products(2)[2]", a2, t2, 2.0, r2),
+                _norm_entry("lag_self_products(2)[1]", seq1, 2.0),
+                _norm_entry("lag_self_products(2)[2]", seq2, 2.0),
             ),
             note="no conjugate exponent pair with resolvable tails" if not refutable else "exponent arithmetic: e1 + e2 <= 1",
         )
@@ -356,7 +398,7 @@ def _check_pair_general(tag, k1, k2, Delta, exponents, brownian):
         first = AssumptionCheck(name="lag_self_products_summable", verdict=SUPPORTED, norms=chosen_norms)
         exps = {"alpha1": chosen[0], "alpha2": chosen[1]}
 
-    ncross = _norm_entry("lag_cross_products(2)", c12, tc, 2.0, rc)
+    ncross = _norm_entry("lag_cross_products(2)", cross, 2.0)
     second = AssumptionCheck(
         name="lag_cross_products_square_summable",
         verdict=_verdict_from_norms((ncross,)),
@@ -368,101 +410,72 @@ def _check_pair_general(tag, k1, k2, Delta, exponents, brownian):
     if brownian:
         skipped = ("period_square_integrable: not needed for a Brownian driver (kappa4 = 0)",)
     else:
-        ph = phase_integral(
-            [k1, k2],
-            Delta,
-            transform=np.abs,
-            power=2.0,
-            nodes_per_period=_NODES_PER_PERIOD,
-            tail_sup_fn=_phase_tail_sup_fn([k1, k2], (1.0, 1.0), Delta),
-        )
-        nph = NormEstimate(name="period_square(abs_products)", value=math.sqrt(max(ph.value, 0.0)), tail_bound=ph.tail_bound)
+        nph = _period_norm([k1, k2], 1.0, 2.0, Delta, "period_square(abs_products)")
         assumptions.append(
             AssumptionCheck(name="period_square_integrable", verdict=_verdict_from_norms((nph,)), norms=(nph,))
         )
     return ConditionReport(condition_set=tag, exponents=exps, assumptions=tuple(assumptions), skipped=skipped)
 
 
-def _grid_sum_entry(kernel, alpha, Delta, p_out, label):
-    """Entry for ``(t -> sum_s |phi(t + s Delta)|**alpha) in L^{p_out}([0, Delta])``."""
-    ph = phase_integral(
-        [kernel],
-        Delta,
-        transform=lambda V: np.abs(V) ** alpha,
-        power=p_out,
-        nodes_per_period=_NODES_PER_PERIOD,
-        tail_sup_fn=_phase_tail_sup_fn([kernel], (alpha,), Delta),
-    )
-    value = max(ph.value, 0.0) ** (1.0 / p_out)
-    return NormEstimate(name=label, value=value, tail_bound=ph.tail_bound)
-
-
-def _feasible_alpha_min(kernel, grid, need_square=True):
-    """Smallest grid exponent with a convergent grid sum, by decay arithmetic."""
+def _feasible_alpha_min(kernel, grid):
+    """Smallest grid exponent with convergent grid sums of ``|phi|**alpha`` and
+    ``|phi|**2``, by decay arithmetic; ``None`` when there is none."""
     pe = _power_exponent(kernel)
     if pe is None:
-        return float(grid[0]), None
-    rho, exact = pe
-    if need_square and 2.0 * rho <= 1.0:
-        return None, (rho, exact)
-    feas = [float(a) for a in grid if a * rho > 1.0]
-    return (feas[0] if feas else None), (rho, exact)
+        return float(grid[0])
+    rho = pe[0]
+    if 2.0 * rho <= 1.0:
+        return None
+    return next((float(a) for a in grid if a * rho > 1.0), None)
+
+
+def _grid_sum_search(kernel, pin, Delta):
+    """``(alpha, (grid_sum(alpha), grid_sum(2)))`` for the first exponent whose
+    grid sums are square integrable over a period, or ``None``.
+
+    ``grid_sum(2)`` does not depend on ``alpha``, so it is computed once, and
+    no exponent is tried when it is not supported.
+    """
+    amin = _feasible_alpha_min(kernel, _EXP_GRID if pin is None else (pin,))
+    if amin is None:
+        return None
+    norms = {2.0: _period_norm([kernel], 2.0, 2.0, Delta, "grid_sum(2)")}
+    if _verdict_from_norms((norms[2.0],)) != SUPPORTED:
+        return None
+    # escalate from the arithmetically minimal exponent: larger values weaken
+    # the pairing sum but converge faster
+    candidates = [amin] if pin is not None else sorted({round(min(amin + 0.1 * j, 2.0), 2) for j in range(6)} | {amin})
+    for a in candidates:
+        if a not in norms:
+            norms[a] = _period_norm([kernel], a, 2.0, Delta, f"grid_sum({a:g})")
+        if _verdict_from_norms((norms[a],)) == SUPPORTED:
+            return a, (norms[a], norms[2.0])
+    return None
 
 
 def _check_sn_exponent(k1, k2, Delta, exponents):
-    if exponents != "auto":
-        a1, a2 = (float(x) for x in exponents)
-        pins = ((a1,), (a2,))
-    else:
-        pins = (None, None)
+    pins = (None, None) if exponents == "auto" else tuple(float(x) for x in exponents)
+    first = _grid_sum_search(k1, pins[0], Delta)
+    second = first if (k2 == k1 and pins[1] == pins[0]) else _grid_sum_search(k2, pins[1], Delta)
 
-    alphas, infos, entries = [], [], []
-    for i, (k, pin) in enumerate(zip((k1, k2), pins), start=1):
-        grid = pin if pin is not None else _EXP_GRID
-        amin, info = _feasible_alpha_min(k, grid)
-        infos.append(info)
-        chosen = None
-        if amin is not None:
-            if pin is not None:
-                candidates = [float(a) for a in grid]
-            else:
-                # escalate from the arithmetically minimal exponent: larger
-                # values weaken the pairing sum but converge faster
-                candidates = sorted({round(min(amin + 0.1 * j, 2.0), 2) for j in range(6)} | {amin})
-            for a in candidates:
-                if a < amin:
-                    continue
-                e_a = _grid_sum_entry(k, float(a), Delta, 2.0, f"grid_sum({a:g})[{i}]")
-                e_2 = _grid_sum_entry(k, 2.0, Delta, 2.0, f"grid_sum(2)[{i}]")
-                if _verdict_from_norms((e_a, e_2)) == SUPPORTED:
-                    chosen = (float(a), (e_a, e_2))
-                    break
-        alphas.append(chosen)
-        entries.append(chosen[1] if chosen else ())
-
-    if all(c is not None for c in alphas):
-        a1c, a2c = alphas[0][0], alphas[1][0]
-        if 1.0 / a1c + 1.0 / a2c >= 1.5:
-            assumptions = (
-                AssumptionCheck("grid_sums_square_integrable[1]", SUPPORTED, entries[0]),
-                AssumptionCheck("grid_sums_square_integrable[2]", SUPPORTED, entries[1]),
+    if first is not None and second is not None and 1.0 / first[0] + 1.0 / second[0] >= 1.5:
+        assumptions = tuple(
+            AssumptionCheck(
+                f"grid_sums_square_integrable[{i}]",
+                SUPPORTED,
+                tuple(replace(e, name=f"{e.name}[{i}]") for e in found[1]),
             )
-            return ConditionReport("sn_exponent", {"alpha1": a1c, "alpha2": a2c}, assumptions)
+            for i, found in ((1, first), (2, second))
+        )
+        return ConditionReport("sn_exponent", {"alpha1": first[0], "alpha2": second[0]}, assumptions)
     # refuted when exact exponent arithmetic caps 1/a1 + 1/a2 below 3/2
-    caps = []
-    exact_all = True
-    for info in infos:
-        if info is None:
-            caps.append(1.0)
-        else:
-            rho, exact = info
-            caps.append(min(rho, 1.0))
-            exact_all = exact_all and exact
-    strict = any(info is not None and info[0] < 1.0 for info in infos)
-    infeasible = sum(caps) < 1.5 or (strict and sum(caps) == 1.5)
-    verdict = REFUTED if infeasible else INDETERMINATE
+    caps = [_rho_cap(k) for k in (k1, k2)]
+    best = sum(cap for cap, _ in caps)
+    strict = any(cap < 1.0 for cap, _ in caps)
+    infeasible = best < 1.5 or (strict and best == 1.5)
+    verdict = REFUTED if (infeasible and all(exact for _, exact in caps)) else INDETERMINATE
     note = (
-        f"best achievable 1/a1 + 1/a2 = {sum(caps):g} < 3/2"
+        f"best achievable 1/a1 + 1/a2 = {best:g} < 3/2"
         if infeasible
         else "no exponent pair with resolvable tails on the search grid"
     )
@@ -470,10 +483,16 @@ def _check_sn_exponent(k1, k2, Delta, exponents):
     return ConditionReport("sn_exponent", {}, assumptions)
 
 
-def _l4_entry(kernel, label) -> NormEstimate:
+def _l4_check(kernel, suffix: str = "") -> AssumptionCheck:
+    """``kernel in L^4``: refuted by a tail exponent <= 1/4 (exact or fitted),
+    otherwise measured by quadrature, which converges for every other exponent."""
+    pe = _power_exponent(kernel)
+    if pe is not None and pe[0] <= 0.25:
+        return AssumptionCheck(f"kernel_in_l4{suffix}", REFUTED, (), f"tail exponent {pe[0]:g} <= 1/4")
     sq = PowAbsKernel(kernel, 2.0)
     r = product_integral(sq, sq, 0.0)
-    return NormEstimate(name=label, value=max(r.value, 0.0) ** 0.25, tail_bound=r.tail_bound)
+    l4 = NormEstimate(name=f"l4_norm{suffix}", value=max(r.value, 0.0) ** 0.25, tail_bound=r.tail_bound)
+    return AssumptionCheck(f"kernel_in_l4{suffix}", SUPPORTED if np.isfinite(l4.value) else REFUTED, (l4,))
 
 
 def _decay_sup_entry(kernel, alpha, label) -> NormEstimate:
@@ -484,10 +503,7 @@ def _decay_sup_entry(kernel, alpha, label) -> NormEstimate:
 
 def _check_sn_decay(k1, k2, exponents):
     # decay-style: pure exponent arithmetic plus sups
-    caps = []
-    for k in (k1, k2):
-        pe = _power_exponent(k)
-        caps.append(1.0 if pe is None else min(pe[0], 1.0))
+    caps = [_rho_cap(k)[0] for k in (k1, k2)]
 
     if exponents != "auto":
         a1, a2 = (float(x) for x in exponents)
@@ -501,25 +517,13 @@ def _check_sn_decay(k1, k2, exponents):
             if best[0] + best[1] > 1.5:
                 pair = best
 
-    assumptions = []
-    for i, k in enumerate((k1, k2), start=1):
-        l4 = _l4_entry(k, f"l4_norm[{i}]")
-        pe = _power_exponent(k)
-        l4_ok = pe is None or pe[0] > 0.25
-        assumptions.append(
-            AssumptionCheck(
-                f"kernel_in_l4[{i}]",
-                SUPPORTED if (l4_ok and np.isfinite(l4.value)) else REFUTED,
-                (l4,),
-            )
-        )
+    assumptions = [_l4_check(k, f"[{i}]") for i, k in enumerate((k1, k2), start=1)]
     if pair is not None:
         for i, (k, a) in enumerate(zip((k1, k2), pair), start=1):
             sup = _decay_sup_entry(k, a, f"decay_sup({a:g})[{i}]")
             assumptions.append(AssumptionCheck(f"decay_exponent[{i}]", SUPPORTED, (sup,)))
         return ConditionReport("sn_decay", {"alpha1": pair[0], "alpha2": pair[1]}, tuple(assumptions))
-    best_sum = sum(min(c, 1.0) for c in caps)
-    note = f"best achievable alpha1 + alpha2 = {best_sum:g} <= 3/2"
+    note = f"best achievable alpha1 + alpha2 = {sum(caps):g} <= 3/2"
     assumptions.append(AssumptionCheck("decay_exponents", REFUTED, (), note))
     return ConditionReport("sn_decay", {}, tuple(assumptions))
 
@@ -550,12 +554,12 @@ def _check_qn_exponent(kernel, b, Delta, exponents):
     else:
         a_grid, b_grid = _EXP_GRID, _EXP_GRID
 
-    amin, info = _feasible_alpha_min(kernel, a_grid)
+    amin = _feasible_alpha_min(kernel, a_grid)
     beta = _b_lq_feasible(b, b_grid)
 
     if amin is not None and beta is not None and 2.0 / amin + 1.0 / beta >= 2.5:
-        e_a = _grid_sum_entry(kernel, amin, Delta, 4.0 / amin, f"grid_sum({amin:g})")
-        e_2 = _grid_sum_entry(kernel, 2.0, Delta, 2.0, f"grid_sum(2)")
+        e_a = _period_norm([kernel], amin, 4.0 / amin, Delta, f"grid_sum({amin:g})")
+        e_2 = _period_norm([kernel], 2.0, 2.0, Delta, "grid_sum(2)")
         kv = _verdict_from_norms((e_a, e_2))
         bq = _b_lq_entry(b, beta)
         assumptions = (
@@ -566,12 +570,11 @@ def _check_qn_exponent(kernel, b, Delta, exponents):
             return ConditionReport("qn_exponent", {"alpha": amin, "beta": beta}, assumptions)
         return ConditionReport("qn_exponent", {}, assumptions)
 
-    cap_a = 2.0 if info is None else min(info[0], 1.0) * 2.0
+    cap, kernel_exact = _rho_cap(kernel)
     cap_b = 1.0 if isinstance(b, FiniteSupport) else min(b.rho, 1.0)
-    best = cap_a + cap_b
-    strict = (info is not None and info[0] < 1.0) or (isinstance(b, PowerDecay) and b.rho < 1.0)
+    best = cap * 2.0 + cap_b
+    strict = cap < 1.0 or (isinstance(b, PowerDecay) and b.rho < 1.0)
     infeasible = best < 2.5 or (strict and best == 2.5)
-    kernel_exact = info is None or info[1]
     verdict = REFUTED if (infeasible and kernel_exact) else INDETERMINATE
     note = f"best achievable 2/alpha + 1/beta = {best:g} < 5/2" if infeasible else "exponent search failed"
     return ConditionReport("qn_exponent", {}, (AssumptionCheck("exponent_pair", verdict, (), note),))
@@ -594,9 +597,7 @@ def _check_qn_decay(kernel, b, exponents):
         bb = next((float(x) for x in _SMALL_GRID if x >= beta_floor), None)
         pair = (a, bb) if (a is not None and bb is not None and a + bb < 0.5) else None
 
-    l4 = _l4_entry(kernel, "l4_norm")
-    l4_ok = pe is None or pe[0] > 0.25
-    assumptions = [AssumptionCheck("kernel_in_l4", SUPPORTED if l4_ok else REFUTED, (l4,))]
+    assumptions = [_l4_check(kernel)]
     if pair is not None:
         sup_k = _decay_sup_entry(kernel, 1.0 - pair[0] / 2.0, f"kernel_decay_sup({1.0 - pair[0] / 2.0:g})")
         r = _coeff_radius(b)
@@ -610,10 +611,10 @@ def _check_qn_decay(kernel, b, exponents):
 
 
 def _check_qn_envelope(psi, Delta, exponents):
-    g, tg, rg = _abs_lag_sequence(psi, psi, Delta)
+    seq = _abs_lag_sequence(psi, psi, Delta)
     grid = _EXP_GRID if exponents == "auto" else tuple(float(x) for x in exponents)
     for beta in grid:
-        n = _norm_entry(f"envelope_products({beta:g})", g, tg, float(beta), rg)
+        n = _norm_entry(f"envelope_products({beta:g})", seq, float(beta))
         if _verdict_from_norms((n,)) == SUPPORTED:
             return ConditionReport(
                 "qn_envelope",
@@ -622,23 +623,14 @@ def _check_qn_envelope(psi, Delta, exponents):
             )
     ge = gamma_seq_exponent(psi, psi)
     refutable = ge is not None and psi.decay.exact and 2.0 * ge <= 1.0
-    n2 = _norm_entry("envelope_products(2)", g, tg, 2.0, rg)
+    n2 = _norm_entry("envelope_products(2)", seq, 2.0)
     verdict = REFUTED if refutable else INDETERMINATE
     return ConditionReport("qn_envelope", {}, (AssumptionCheck("envelope_products_summable", verdict, (n2,)),))
 
 
 def _check_autocov(kernel, Delta):
-    a, ta, ra = _abs_lag_sequence(kernel, kernel, Delta)
-    n1 = _norm_entry("lag_products(2)", a, ta, 2.0, ra)
-    ph = phase_integral(
-        [kernel],
-        Delta,
-        transform=lambda V: V * V,
-        power=2.0,
-        nodes_per_period=_NODES_PER_PERIOD,
-        tail_sup_fn=_phase_tail_sup_fn([kernel], (2.0,), Delta),
-    )
-    n2 = NormEstimate(name="period_square(grid_sum_squares)", value=math.sqrt(max(ph.value, 0.0)), tail_bound=ph.tail_bound)
+    n1 = _norm_entry("lag_products(2)", _abs_lag_sequence(kernel, kernel, Delta), 2.0)
+    n2 = _period_norm([kernel], 2.0, 2.0, Delta, "period_square(grid_sum_squares)")
     assumptions = (
         AssumptionCheck("lag_products_square_summable", _verdict_from_norms((n1,)), (n1,)),
         AssumptionCheck("grid_square_sums_integrable", _verdict_from_norms((n2,)), (n2,)),

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .kernels import Kernel
-from .tails import product_tail_integral, sparse_tail_sum_estimate, tail_sup
+from .tails import lattice_tail_sum, product_tail_integral, sparse_tail_sum_estimate, tail_sup
 
 __all__ = ["QuadResult", "product_integral", "phase_lattice", "phase_product_sum", "phase_integral"]
 
@@ -213,8 +213,9 @@ def phase_lattice(kernel: Kernel, nodes: np.ndarray, s_lo: int, s_hi: int, Delta
 _LATTICE_CHUNK = 8192
 
 
-def phase_product_sum(kernels, nodes, s_lo, s_hi, Delta, transform=None) -> np.ndarray:
-    """``F(nodes) = sum_s prod_i transform(k_i(nodes + s Delta))``.
+def phase_product_sum(kernels, nodes, s_lo, s_hi, Delta, alpha: float | None = None) -> np.ndarray:
+    """``F(nodes) = sum_s prod_i k_i(nodes + s Delta)``, or with factors
+    ``|k_i|**alpha`` when ``alpha`` is given.
 
     Accumulates over lag chunks so slowly decaying kernels (lag ranges in the
     hundreds of thousands) never materialise the full lattice.
@@ -225,8 +226,10 @@ def phase_product_sum(kernels, nodes, s_lo, s_hi, Delta, transform=None) -> np.n
         prod = None
         for k in kernels:
             V = phase_lattice(k, nodes, lo, hi, Delta)
-            if transform is not None:
-                V = transform(V)
+            if alpha is not None:
+                np.abs(V, out=V)  # in place: the lattice is the largest array of a period integral
+                if alpha != 1.0:
+                    V **= alpha
             prod = V if prod is None else prod * V
         out += prod.sum(axis=0)
     return out
@@ -236,18 +239,18 @@ def phase_integral(
     kernels,
     Delta: float,
     *,
-    transform=None,
+    alpha: float | None = None,
     power: float = 2.0,
     nodes_per_period: int = 512,
-    tail_sup_fn=None,
 ) -> QuadResult:
     """Integrate ``F(t) ** power`` over one period, ``F(t) = sum_s prod_i k_i(t + s Delta)``.
 
-    ``transform`` (applied to each factor's lattice values, e.g. ``np.abs``)
-    turns the plain product into the absolute-value functionals used by the
-    condition checks; ``tail_sup_fn(s)``, if given, replaces the plain
-    product's bound on the phase-sup of the omitted lag terms from ``s`` on.
-    The period is split at interior breakpoint phases; the closing endpoint of
+    With ``alpha`` the factors become ``|k_i|**alpha``: the absolute-value
+    functionals of the condition checks.  The omitted lag terms from ``s`` on
+    are then bounded on every phase by the closed-form lattice sums
+    ``sum_i sum_{|s'| >= s} sup |k_i(s' Delta)|**alpha`` of the decay models;
+    the plain product keeps the estimate of :func:`lattice_s_range`.  The
+    period is split at interior breakpoint phases; the closing endpoint of
     each piece uses left limits so the jump of causal kernels at their support
     start is handled exactly.
     """
@@ -266,7 +269,7 @@ def phase_integral(
         n = max(_MIN_NODES_PER_BLOCK, int(round(nodes_per_period * (b - a) / Delta)))
         n = 4 * ((n + 3) // 4)
         nodes = np.linspace(a, b, n + 1)
-        fnod = phase_product_sum(kernels, nodes, s_lo, s_hi, Delta, transform=transform)
+        fnod = phase_product_sum(kernels, nodes, s_lo, s_hi, Delta, alpha)
         fmax = max(fmax, float(np.max(np.abs(fnod))))
         vals = fnod**power
         fine = _simpson(vals, a, b)
@@ -275,8 +278,8 @@ def phase_integral(
         est += abs(fine - coarse) / 15.0
 
     # effect of the truncated lag sum on the integral
-    if tail_sup_fn is not None:
-        sup_tail = tail_sup_fn(s_hi + 1)
+    if alpha is not None:
+        sup_tail = sum(lattice_tail_sum(k.decay, s_hi + 1, alpha, Delta)[1] for k in kernels)
     else:
         sup_tail = _product_sup_tail_sum(kernels, Delta, s_hi + 1)
     tail = Delta * power * ((fmax + sup_tail) ** (power - 1.0)) * sup_tail if sup_tail > 0 else 0.0

@@ -268,3 +268,27 @@ def test_bad_thread_count_from_config_rejected(tmp_path, capsys):
     assert err["error"]["type"] == "config" and "$.threads" in err["error"]["message"]
     assert run(["mc", "--config", str(write_config(tmp_path, "c.json", dict(cfg, threads=2))), "--threads", "0"]) == 2
     assert "--threads" in json.loads(capsys.readouterr().err)["error"]["message"]
+
+
+def test_check_rejects_malformed_pinned_exponents(tmp_path, capsys):
+    for i, pins in enumerate(([1.3], "1.3")):
+        cfg = base_config(check={"condition_set": "sn_exponent", "exponents": pins}, output_dir=str(tmp_path / "out"))
+        assert run(["check", "--config", str(write_config(tmp_path, f"c{i}.json", cfg))]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "config"
+        assert "exponents" in err["error"]["message"]
+
+
+def test_check_refutes_a_kernel_outside_l4(tmp_path):
+    # tail exponent 0.2: refuted by decay arithmetic, not a divergent L^4 quadrature (exit 4)
+    step = 1.0 / 16.0
+    ts = np.arange(0, 1025) * step
+    vals = np.where(ts >= 1.0, np.maximum(ts, 1.0) ** -0.2, 1.0)
+    cfg = base_config(
+        kernel={"type": "tabulated", "t0": 0.0, "step": step, "values": [float(v) for v in vals]},
+        check={"condition_set": "sn_decay"},
+        output_dir=str(tmp_path / "out"),
+    )
+    assert run(["check", "--config", str(write_config(tmp_path, "c.json", cfg))]) == 3
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [a["verdict"] for a in report["assumptions"]] == ["refuted"] * 3

@@ -3,19 +3,20 @@ import math
 import numpy as np
 import pytest
 
+import cmaqf.conditions as conditions
 from cmaqf.conditions import check_conditions, lp_norm_sequence
 from cmaqf.covariance import FiniteSupport, PowerDecay
 from cmaqf.errors import ParameterError
-from cmaqf.kernels import ExponentialOU, FractionalNoise, TabulatedKernel, build_carma
+from cmaqf.kernels import ExponentialOU, FractionalNoise, PowAbsKernel, TabulatedKernel, build_carma
 from cmaqf.levy import BrownianMotion
 from cmaqf.tails import CompactTail, ExpTail, PowerTail
 
 
-def tail07_kernel():
-    """Tabulated kernel whose fitted tail exponent is 0.7 (pure power tail)."""
+def tail07_kernel(exponent=0.7):
+    """Tabulated kernel with a pure power tail, whose fitted exponent is ``exponent``."""
     step = 1.0 / 16.0
     ts = np.arange(0, 1025) * step
-    vals = np.where(ts >= 1.0, np.maximum(ts, 1.0) ** -0.7, 1.0)
+    vals = np.where(ts >= 1.0, np.maximum(ts, 1.0) ** -exponent, 1.0)
     return TabulatedKernel(t0=0.0, step=step, values=vals)
 
 
@@ -89,6 +90,84 @@ def test_sn_decay_tail07_pair_refuted():
     assert abs(k.tail_fit.exponent - 0.7) < 0.02
     rep = check_conditions("sn_decay", (k, k), Delta=1.0)
     assert rep.overall == "refuted"
+
+
+def test_decay_sets_refute_a_kernel_outside_l4_by_arithmetic():
+    k = tail07_kernel(0.2)  # |k|**4 decays like t**-0.8: the L^4 quadrature would diverge
+    for rep, l4_names in (
+        (check_conditions("sn_decay", k, Delta=1.0), ("kernel_in_l4[1]", "kernel_in_l4[2]")),
+        (check_conditions("qn_decay", k, b=FiniteSupport(values=(1.0, 0.5)), Delta=1.0), ("kernel_in_l4",)),
+    ):
+        assert rep.overall == "refuted"
+        l4 = [a for a in rep.assumptions if a.name.startswith("kernel_in_l4")]
+        assert tuple(a.name for a in l4) == l4_names
+        assert all(a.verdict == "refuted" and a.norms == () and "<= 1/4" in a.note for a in l4)
+
+
+def test_sn_exponent_ou_supported_once_per_norm(monkeypatch):
+    calls = []
+    phase_integral = conditions.phase_integral
+    monkeypatch.setattr(conditions, "phase_integral", lambda *a, **kw: calls.append(a) or phase_integral(*a, **kw))
+    rep = check_conditions("sn_exponent", ExponentialOU(1.0), Delta=1.0)
+    assert rep.overall == "supported"
+    assert rep.exponents == {"alpha1": 1.0, "alpha2": 1.0}
+    assert len(calls) == 2  # grid_sum(1) and grid_sum(2), shared by both kernels
+    first, second = rep.assumptions
+    assert (first.name, second.name) == ("grid_sums_square_integrable[1]", "grid_sums_square_integrable[2]")
+    assert [n.name for n in first.norms] == ["grid_sum(1)[1]", "grid_sum(2)[1]"]
+    assert [(n.name.replace("[1]", "[2]"), n.value, n.tail_bound) for n in first.norms] == [
+        (n.name, n.value, n.tail_bound) for n in second.norms
+    ]
+
+
+def test_sn_general_single_kernel_builds_one_lag_sequence(monkeypatch):
+    calls = []
+    lags = conditions._abs_lag_sequence
+    monkeypatch.setattr(conditions, "_abs_lag_sequence", lambda *a, **kw: calls.append(a) or lags(*a, **kw))
+    rep = check_conditions("sn_general", ExponentialOU(1.0), Delta=1.0, model=BrownianMotion(1.0))
+    assert rep.overall == "supported"
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("condition_set", ["sn_general", "sn_exponent", "sn_decay"])
+def test_equal_kernel_pair_reports_like_one_kernel(condition_set):
+    k = ExponentialOU(1.0)
+    pair = check_conditions(condition_set, (k, ExponentialOU(1.0)), Delta=1.0)
+    assert pair == check_conditions(condition_set, k, Delta=1.0)
+
+
+def test_sn_exponent_refutes_only_on_exact_exponents():
+    # fitted exponent 0.7: the cap 1/a1 + 1/a2 <= 1.4 < 3/2 is no proof
+    tab = check_conditions("sn_exponent", tail07_kernel(), Delta=1.0, exponents=(1.2, 1.2))
+    assert tab.overall == "indeterminate"
+    assert check_conditions("qn_exponent", tail07_kernel(), b=FiniteSupport.delta0(), Delta=1.0).overall == "indeterminate"
+    # exact exponent 0.9 * 0.7 = 0.63
+    exact = check_conditions("sn_exponent", PowAbsKernel(FractionalNoise(0.1), 0.7), Delta=1.0, exponents=(1.2, 1.2))
+    assert exact.overall == "refuted"
+    assert "1.26 < 3/2" in exact.assumptions[0].note
+
+
+def test_pinned_exponents_must_be_a_list_of_real_numbers():
+    ou, b = ExponentialOU(1.0), FiniteSupport(values=(1.0, 0.5))
+    for condition_set, pins in (
+        ("sn_exponent", [1.3]),
+        ("sn_exponent", "1.3"),
+        ("sn_decay", (0.8, 0.9, 0.9)),
+        ("sn_general", (2.0, "2")),
+        ("qn_exponent", (1.0, math.nan)),
+        ("qn_decay", (0.1, True)),
+        ("qn_envelope", ()),
+        ("qn_envelope", (math.inf,)),
+        ("sn_exponent", np.array([1.0, 1.0])),
+    ):
+        with pytest.raises(ParameterError, match="exponents"):
+            check_conditions(condition_set, ou, b=b, Delta=1.0, exponents=pins)
+    # values pass on as given; autocov has no exponents and ignores pins
+    pinned = check_conditions("sn_general", ou, Delta=1.0, exponents=[2, 2], model=BrownianMotion(1.0))
+    assert pinned.exponents == {"alpha1": 2, "alpha2": 2}
+    assert all(type(v) is int for v in pinned.exponents.values())
+    assert check_conditions("qn_envelope", ou, b=b, Delta=1.0, exponents=[1.5]).exponents == {"beta": 1.5, "alpha": 3.0}
+    assert check_conditions("autocov", ou, Delta=1.0, exponents=[1.3]) == check_conditions("autocov", ou, Delta=1.0)
 
 
 def test_coefficient_norms_cover_the_whole_finite_support():

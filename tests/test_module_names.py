@@ -123,3 +123,36 @@ def test_benchmark_references_resolve():
                 if not hasattr(importlib.import_module(f"cmaqf.{mod_name}"), name):
                     missing.append(f"{path.name}: cmaqf.{mod_name}.{name}")
     assert sorted(set(missing)) == []
+
+
+def _module_definitions(tree) -> dict:
+    """Private functions and classes and upper-case constants a module defines at top level, with their nodes."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_") and not node.name.startswith("__"):
+            defs[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and name.id.lstrip("_").isupper():
+                        defs[name.id] = node
+    return defs
+
+
+def test_every_private_helper_and_constant_is_used():
+    src = Path(cmaqf.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(src.glob("*.py"))}
+    dead = []
+    for stem, tree in trees.items():
+        for name, definition in _module_definitions(tree).items():
+            inside = {id(n) for n in ast.walk(definition)}
+            used = any(
+                id(node) not in inside
+                and ((isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id == name) or (isinstance(node, ast.Attribute) and node.attr == name))
+                for other in trees.values()
+                for node in ast.walk(other)
+            )
+            if not used:
+                dead.append(f"{stem}.{name}")
+    assert dead == []
