@@ -14,7 +14,10 @@ cumulants ``(sigma2, kappa4)``.  Three families cover the ``kappa4 == 0`` and
 Increment sampling is exact in law for all three families (no Euler error in
 the driver), and randomness comes from counter-based streams derived from a
 64-bit master seed so replicated experiments are reproducible regardless of
-scheduling.
+scheduling.  Compound-Poisson increments are drawn jump by jump: a Poisson
+total number of jumps, each put in a uniformly chosen cell (Poisson splitting
+makes the cell counts iid ``Poisson(rate * dt)``), so time and memory follow
+the number of jumps, ``rate * dt * count``, rather than the number of cells.
 
 Integrability of a deterministic kernel against these drivers is never
 checked numerically: every shipped kernel is square integrable (and fourth
@@ -25,6 +28,7 @@ exist.  This is documented, not computed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,8 +72,8 @@ class BrownianMotion:
     variance: float
 
     def __post_init__(self):
-        if not self.variance > 0:
-            raise ParameterError(f"variance must be > 0, got {self.variance}")
+        _check_positive("variance", self.variance)
+        _check_cumulants(self)
 
     def cumulants(self) -> tuple[float, float]:
         return float(self.variance), 0.0
@@ -90,10 +94,9 @@ class CompoundPoissonNormal:
     jump_variance: float
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ParameterError(f"rate must be > 0, got {self.rate}")
-        if not self.jump_variance > 0:
-            raise ParameterError(f"jump_variance must be > 0, got {self.jump_variance}")
+        _check_positive("rate", self.rate)
+        _check_positive("jump_variance", self.jump_variance)
+        _check_cumulants(self)
 
     def cumulants(self) -> tuple[float, float]:
         # kappa_m = rate * E[J**m]; E[J**2] = tau2, E[J**4] = 3 tau2**2
@@ -101,10 +104,15 @@ class CompoundPoissonNormal:
 
     def sample_increments(self, count: int, dt: float, rng: np.random.Generator) -> np.ndarray:
         _check_sampling_args(count, dt)
-        counts = rng.poisson(self.rate * dt, size=count)
-        z = rng.standard_normal(count)
-        # sum of N iid N(0, tau2) jumps is N(0, N * tau2) given N
-        return z * np.sqrt(counts * self.jump_variance)
+        try:
+            jumps = rng.poisson(self.rate * dt * count)
+        except ValueError as exc:  # numpy refuses a Poisson mean beyond int64
+            raise ParameterError(f"rate * dt * count = {self.rate * dt * count} jumps is too many to draw") from exc
+        # Poisson splitting: uniformly placed jumps give iid Poisson(rate dt) cell counts
+        cells = rng.integers(0, count, jumps)
+        sizes = rng.standard_normal(jumps) * np.sqrt(self.jump_variance)
+        # bincount of no jumps is int64, whatever the weights
+        return np.bincount(cells, sizes, minlength=count).astype(np.float64, copy=False)
 
     def spec_dict(self) -> dict:
         return {"type": "compound_poisson_normal", "rate": self.rate, "jump_variance": self.jump_variance}
@@ -118,10 +126,9 @@ class BilateralGamma:
     rate: float
 
     def __post_init__(self):
-        if not self.shape > 0:
-            raise ParameterError(f"shape must be > 0, got {self.shape}")
-        if not self.rate > 0:
-            raise ParameterError(f"rate must be > 0, got {self.rate}")
+        _check_positive("shape", self.shape)
+        _check_positive("rate", self.rate)
+        _check_cumulants(self)
 
     def cumulants(self) -> tuple[float, float]:
         # gamma cumulant kappa_m = shape * (m-1)! / rate**m; difference doubles even orders
@@ -139,9 +146,25 @@ class BilateralGamma:
 LevyModel = BrownianMotion | CompoundPoissonNormal | BilateralGamma
 
 
+def _check_positive(name: str, value: float) -> None:
+    # an infinite parameter would pass a plain ``> 0`` test and then stall
+    # every lag sum that depends on it
+    if not 0 < value < math.inf:
+        raise ParameterError(f"{name} must be finite and > 0, got {value}")
+
+
+def _check_cumulants(model: LevyModel) -> None:
+    # finite parameters can still overflow (or underflow) in the cumulants
+    try:
+        sigma2, kappa4 = model.cumulants()
+    except (OverflowError, ZeroDivisionError):  # raised by float ** and /, where * gives inf
+        sigma2 = kappa4 = math.inf
+    if not (0 < sigma2 < math.inf and math.isfinite(kappa4)):
+        raise ParameterError(f"cumulants (sigma2, kappa4) = ({sigma2}, {kappa4}) must be finite with sigma2 > 0")
+
+
 def _check_sampling_args(count: int, dt: float) -> None:
     if count < 0 or int(count) != count:
         raise ParameterError(f"count must be a non-negative integer, got {count}")
-    if not dt > 0:
-        raise ParameterError(f"dt must be > 0, got {dt}")
+    _check_positive("dt", dt)
 

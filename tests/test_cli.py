@@ -292,3 +292,18 @@ def test_check_refutes_a_kernel_outside_l4(tmp_path):
     assert run(["check", "--config", str(write_config(tmp_path, "c.json", cfg))]) == 3
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert [a["verdict"] for a in report["assumptions"]] == ["refuted"] * 3
+
+
+def test_non_finite_driver_parameters_rejected(tmp_path, capsys):
+    # an infinite parameter once passed the `> 0` checks and then stalled the eta^2 lag sums
+    for i, levy in enumerate(
+        (
+            {"type": "brownian_motion", "variance": math.inf},
+            {"type": "compound_poisson_normal", "rate": math.inf, "jump_variance": 1.0},
+            {"type": "bilateral_gamma", "shape": math.inf, "rate": 1.0},
+        )
+    ):
+        cfg = base_config(levy=levy, statistic="qn", n=50, replicates=4, output_dir=str(tmp_path / "out"))
+        assert run(["mc", "--config", str(write_config(tmp_path, f"c{i}.json", cfg))]) == 2, levy
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "config" and "finite" in err["error"]["message"], levy

@@ -42,6 +42,16 @@ def test_cumulants_bilateral_gamma():
         lambda: CompoundPoissonNormal(1.0, -2.0),
         lambda: BilateralGamma(-1.0, 1.0),
         lambda: BilateralGamma(1.0, 0.0),
+        lambda: BrownianMotion(math.inf),
+        lambda: BrownianMotion(math.nan),
+        lambda: CompoundPoissonNormal(math.inf, 1.0),
+        lambda: CompoundPoissonNormal(1.0, math.inf),
+        lambda: BilateralGamma(math.inf, 1.0),
+        lambda: BilateralGamma(1.0, math.inf),
+        # finite parameters whose cumulants overflow or underflow
+        lambda: CompoundPoissonNormal(1e200, 1e100),
+        lambda: BilateralGamma(1.0, 1e-100),
+        lambda: BilateralGamma(1e-300, 1e200),
     ],
 )
 def test_invalid_parameters_raise(bad):
@@ -51,21 +61,63 @@ def test_invalid_parameters_raise(bad):
 
 @pytest.mark.parametrize(
     "model",
-    [BrownianMotion(2.0), CompoundPoissonNormal(1.0, 1.0), BilateralGamma(2.0, 1.0)],
+    # at dt = 0.5, CompoundPoissonNormal(1, 1) expects fewer jumps than cells and (4, 1) more
+    [BrownianMotion(2.0), CompoundPoissonNormal(1.0, 1.0), BilateralGamma(2.0, 1.0), CompoundPoissonNormal(4.0, 1.0)],
 )
 def test_sampling_deterministic(model):
     a = model.sample_increments(1000, 0.5, stream(123, 4))
     b = model.sample_increments(1000, 0.5, stream(123, 4))
     assert np.array_equal(a, b)
+    assert not np.array_equal(a, model.sample_increments(1000, 0.5, stream(123, 5)))
+    assert not np.array_equal(a, model.sample_increments(1000, 0.5, stream(124, 4)))
 
 
 def test_sampling_edge_cases():
-    model = BrownianMotion(1.0)
-    assert model.sample_increments(0, 1.0, stream(0, 0)).size == 0
+    # CompoundPoissonNormal(1e-9, 1) draws no jump in 16 cells, where bincount alone gives int64
+    models = (
+        BrownianMotion(1.0), CompoundPoissonNormal(1.0, 1.0), CompoundPoissonNormal(1e-9, 1.0), BilateralGamma(2.0, 1.0)
+    )
+    for model in models:
+        empty = model.sample_increments(0, 1.0, stream(0, 0))
+        assert empty.shape == (0,) and empty.dtype == np.float64, model
+        assert model.sample_increments(16, 1.0, stream(0, 0)).dtype == np.float64, model
+        for dt in (0.0, math.inf, math.nan):
+            with pytest.raises(ParameterError):
+                model.sample_increments(10, dt, stream(0, 0))
+        with pytest.raises(ParameterError):
+            model.sample_increments(-1, 1.0, stream(0, 0))
+    assert not CompoundPoissonNormal(1e-9, 1.0).sample_increments(16, 1.0, stream(0, 0)).any()
+    # finite cumulants, but a Poisson mean of 1e301 jumps, beyond what numpy can draw
     with pytest.raises(ParameterError):
-        model.sample_increments(10, 0.0, stream(0, 0))
-    with pytest.raises(ParameterError):
-        model.sample_increments(-1, 1.0, stream(0, 0))
+        CompoundPoissonNormal(1e300, 1e-300).sample_increments(10, 1.0, stream(0, 0))
+
+
+# from 1/64 to 2 expected jumps per cell
+@pytest.mark.parametrize(
+    "rate, dt", [(1.0, 1.0 / 64.0), (2.0, 1.0 / 64.0), (1.0, 1.0), (8.0, 0.25), (1.0 + 2.0**-20, 1.0)]
+)
+def test_cpn_increment_law(rate, dt):
+    # every bound is 4 standard errors, computed from the sample before comparing
+    tau2 = 0.5
+    model = CompoundPoissonNormal(rate, tau2)
+    sigma2, kappa4 = model.cumulants()
+    n = 10**6
+    x = model.sample_increments(n, dt, stream(21, 2))
+
+    # a cell is exactly zero iff it holds no jump: P = exp(-rate dt), in every
+    # quarter of the array, as jumps fall uniformly over the cells
+    p0 = math.exp(-rate * dt)
+    for quarter in np.split(x, 4):
+        assert abs(np.mean(quarter == 0.0) - p0) < 4 * math.sqrt(p0 * (1 - p0) / quarter.size)
+
+    m2, se2 = batch_se(x, lambda c: np.mean(c**2))
+    assert abs(m2 - sigma2 * dt) < 4 * se2
+    k4, se4 = batch_se(x, lambda c: np.mean(c**4) - 3 * np.mean(c**2) ** 2)
+    assert abs(k4 - kappa4 * dt) < 4 * se4
+
+    # cells are independent: lag-1 correlation within 4 / sqrt(n) of zero
+    corr = float(np.mean(x[:-1] * x[1:]) / np.mean(x**2))
+    assert abs(corr) < 4.0 / math.sqrt(n)
 
 
 @pytest.mark.parametrize("seed, index", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64), (1.5, 0), (0, 1.0)])
