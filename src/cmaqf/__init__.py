@@ -10,6 +10,7 @@ Library layout:
 * :mod:`cmaqf.simulate` -- path simulation and the empirical statistics.
 * :mod:`cmaqf.montecarlo` -- replicated Gaussian-limit experiments of all four statistics.
 * :mod:`cmaqf.inference` -- least-squares projection point, maps and kernel pair.
+* :mod:`cmaqf.specs` -- the config schema, read from the dataclasses, and provenance specs.
 * :mod:`cmaqf.cli` -- config-driven batch front door.
 """
 

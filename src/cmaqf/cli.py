@@ -13,43 +13,30 @@ content hashes, and signal through exit codes:
 Every error is also emitted as a JSON object on stderr.  A manifest fed back
 as the config reproduces the outputs byte for byte; ``--force`` never changes
 numbers, only gating.
+
+The ``levy``, ``kernel``, ``kernel2`` and ``b`` blocks follow :mod:`cmaqf.specs`:
+the keys are the init fields of the class ``type`` names, all required, and
+each value is a number or a nested list of numbers (a table may name a CSV
+``path`` instead).  Run as ``cmaqf`` or ``python -m cmaqf.cli``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import covariance, inference, kernels, levy, montecarlo, simulate, variance
+from . import inference, kernels, montecarlo, simulate, specs, variance
 from .conditions import CONDITION_SETS, check_conditions
 from .errors import CmaqfError, ConditionsRefutedError, ConfigError, ConvergenceError, TruncationError
 
 __all__ = ["main", "run"]
 
 COMMANDS = ("check", "variance", "simulate", "mc", "autocov-clt", "ls-clt", "kernel-export")
-
-_LEVY_FIELDS = {
-    "brownian_motion": {"variance"},
-    "compound_poisson_normal": {"rate", "jump_variance"},
-    "bilateral_gamma": {"shape", "rate"},
-}
-_KERNEL_FIELDS = {
-    "exponential_ou": {"lam"},
-    "carma": {"a", "b", "q"},
-    "fractional_noise": {"d"},
-    "sdde": {"atoms", "horizon", "step"},
-    "tabulated": {"path", "t0", "step", "values"},
-}
-_B_FIELDS = {
-    "finite_support": {"values"},
-    "power_decay": {"c", "rho", "b0"},
-}
 
 _TOP_KEYS = {
     "schema_version",
@@ -74,6 +61,8 @@ _TOP_KEYS = {
     "force",
     "manifest_meta",
 }
+# top-level key -> its kind in specs.TYPES, in the order _build returns the built blocks
+_TYPED_BLOCKS = {"kernel": "kernel", "kernel2": "kernel", "levy": "levy", "b": "b"}
 _PATH_KEYS = {"fine_steps", "horizon", "tail_mass_budget"}
 _CHECK_KEYS = {"condition_set", "exponents"}
 _LS_KEYS = {"poly", "theta0", "k"}
@@ -102,14 +91,35 @@ def _check_keys(block: dict, allowed: set, path: str):
         _fail(path, f"unknown keys {sorted(unknown)}; allowed: {sorted(allowed)}")
 
 
-def _check_typed_block(block: dict, table: dict, path: str):
-    _check_keys(block, {"type"} | set().union(*table.values()), path)
+def _block_keys(cls) -> dict[str, bool]:
+    """:func:`specs.fields` of ``cls``, and for a table the CSV file ``path`` that may replace them."""
+    keys = specs.fields(cls)
+    return {**keys, "path": False} if cls is kernels.TabulatedKernel else keys
+
+
+def _is_number(value) -> bool:
+    if isinstance(value, list):
+        return all(_is_number(v) for v in value)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_typed_block(block: dict, kind: str, path: str):
+    table = {name: _block_keys(cls) for name, cls in specs.TYPES[kind].items()}
+    _check_keys(block, {"type"}.union(*table.values()), path)
     t = block.get("type")
     if t not in table:
         _fail(f"{path}.type", f"must be one of {sorted(table)}, got {t!r}")
-    extra = set(block) - {"type"} - table[t]
+    extra = set(block) - {"type"} - set(table[t])
     if extra:
         _fail(path, f"keys {sorted(extra)} not allowed for type {t!r}")
+    if "path" in block:  # a table read from a CSV file, which supplies its fields
+        return
+    for key, required in table[t].items():
+        if required and key not in block:
+            _fail(f"{path}.{key}", f"required for type {t!r}")
+    for key, value in block.items():
+        if key != "type" and not _is_number(value):
+            _fail(f"{path}.{key}", f"must be a number or a list of numbers, got {value!r}")
 
 
 def validate_config(cfg: dict, command: str) -> None:
@@ -122,13 +132,9 @@ def validate_config(cfg: dict, command: str) -> None:
     for key in _REQUIRED[command]:
         if key not in cfg:
             _fail(f"$.{key}", f"required for {command!r}")
-    if "levy" in cfg:
-        _check_typed_block(cfg["levy"], _LEVY_FIELDS, "$.levy")
-    for kk in ("kernel", "kernel2"):
-        if kk in cfg and cfg[kk] is not None:
-            _check_typed_block(cfg[kk], _KERNEL_FIELDS, f"$.{kk}")
-    if "b" in cfg and cfg["b"] is not None:
-        _check_typed_block(cfg["b"], _B_FIELDS, "$.b")
+    for key, kind in _TYPED_BLOCKS.items():
+        if key in cfg and not (cfg[key] is None and key in ("kernel2", "b")):  # these two may be null: absent
+            _check_typed_block(cfg[key], kind, f"$.{key}")
     if "path" in cfg:
         _check_keys(cfg["path"], _PATH_KEYS, "$.path")
     if "check" in cfg:
@@ -149,45 +155,20 @@ def validate_config(cfg: dict, command: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _build_levy(block: dict):
-    t = block["type"]
+def _build_block(block: dict, kind: str, path: str, base_dir: Path):
     args = {k: v for k, v in block.items() if k != "type"}
-    cls = {
-        "brownian_motion": levy.BrownianMotion,
-        "compound_poisson_normal": levy.CompoundPoissonNormal,
-        "bilateral_gamma": levy.BilateralGamma,
-    }[t]
-    return cls(**args)
-
-
-def _build_kernel(block: dict, base_dir: Path):
-    t = block["type"]
-    if t == "exponential_ou":
-        return kernels.ExponentialOU(lam=block["lam"])
-    if t == "carma":
-        return kernels.build_carma(block["a"], block["b"], block["q"])
-    if t == "fractional_noise":
-        return kernels.FractionalNoise(d=block["d"])
-    if t == "sdde":
-        return kernels.solve_sdde_kernel(block["atoms"], block["horizon"], block["step"])
-    if "path" in block:
-        return kernels.TabulatedKernel.from_csv(base_dir / block["path"])
-    return kernels.TabulatedKernel(t0=block["t0"], step=block["step"], values=np.asarray(block["values"], dtype=float))
-
-
-def _build_b(block: dict):
-    if block["type"] == "finite_support":
-        return covariance.FiniteSupport(values=tuple(block["values"]))
-    return covariance.PowerDecay(c=block["c"], rho=block["rho"], b0=block["b0"])
+    cls = specs.TYPES[kind][block["type"]]
+    try:
+        return cls.from_csv(base_dir / args["path"]) if "path" in args else cls(**args)
+    except (OSError, TypeError, ValueError) as exc:  # also an unreadable table, or a list where a number belongs
+        _fail(path, f"{block['type']!r} block: {exc}")
 
 
 def _build(resolved: dict, base_dir: Path) -> tuple:
     """``(kernel, kernel2, model, b)`` of the config, ``None`` for each block it lacks."""
-    return (
-        _build_kernel(resolved["kernel"], base_dir),
-        _build_kernel(resolved["kernel2"], base_dir) if resolved.get("kernel2") else None,
-        _build_levy(resolved["levy"]) if "levy" in resolved else None,
-        _build_b(resolved["b"]) if resolved.get("b") is not None else None,
+    return tuple(
+        _build_block(resolved[key], kind, f"$.{key}", base_dir) if resolved.get(key) is not None else None
+        for key, kind in _TYPED_BLOCKS.items()
     )
 
 
@@ -208,11 +189,8 @@ def _resolve(cfg: dict, command: str, args) -> dict:
     out.setdefault("force", False)
     if args.force:
         out["force"] = True
-    path = dict(out.get("path", {}))
-    path.setdefault("fine_steps", 64)
-    path.setdefault("horizon", None)
-    path.setdefault("tail_mass_budget", 1e-4)
-    out["path"] = path
+    defaults = {f.name: f.default for f in dataclasses.fields(simulate.PathConfig) if f.name in _PATH_KEYS}
+    out["path"] = {**defaults, **out.get("path", {})}
     env = os.environ.get("CMAQF_THREADS", "").strip()
     if args.threads is not None:
         source, threads = "--threads", args.threads
@@ -313,22 +291,10 @@ def _cmd_variance(resolved, outdir, built):
     return 0
 
 
-def _path_config(resolved, stream_index=0):
-    p = resolved["path"]
-    return simulate.PathConfig(
-        delta=resolved["delta"],
-        n=resolved["n"],
-        fine_steps=p["fine_steps"],
-        horizon=p["horizon"],
-        seed=resolved["seed"],
-        stream_index=stream_index,
-        tail_mass_budget=p["tail_mass_budget"],
-    )
-
-
 def _cmd_simulate(resolved, outdir, built):
     kernel, _, model, _ = built
-    path = simulate.simulate_path(kernel, model, _path_config(resolved))
+    cfg = simulate.PathConfig(delta=resolved["delta"], n=resolved["n"], seed=resolved["seed"], **resolved["path"])
+    path = simulate.simulate_path(kernel, model, cfg)
     lines = ["x"] + [f"{float(v)!r}" for v in path.values]
     _write(outdir / "path.csv", ("\n".join(lines) + "\n").encode())
     _write(outdir / "path.json", _json_bytes({"delta": path.delta, "n": path.n, "provenance": path.provenance}))
@@ -348,7 +314,6 @@ def _cmd_experiment(resolved, outdir, built):
     """``mc``, ``autocov-clt`` and ``ls-clt``: one replicated experiment each."""
     kernel, kernel2, model, b = built
     statistic = _EXPERIMENT_STATISTIC.get(resolved["command"], resolved.get("statistic"))
-    p = resolved["path"]
     cfg = montecarlo.ExperimentConfig(
         statistic=statistic,
         kernel=kernel,
@@ -362,10 +327,8 @@ def _cmd_experiment(resolved, outdir, built):
         contrast=tuple(resolved["contrast"]) if resolved.get("contrast") is not None else None,
         lags=resolved.get("lags"),
         ls=_build_ls(resolved["ls"]) if statistic == "ls_derivative" else None,
-        fine_steps=p["fine_steps"],
-        horizon=p["horizon"],
-        tail_mass_budget=p["tail_mass_budget"],
         conditions="waive" if resolved["force"] else "auto",
+        **resolved["path"],
     )
     report = montecarlo.run_experiment(cfg, threads=resolved["threads"])
     _write(outdir / "replicates.csv", _replicates_csv(report.statistics))
@@ -454,3 +417,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

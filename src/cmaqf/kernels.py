@@ -85,9 +85,6 @@ class Kernel:
         """``(location, exponent)`` pairs of algebraic kinks with exponent < 1."""
         return ()
 
-    def spec_dict(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class ExponentialOU(Kernel):
@@ -108,9 +105,6 @@ class ExponentialOU(Kernel):
     @property
     def jumps(self):
         return (0.0,)
-
-    def spec_dict(self) -> dict:
-        return {"type": "exponential_ou", "lam": self.lam}
 
 
 @dataclass(frozen=True)
@@ -133,8 +127,11 @@ class CarmaKernel(Kernel):
     def __post_init__(self):
         a = tuple(float(x) for x in self.a)
         b = tuple(float(x) for x in self.b)
+        if not float(self.q).is_integer():
+            raise ConventionError(f"q must be an integer, got {self.q}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "q", int(self.q))
         p = len(a)
         if p < 1:
             raise ParameterError("autoregressive order p must be >= 1")
@@ -204,13 +201,10 @@ class CarmaKernel(Kernel):
         # phi(0) = b[p-1], nonzero only in the full-order case q = p - 1
         return (0.0,) if self.b[-1] != 0.0 else ()
 
-    def spec_dict(self) -> dict:
-        return {"type": "carma", "a": list(self.a), "b": list(self.b), "q": self.q}
-
 
 def build_carma(a, b, q: int) -> CarmaKernel:
     """Construct a stable state-space kernel; see :class:`CarmaKernel`."""
-    return CarmaKernel(a=tuple(a), b=tuple(b), q=int(q))
+    return CarmaKernel(a=a, b=b, q=q)
 
 
 @dataclass(frozen=True)
@@ -265,9 +259,6 @@ class FractionalNoise(Kernel):
     @property
     def singular_points(self):
         return ((0.0, self.d), (1.0, self.d))
-
-    def spec_dict(self) -> dict:
-        return {"type": "fractional_noise", "d": self.d}
 
 
 class _TableKernel(Kernel):
@@ -367,14 +358,6 @@ class TabulatedKernel(_TableKernel):
             raise GridError(f"{path}: grid is not uniform")
         return cls(t0=float(ts[0]), step=float(steps[0]), values=vals)
 
-    def spec_dict(self) -> dict:
-        return {
-            "type": "tabulated",
-            "t0": self.t0,
-            "step": self.step,
-            "values": [float(v) for v in self.values],
-        }
-
 
 def _fit_table_tail(t0: float, step: float, values: np.ndarray) -> TailFit:
     end = t0 + step * (len(values) - 1)
@@ -412,6 +395,8 @@ class SddeKernel(_TableKernel):
     def __post_init__(self):
         atoms = tuple((float(tau), float(w)) for tau, w in self.atoms)
         object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "horizon", float(self.horizon))
+        object.__setattr__(self, "step", float(self.step))
         if any(tau < 0 for tau, _ in atoms):
             raise ParameterError("atom locations must be >= 0")
         if not self.step > 0 or not self.horizon > 0:
@@ -431,14 +416,6 @@ class SddeKernel(_TableKernel):
     @property
     def breakpoints(self):
         return tuple(sorted({0.0, self._table_end(), *(tau for tau, _ in self.atoms)}))
-
-    def spec_dict(self) -> dict:
-        return {
-            "type": "sdde",
-            "atoms": [[tau, w] for tau, w in self.atoms],
-            "horizon": self.horizon,
-            "step": self.step,
-        }
 
 
 def _left_halfplane_roots(atoms, samples: int = 4096) -> tuple[int, float]:
@@ -515,7 +492,7 @@ def _solve_sdde_table(atoms, horizon: float, step: float) -> np.ndarray:
 
 def solve_sdde_kernel(atoms, horizon: float, step: float) -> SddeKernel:
     """Tabulated delay-equation kernel on ``[0, horizon]``; see :class:`SddeKernel`."""
-    return SddeKernel(atoms=tuple(tuple(a) for a in atoms), horizon=float(horizon), step=float(step))
+    return SddeKernel(atoms=atoms, horizon=horizon, step=step)
 
 
 @dataclass(frozen=True)
@@ -578,14 +555,6 @@ class LinComboKernel(Kernel):
     def quad_step_hint(self):
         return self.base.quad_step_hint
 
-    def spec_dict(self) -> dict:
-        return {
-            "type": "lin_combo",
-            "base": self.base.spec_dict(),
-            "shifts": list(self.shifts),
-            "coeffs": list(self.coeffs),
-        }
-
 
 def _shifted_sum_tail(tail: TailModel, shifts, coeffs) -> TailModel:
     total = sum(abs(c) for c in coeffs)
@@ -635,9 +604,6 @@ class PowAbsKernel(Kernel):
     @property
     def quad_step_hint(self):
         return self.base.quad_step_hint
-
-    def spec_dict(self) -> dict:
-        return {"type": "pow_abs", "base": self.base.spec_dict(), "power": self.power}
 
 
 def _powered_tail(tail: TailModel, power: float) -> TailModel:

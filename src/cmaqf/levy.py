@@ -82,9 +82,6 @@ class BrownianMotion:
         _check_sampling_args(count, dt)
         return rng.standard_normal(count) * np.sqrt(self.variance * dt)
 
-    def spec_dict(self) -> dict:
-        return {"type": "brownian_motion", "variance": self.variance}
-
 
 @dataclass(frozen=True)
 class CompoundPoissonNormal:
@@ -114,9 +111,6 @@ class CompoundPoissonNormal:
         # bincount of no jumps is int64, whatever the weights
         return np.bincount(cells, sizes, minlength=count).astype(np.float64, copy=False)
 
-    def spec_dict(self) -> dict:
-        return {"type": "compound_poisson_normal", "rate": self.rate, "jump_variance": self.jump_variance}
-
 
 @dataclass(frozen=True)
 class BilateralGamma:
@@ -138,9 +132,6 @@ class BilateralGamma:
         _check_sampling_args(count, dt)
         a, scale = self.shape * dt, 1.0 / self.rate
         return rng.gamma(a, scale, size=count) - rng.gamma(a, scale, size=count)
-
-    def spec_dict(self) -> dict:
-        return {"type": "bilateral_gamma", "shape": self.shape, "rate": self.rate}
 
 
 LevyModel = BrownianMotion | CompoundPoissonNormal | BilateralGamma

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy import stats as sps
+import scipy.special
 
 from .conditions import check_conditions
 from .covariance import CoefficientSeq, covariance_lags
@@ -111,15 +111,10 @@ class ExperimentConfig:
         self.path_config(0)  # path geometry and seed, checked before any set-up
 
     def path_config(self, stream_index: int) -> PathConfig:
-        return PathConfig(
-            delta=self.delta,
-            n=self.n,
-            fine_steps=self.fine_steps,
-            horizon=self.horizon,
-            seed=self.seed,
-            stream_index=stream_index,
-            tail_mass_budget=self.tail_mass_budget,
-        )
+        """The path geometry and seed of replicate ``stream_index``: every other field of
+        :class:`PathConfig` is the experiment's field of the same name."""
+        shared = {f.name: getattr(self, f.name) for f in fields(PathConfig) if f.name != "stream_index"}
+        return PathConfig(stream_index=stream_index, **shared)
 
 
 @dataclass(frozen=True)
@@ -167,10 +162,21 @@ def ks_distance(samples, variance: float) -> float:
     if not variance > 0:
         raise ParameterError(f"variance must be > 0, got {variance}")
     R = samples.size
-    cdf = sps.norm.cdf(samples, scale=math.sqrt(variance))
+    cdf = scipy.special.ndtr(samples / math.sqrt(variance))
     upper = np.max(np.arange(1, R + 1) / R - cdf)
     lower = np.max(cdf - np.arange(0, R) / R)
     return float(max(upper, lower))
+
+
+def _shape_moments(values: np.ndarray) -> tuple[float, float]:
+    """Biased sample skewness and excess kurtosis (Fisher), ``nan`` for a constant sample."""
+    mean = values.mean()
+    d = values - mean
+    d2 = d**2
+    m2 = d2.mean()
+    if m2 <= (np.finfo(float).eps * mean) ** 2:
+        return math.nan, math.nan
+    return float((d2 * d).mean() / m2**1.5), float((d2**2).mean() / m2**2.0 - 3.0)
 
 
 def run_replicates(replicate_fn, count: int, threads: int | None = None) -> np.ndarray:
@@ -275,13 +281,14 @@ def run_experiment(cfg: ExperimentConfig, *, threads: int | None = None) -> McRe
 
     degenerate = not (eta2 > 0.0) or bool(np.all(values == values[0]))
     variance = float(np.var(values, ddof=1))
+    skewness, excess_kurtosis = _shape_moments(values)
     report = McReport(
         statistics=values,
         replicates=cfg.replicates,
         mean=float(np.mean(values)),
         variance=variance,
-        skewness=float(sps.skew(values)),
-        excess_kurtosis=float(sps.kurtosis(values)),
+        skewness=skewness,
+        excess_kurtosis=excess_kurtosis,
         eta2=float(eta2),
         variance_ratio=(variance / eta2 if eta2 > 0 else math.nan),
         ks=(ks_distance(values, eta2) if eta2 > 0 else math.nan),

@@ -60,12 +60,15 @@ def _simpson(fvals: np.ndarray, a: float, b: float) -> float:
     return h / 3.0 * (fvals[0] + fvals[-1] + 4.0 * fvals[1:-1:2].sum() + 2.0 * fvals[2:-2:2].sum())
 
 
-def _block(feval, a: float, b: float, n: int, fb: float | None = None):
-    """Nested Simpson on [a, b]: returns (fine value, |fine - coarse|/15)."""
+def _block(feval, a: float, b: float, n: int, fa: float | None = None, fb: float | None = None):
+    """Nested Simpson on [a, b], with the end values ``fa``/``fb`` in place of
+    ``feval`` where given: returns (fine value, |fine - coarse|/15)."""
     n = max(_MIN_NODES_PER_BLOCK, min(int(n), _MAX_NODES_PER_BLOCK))
     n = 4 * ((n + 3) // 4)
     nodes = np.linspace(a, b, n + 1)
     vals = np.asarray(feval(nodes), dtype=float)
+    if fa is not None:
+        vals[0] = fa
     if fb is not None:
         vals[-1] = fb
     fine = _simpson(vals, a, b)
@@ -110,10 +113,14 @@ def product_integral(
     def feval(ts):
         return np.asarray(k1.eval(ts)) * np.asarray(k2.eval(ts + shift))
 
-    def left_limit(t):
-        return float(np.asarray(k1.left_limit(np.array([t])))[0]) * float(
-            np.asarray(k2.left_limit(np.array([t + shift])))[0]
-        )
+    # an edge put at a breakpoint bp of k2 as bp - shift may miss bp by rounding
+    # when shifted back, and so take the wrong side of a jump there: k2 is
+    # evaluated at bp itself on such edges
+    k2_bp = {bp - shift: bp for bp in k2.breakpoints if bp - shift + shift != bp}
+
+    def edge(t, side):
+        f1, f2 = getattr(k1, side), getattr(k2, side)
+        return float(np.asarray(f1(np.array([t])))[0]) * float(np.asarray(f2(np.array([k2_bp.get(t, t + shift)])))[0])
 
     lo = max(k1.support_lo, k2.support_lo - shift)
     step = base_step
@@ -144,7 +151,8 @@ def product_integral(
             v, e = _graded(feval, bb - w, bb, toward_left=False)
             total, est, bb = total + v, est + e, bb - w
         if bb > aa:
-            v, e = _block(feval, aa, bb, int(math.ceil((bb - aa) / step)), fb=left_limit(bb))
+            fa = edge(aa, "eval") if aa in k2_bp else None
+            v, e = _block(feval, aa, bb, int(math.ceil((bb - aa) / step)), fa=fa, fb=edge(bb, "left_limit"))
             total, est = total + v, est + e
 
     # dyadic extension until the decay-model tail bound is negligible

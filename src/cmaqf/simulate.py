@@ -23,16 +23,17 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
-import scipy.signal
+import scipy.fft
 
 from .covariance import CoefficientSeq, FiniteSupport
 from .errors import ParameterError, TruncationError
 from .kernels import Kernel, grid_cells
 from .levy import LevyModel, check_key, stream
 from .quadrature import product_integral
+from .specs import spec
 from .tails import PowerTail, tail_integral
 
 __all__ = [
@@ -89,17 +90,6 @@ class PathConfig:
             ratio = self.horizon / self.delta
             if not self.horizon > 0 or abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
                 raise ParameterError("horizon must be a positive multiple of delta")
-
-    def spec_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "n": self.n,
-            "fine_steps": self.fine_steps,
-            "horizon": self.horizon,
-            "seed": self.seed,
-            "stream_index": self.stream_index,
-            "tail_mass_budget": self.tail_mass_budget,
-        }
 
 
 @dataclass(frozen=True)
@@ -220,6 +210,13 @@ def _blocked_samples(w: np.ndarray, dL: np.ndarray, n: int, fine_steps: int) -> 
     return out
 
 
+def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two real sequences by one real FFT product."""
+    size = len(a) + len(b) - 1
+    nfft = scipy.fft.next_fast_len(size, real=True)
+    return scipy.fft.irfft(scipy.fft.rfft(a, nfft) * scipy.fft.rfft(b, nfft), nfft)[:size]
+
+
 def _convolve_paths(weights_list, dL, n: int, fine_steps: int, method: str):
     """Sampled values ``X_i = sum_m w[L - 1 - m] dL[i F + m]`` for each weight
     vector (all of length ``L``), and the route that computed them.
@@ -240,7 +237,7 @@ def _convolve_paths(weights_list, dL, n: int, fine_steps: int, method: str):
         if route == "blocked":
             out.append(_blocked_samples(w, dL, n, fine_steps))
         elif route == "fft":
-            out.append(scipy.signal.fftconvolve(dL, w)[width - 1 + idx])
+            out.append(_fft_convolve(dL, w)[width - 1 + idx])
         else:
             rev = w[::-1]
             out.append(np.array([float(np.dot(dL[k : k + width], rev)) for k in idx]))
@@ -283,9 +280,9 @@ def _simulate(kernels, model: LevyModel, cfg: PathConfig, method: str):
     paths = []
     for k, values in zip(kernels, values_list):
         prov = {
-            "config": _hash_dict(cfg_res.spec_dict()),
-            "kernel": _hash_dict(k.spec_dict()),
-            "model": _hash_dict(model.spec_dict()),
+            "config": _hash_dict(asdict(cfg_res)),
+            "kernel": _hash_dict(spec(k)),
+            "model": _hash_dict(spec(model)),
             "tail_mass_rel": _check_tail_mass(k, horizon, cfg.tail_mass_budget),
             "route": route,
         }
@@ -338,7 +335,7 @@ def compute_qn(x: SamplePath, b: CoefficientSeq) -> float:
             if w != 0.0:
                 total += 2.0 * w * float(np.dot(v[:-u], v[u:]))
         return total
-    corr = scipy.signal.fftconvolve(v, v[::-1])[n - 1 :]
+    corr = _fft_convolve(v, v[::-1])[n - 1 :]
     weights = b.weight(np.arange(n))
     return float(weights[0] * corr[0] + 2.0 * np.dot(weights[1:], corr[1:]))
 

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from cmaqf.cli import run
+from cmaqf import specs
+from cmaqf.cli import _block_keys, run
 
 
 def write_config(tmp_path, name, doc):
@@ -307,3 +311,77 @@ def test_non_finite_driver_parameters_rejected(tmp_path, capsys):
         assert run(["mc", "--config", str(write_config(tmp_path, f"c{i}.json", cfg))]) == 2, levy
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "config" and "finite" in err["error"]["message"], levy
+
+
+# allowed keys besides "type" of each typed block, per block kind and type: the public config schema
+CONFIG_SCHEMA = {
+    "levy": {
+        "brownian_motion": {"variance"},
+        "compound_poisson_normal": {"rate", "jump_variance"},
+        "bilateral_gamma": {"shape", "rate"},
+    },
+    "kernel": {
+        "exponential_ou": {"lam"},
+        "carma": {"a", "b", "q"},
+        "fractional_noise": {"d"},
+        "sdde": {"atoms", "horizon", "step"},
+        "tabulated": {"path", "t0", "step", "values"},
+    },
+    "b": {
+        "finite_support": {"values"},
+        "power_decay": {"c", "rho", "b0"},
+    },
+}
+
+
+def test_config_schema_is_pinned():
+    schema = {kind: {name: set(_block_keys(cls)) for name, cls in specs.TYPES[kind].items()} for kind in CONFIG_SCHEMA}
+    assert schema == CONFIG_SCHEMA
+
+
+def test_malformed_block_values_exit_two(tmp_path, capsys):
+    carma = {"type": "carma", "a": [3.0, 2.0], "b": [3.0, 1.0]}
+    cases = {
+        "missing": ({"type": "exponential_ou"}, "$.kernel.lam"),
+        "non_integer_q": (dict(carma, q=1.5), "q must be an integer"),
+        "string": ({"type": "exponential_ou", "lam": "x"}, "$.kernel.lam"),
+        "bool": ({"type": "exponential_ou", "lam": True}, "$.kernel.lam"),
+        "list_for_number": ({"type": "exponential_ou", "lam": [1.0]}, "$.kernel"),
+        "nested_string": ({"type": "sdde", "atoms": [[0.0, "-1"]], "horizon": 4.0, "step": 0.25}, "$.kernel.atoms"),
+    }
+    for name, (kernel, message) in cases.items():
+        cfg = base_config(kernel=kernel, statistic="sn", output_dir=str(tmp_path / name))
+        assert run(["variance", "--config", str(write_config(tmp_path, f"{name}.json", cfg))]) == 2, name
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "config" and message in err["error"]["message"], (name, err)
+
+
+def test_integral_carma_order_accepted_as_before(tmp_path):
+    # a JSON 1.0 is an integer order: accepted, and the run is the run with q = 1
+    outputs = []
+    for i, q in enumerate((1, 1.0)):
+        kernel = {"type": "carma", "a": [3.0, 2.0], "b": [3.0, 1.0], "q": q}
+        cfg = base_config(kernel=kernel, n=16, path={"fine_steps": 4}, output_dir=str(tmp_path / str(i)))
+        assert run(["simulate", "--config", str(write_config(tmp_path, f"{i}.json", cfg))]) == 0
+        outputs.append((tmp_path / str(i) / "path.json").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_module_entry_point_exits_two_on_a_malformed_config(tmp_path):
+    cfg = base_config(kernel={"type": "exponential_ou"}, statistic="sn", output_dir=str(tmp_path / "out"))
+    path = write_config(tmp_path, "c.json", cfg)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cmaqf.cli", "variance", "--config", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stderr)["error"]["type"] == "config"
+
+
+def test_cli_import_skips_scipy_signal_and_stats():
+    code = "import sys, cmaqf.cli; print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -14,7 +14,7 @@ from cmaqf.covariance import (
     star_conv_kernel,
 )
 from cmaqf.errors import ConvergenceError, ParameterError
-from cmaqf.kernels import ExponentialOU, FractionalNoise, TabulatedKernel, build_carma, grid_sample
+from cmaqf.kernels import ExponentialOU, FractionalNoise, LinComboKernel, TabulatedKernel, build_carma, grid_sample
 from cmaqf.quadrature import phase_lattice, product_integral
 
 
@@ -216,3 +216,29 @@ def test_star_conv_kernel_power_decay_truncation():
     w = np.abs(np.where(s == 0, 1.0, s)) ** -1.5
     oracle = float(np.sum(w * np.exp(-(0.5 - s))))
     assert k.eval(0.5) == pytest.approx(oracle, rel=1e-9)
+
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+
+def _carma_gamma(h):
+    # phi = 2 e^{-t} - e^{-2t} of build_carma((3, 2), (3, 1), 1): int phi(t) phi(t + |h|) dt
+    h = abs(h)
+    return 4.0 / 3.0 * math.exp(-h) - 5.0 / 12.0 * math.exp(-2.0 * h)
+
+
+@given(delta=st.floats(0.1, 2.0), s=st.integers(-3, 3), family=st.sampled_from(["ou", "carma"]))
+@example(delta=0.7, s=-2, family="ou")  # -1.4 + 1.4 misses 0.7 + 0.7 by one ulp: a Simpson end weight off
+@settings(max_examples=60, deadline=None)
+def test_shifted_combination_covariances_match_closed_forms(delta, s, family):
+    # lag s*Delta of a kernel against its combination at shifts Delta and 2 Delta: the
+    # quadrature edges at the combination's jumps are shifted breakpoints
+    if family == "ou":
+        base, gamma = ExponentialOU(0.5), lambda h: math.exp(-0.5 * abs(h))
+    else:
+        base, gamma = build_carma((3.0, 2.0), (3.0, 1.0), 1), _carma_gamma
+    combo = LinComboKernel(base, shifts=(delta, 2.0 * delta), coeffs=(1.0, -0.5))
+    h = s * delta
+    exact = gamma(h - delta) - 0.5 * gamma(h - 2.0 * delta)
+    assert product_integral(base, combo, h).value == pytest.approx(exact, abs=1e-8)

@@ -305,3 +305,16 @@ def test_expected_qn_power_decay_against_double_sum():
     # direct double sum over the sampled indices with the closed-form covariance
     oracle = sum(b.weight(t - s) * math.exp(-abs(t - s)) for t in range(n) for s in range(n))
     assert val == pytest.approx(oracle, rel=1e-7)
+
+
+def test_eta2_qn_routes_agree_within_their_bounds_off_unit_spacing():
+    # Whittle score of the sampled OU at a non-dyadic spacing: the bilinear route's
+    # lag covariances put quadrature edges at jumps shifted by multiples of 0.7;
+    # the closed form is 4 gamma(0)^2 (1 - a^2) with gamma(0) = 1
+    lam, delta = 0.5, 0.7
+    a = math.exp(-lam * delta)
+    rep = eta2_qn(ExponentialOU(lam), FiniteSupport((2.0 * a, -1.0)), BrownianMotion(1.0), delta, check="skip")
+    assert abs(rep.eta2 - rep.eta2_alt) <= rep.diagnostics["bsg_l2_tail"] + rep.diagnostics["cov_tail_bound"]
+    exact = 4.0 * (1.0 - a * a)
+    assert rep.eta2 == pytest.approx(exact, rel=1e-8)
+    assert rep.eta2_alt == pytest.approx(exact, rel=1e-8)
