@@ -63,7 +63,17 @@ _TOP_KEYS = {
 }
 # top-level key -> its kind in specs.TYPES, in the order _build returns the built blocks
 _TYPED_BLOCKS = {"kernel": "kernel", "kernel2": "kernel", "levy": "levy", "b": "b"}
-_PATH_KEYS = {"fine_steps", "horizon", "tail_mass_budget"}
+# scalar keys -> (what the value must be, whether null is allowed); a JSON true is
+# a bool, neither an integer nor a number
+_INTEGER, _NUMBER = "an integer", "a number"
+_SCALAR_TYPES = {_INTEGER: (int,), _NUMBER: (int, float)}
+_SCALARS = {
+    "delta": (_NUMBER, False),
+    "n": (_INTEGER, False),
+    "replicates": (_INTEGER, False),
+    "lags": (_INTEGER, True),
+}
+_PATH_KEYS = {"fine_steps": (_INTEGER, False), "horizon": (_NUMBER, True), "tail_mass_budget": (_NUMBER, False)}
 _CHECK_KEYS = {"condition_set", "exponents"}
 _LS_KEYS = {"poly", "theta0", "k"}
 _GRID_KEYS = {"m", "horizon"}
@@ -103,6 +113,12 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _check_scalars(block: dict, kinds: dict, path: str):
+    for key, (kind, nullable) in kinds.items():
+        if key in block and not (nullable and block[key] is None) and type(block[key]) not in _SCALAR_TYPES[kind]:
+            _fail(f"{path}.{key}", f"must be {kind}, got {block[key]!r}")
+
+
 def _check_typed_block(block: dict, kind: str, path: str):
     table = {name: _block_keys(cls) for name, cls in specs.TYPES[kind].items()}
     _check_keys(block, {"type"}.union(*table.values()), path)
@@ -113,6 +129,9 @@ def _check_typed_block(block: dict, kind: str, path: str):
     if extra:
         _fail(path, f"keys {sorted(extra)} not allowed for type {t!r}")
     if "path" in block:  # a table read from a CSV file, which supplies its fields
+        inline = sorted(set(block) - {"type", "path"})
+        if inline:
+            _fail(path, f"a table read from 'path' takes no {inline}")
         return
     for key, required in table[t].items():
         if required and key not in block:
@@ -135,8 +154,10 @@ def validate_config(cfg: dict, command: str) -> None:
     for key, kind in _TYPED_BLOCKS.items():
         if key in cfg and not (cfg[key] is None and key in ("kernel2", "b")):  # these two may be null: absent
             _check_typed_block(cfg[key], kind, f"$.{key}")
+    _check_scalars(cfg, _SCALARS, "$")
     if "path" in cfg:
-        _check_keys(cfg["path"], _PATH_KEYS, "$.path")
+        _check_keys(cfg["path"], set(_PATH_KEYS), "$.path")
+        _check_scalars(cfg["path"], _PATH_KEYS, "$.path")
     if "check" in cfg:
         _check_keys(cfg["check"], _CHECK_KEYS, "$.check")
         cs = cfg["check"].get("condition_set")

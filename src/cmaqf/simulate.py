@@ -3,8 +3,16 @@
 Paths are generated by Riemann discretisation of the stochastic convolution
 on a fine grid of ``fine_steps`` cells per sampling interval: exact driver
 increments, kernel evaluated at the cell midpoint, and only the ``n`` sampled
-values computed from one long increment sequence, by a polyphase block product
-(or one FFT convolution when the kernel window is so wide that it is cheaper).
+values computed from one long increment sequence.  Three routes compute them,
+each named in ``provenance["route"]``: a polyphase block product of the
+increments with the phase matrix (the reversed weights cut into one row per
+sampling interval); one FFT convolution when the window is so wide that the
+block product costs more; and, when the phase matrix has numerical rank at
+most 4 (recorded in ``provenance["rank"]``), a low-rank product through its
+row basis.  Kernels that are sums of ``p`` exponential modes, OU and CARMA,
+have rank ``p``: each row is the same ``p`` exponentials over one sampling
+interval, scaled per mode.
+
 Midpoint evaluation makes the second-order error of the simulated process
 O(step^2) instead of the O(step) of an edge rule, which is what lets desk-scale
 runs meet the Gaussian-limit tolerances with the analytic centering.  The kernel
@@ -58,6 +66,16 @@ _GEMM_CALLING_THREAD = 262_144  # OpenBLAS runs a gemm with m*n*k at most this w
 # OpenBLAS's Haswell kernels, where at n = 4000, fine_steps = 64 the block
 # product is faster up to P = 257 weight rows and slower from P = 513
 _FFT_OPS_PER_NLOGN = 20.0
+_LOWRANK_MAX = 4  # phase-matrix rank past which the detection gives up
+_LOWRANK_TOL = 1e-13  # relative Frobenius residual of the row basis the low-rank route keeps
+# a multiply-add of the low-rank route (skinny gemm, correlation, Gram-Schmidt
+# update) costs about 3.5 block-product ones, and each Gram-Schmidt step adds
+# about 22 us of call overhead, i.e. 60 000 such multiply-adds (same Xeon vCPU,
+# ranks 1-4, n = 50-4000, fine_steps 1-64, P = 9-65).  The block product's
+# count leaves out its window writes, so at fine_steps <= 16 the model keeps
+# the block product in some cases where the low-rank route is faster.
+_LOWRANK_OPS_WEIGHT = 3.5
+_GS_STEP_OPS = 60_000
 
 
 @dataclass(frozen=True)
@@ -166,29 +184,66 @@ def _increment_count(cfg: PathConfig, horizon: float, lo: float) -> int:
     return int(round((u_max - u_min) / step)) + 1
 
 
-def _fast_route(n: int, fine_steps: int, width: int) -> str:
+def _fast_route(n: int, fine_steps: int, width: int) -> tuple[str, float]:
     """``"blocked"`` when the block product's multiply-adds undercut the FFT's
-    modelled cost, else ``"fft"``; both depend only on the geometry."""
+    modelled cost, else ``"fft"``, with that cost in block-product
+    multiply-adds; both depend only on the geometry."""
     phases = -(-width // fine_steps)
     size = (n - 1) * fine_steps + 2 * width - 1  # full convolution length
     blocked_ops = (n + phases - 1) * phases * fine_steps
-    return "blocked" if blocked_ops < _FFT_OPS_PER_NLOGN * size * math.log2(size) else "fft"
+    fft_ops = _FFT_OPS_PER_NLOGN * size * math.log2(size)
+    return ("blocked", blocked_ops) if blocked_ops < fft_ops else ("fft", fft_ops)
 
 
-def _blocked_samples(w: np.ndarray, dL: np.ndarray, n: int, fine_steps: int) -> np.ndarray:
+def _lowrank_cost(n: int, phases: int, fine_steps: int, rank: int) -> float:
+    """Modelled cost, in block-product multiply-adds, of finding a phase
+    matrix's rank to be ``rank`` (``rank + 1`` Gram-Schmidt steps) and of the
+    low-rank product at that rank."""
+    product = (n + phases - 1) * fine_steps * rank + n * phases * rank
+    detection = (rank + 1) * (_GS_STEP_OPS + 4 * phases * fine_steps)
+    return _LOWRANK_OPS_WEIGHT * (product + detection)
+
+
+def _phase_matrix(w: np.ndarray, fine_steps: int) -> np.ndarray:
+    """The reversed weights cut into ``P = ceil(L / F)`` zero-padded rows."""
+    R = np.zeros((-(-len(w) // fine_steps), fine_steps))
+    R.reshape(-1)[: len(w)] = w[::-1]
+    return R
+
+
+def _row_basis(R: np.ndarray, max_rank: int) -> np.ndarray | None:
+    """Orthonormal rows ``B`` with ``||R - (R B^T) B||_F <= _LOWRANK_TOL ||R||_F``,
+    or ``None`` when that takes more than ``max_rank`` rows.
+
+    Gram-Schmidt on the rows of ``R``, each step taking the row with the
+    largest residual; an all-zero ``R`` has rank 0.
+    """
+    resid = R.copy()
+    norms = np.einsum("ij,ij->i", resid, resid)
+    limit = _LOWRANK_TOL**2 * norms.sum()
+    basis = np.empty((0, R.shape[1]))
+    while norms.sum() > limit:
+        if len(basis) == max_rank:
+            return None
+        b = resid[np.argmax(norms)]
+        b = b - (basis @ b) @ basis  # second pass: orthogonality lost to cancellation in resid
+        basis = np.vstack([basis, b / np.linalg.norm(b)])
+        resid -= np.outer(resid @ basis[-1], basis[-1])
+        norms = np.einsum("ij,ij->i", resid, resid)
+    return basis
+
+
+def _blocked_samples(R: np.ndarray, dL: np.ndarray, n: int) -> np.ndarray:
     """Polyphase block product computing only the ``n`` kept outputs.
 
-    With ``D[r] = dL[r F : (r + 1) F]`` and the reversed weights cut into
-    ``P = ceil(L / F)`` zero-padded rows ``R[q]``, the kept output is
+    With ``D[r] = dL[r F : (r + 1) F]`` and the phase matrix ``R`` (the
+    reversed weights cut into ``P`` rows of ``F``), the kept output is
     ``X_i = sum_q (D R^T)[i + q, q]``.  Rows of ``D R^T`` are produced in
     gemm calls small enough to stay on the calling thread, and each output is
     one diagonal sum over a window of ``P - 1 + b`` product rows whose first
     ``P - 1`` rows carry over from the previous window.
     """
-    F = fine_steps
-    P = -(-len(w) // F)
-    R = np.zeros((P, F))
-    R.reshape(-1)[: len(w)] = w[::-1]
+    P, F = R.shape
     gemm_rows = max(1, _GEMM_CALLING_THREAD // (P * F))
     block = gemm_rows * -(-P // gemm_rows)  # >= P, so the carried rows never overlap their source
     window = np.empty((P - 1 + block, P))
@@ -210,6 +265,35 @@ def _blocked_samples(w: np.ndarray, dL: np.ndarray, n: int, fine_steps: int) -> 
     return out
 
 
+def _lowrank_samples(R: np.ndarray, basis: np.ndarray, dL: np.ndarray, n: int) -> np.ndarray:
+    """The block product's ``n`` outputs through the factorisation ``R = C B``.
+
+    ``(D R^T)[i + q, q] = sum_k (D B^T)[i + q, k] C[q, k]``, so each kept
+    output is ``X_i = sum_k sum_q Y[i + q, k] C[q, k]`` with ``Y = D B^T``:
+    one correlation of length ``n`` per basis row.  ``Y`` comes from gemm
+    calls small enough to stay on the calling thread; the last row of ``D``,
+    which may run past the increments, is done on its own.
+    """
+    P, F = R.shape
+    rank = len(basis)
+    coeffs = R @ basis.T
+    basis_t = np.ascontiguousarray(basis.T)
+    rows = n + P - 1
+    full = min(rows, len(dL) // F)
+    Y = np.empty((rows, rank))
+    chunk = max(1, _GEMM_CALLING_THREAD // (F * max(rank, 1)))
+    for z in range(0, full, chunk):
+        m = min(chunk, full - z)
+        np.matmul(dL[z * F : (z + m) * F].reshape(m, F), basis_t, out=Y[z : z + m])
+    for z in range(full, rows):
+        seg = dL[z * F : (z + 1) * F]
+        Y[z] = seg @ basis_t[: len(seg)]
+    out = np.zeros(n)
+    for k in range(rank):
+        out += np.correlate(Y[:, k], coeffs[:, k], "valid")
+    return out
+
+
 def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full linear convolution of two real sequences by one real FFT product."""
     size = len(a) + len(b) - 1
@@ -219,40 +303,54 @@ def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _convolve_paths(weights_list, dL, n: int, fine_steps: int, method: str):
     """Sampled values ``X_i = sum_m w[L - 1 - m] dL[i F + m]`` for each weight
-    vector (all of length ``L``), and the route that computed them.
+    vector (all of length ``L``), each with the route that computed it and the
+    rank of its phase matrix when that route was ``"lowrank"`` (else ``None``).
 
-    Each kernel gets its own product, so a pair of equal kernels reproduces
-    the single path bit for bit.
+    Each kernel gets its own product and its own choice of route, so a pair
+    of equal kernels reproduces the single path bit for bit.
     """
     width = len(weights_list[0])
     if method == "direct":
-        route = "direct"
-    elif method == "fast":
-        route = _fast_route(n, fine_steps, width)
-    else:
-        raise ParameterError(f"unknown method {method!r}")
-    idx = np.arange(n) * fine_steps
-    out = []
-    for w in weights_list:
-        if route == "blocked":
-            out.append(_blocked_samples(w, dL, n, fine_steps))
-        elif route == "fft":
-            out.append(_fft_convolve(dL, w)[width - 1 + idx])
-        else:
+        idx = np.arange(n) * fine_steps
+        out = []
+        for w in weights_list:
             rev = w[::-1]
             out.append(np.array([float(np.dot(dL[k : k + width], rev)) for k in idx]))
-    return out, route
+        return out, [("direct", None)] * len(out)
+    if method != "fast":
+        raise ParameterError(f"unknown method {method!r}")
+    route, cost = _fast_route(n, fine_steps, width)
+    phases = -(-width // fine_steps)
+    max_rank = max(
+        (r for r in range(_LOWRANK_MAX + 1) if _lowrank_cost(n, phases, fine_steps, r) < cost), default=None
+    )
+    out, routes = [], []
+    for w in weights_list:
+        R = _phase_matrix(w, fine_steps)
+        basis = None if max_rank is None else _row_basis(R, max_rank)
+        if basis is not None:
+            out.append(_lowrank_samples(R, basis, dL, n))
+            routes.append(("lowrank", len(basis)))
+        elif route == "blocked":
+            out.append(_blocked_samples(R, dL, n))
+            routes.append(("blocked", None))
+        else:
+            out.append(_fft_convolve(dL, w)[width - 1 + np.arange(n) * fine_steps])
+            routes.append(("fft", None))
+    return out, routes
 
 
 def simulate_path(kernel: Kernel, model: LevyModel, cfg: PathConfig, *, method: str = "fast") -> SamplePath:
     """Simulate ``X_delta, ..., X_{n delta}`` for one kernel.
 
-    ``method="fast"`` computes only the ``n`` kept samples, by a polyphase
-    block product or, for wide windows where that costs more, by one FFT
-    convolution of all increments; ``provenance["route"]`` names the one
-    used.  ``method="direct"`` computes every sampled value by an explicit
-    window dot product; it is the slow reference the fast routes are checked
-    against.
+    ``method="fast"`` computes only the ``n`` kept samples: by a low-rank
+    product when the phase matrix has rank at most 4 and that is cheaper,
+    else by a polyphase block product or, for wide windows where that costs
+    more, by one FFT convolution of all increments; ``provenance["route"]``
+    names the one used and ``provenance["rank"]`` the rank on the low-rank
+    route (else ``None``).  ``method="direct"`` computes every sampled value
+    by an explicit window dot product; it is the slow reference the fast
+    routes are checked against.
     """
     (path,) = _simulate((kernel,), model, cfg, method)
     return path
@@ -275,16 +373,17 @@ def _simulate(kernels, model: LevyModel, cfg: PathConfig, method: str):
     count = _increment_count(cfg, horizon, lo)
     rng = stream(cfg.seed, cfg.stream_index)
     dL = model.sample_increments(count, step, rng)
-    values_list, route = _convolve_paths(weights, dL, cfg.n, cfg.fine_steps, method)
+    values_list, routes = _convolve_paths(weights, dL, cfg.n, cfg.fine_steps, method)
     cfg_res = replace(cfg, horizon=horizon)
     paths = []
-    for k, values in zip(kernels, values_list):
+    for k, values, (route, rank) in zip(kernels, values_list, routes):
         prov = {
             "config": _hash_dict(asdict(cfg_res)),
             "kernel": _hash_dict(spec(k)),
             "model": _hash_dict(spec(model)),
             "tail_mass_rel": _check_tail_mass(k, horizon, cfg.tail_mass_budget),
             "route": route,
+            "rank": rank,
         }
         paths.append(SamplePath(values=values, delta=cfg.delta, provenance=prov))
     return tuple(paths)

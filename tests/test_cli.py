@@ -356,6 +356,33 @@ def test_malformed_block_values_exit_two(tmp_path, capsys):
         assert err["error"]["type"] == "config" and message in err["error"]["message"], (name, err)
 
 
+def test_malformed_scalar_values_exit_two(tmp_path, capsys):
+    # each of these ended in a TypeError traceback before the scalars were checked
+    cases = {
+        "float_n": ("simulate", {"n": 10.5}, "$.n"),
+        "string_fine_steps": ("simulate", {"n": 16, "path": {"fine_steps": "8"}}, "$.path.fine_steps"),
+        "string_replicates": ("mc", {"n": 16, "replicates": "4", "statistic": "sn"}, "$.replicates"),
+        "string_delta": ("variance", {"delta": "x", "statistic": "sn"}, "$.delta"),
+    }
+    for name, (command, extra, where) in cases.items():
+        cfg = base_config(**extra, output_dir=str(tmp_path / name))
+        assert run([command, "--config", str(write_config(tmp_path, f"{name}.json", cfg))]) == 2, name
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "config" and where in err["error"]["message"], (name, err)
+
+
+def test_table_from_path_rejects_inline_fields(tmp_path, capsys):
+    table = tmp_path / "k.csv"
+    table.write_text("t,phi\n" + "".join(f"{0.25 * i!r},{0.5 ** i!r}\n" for i in range(40)))
+    kernel = {"type": "tabulated", "path": str(table), "values": [1.0, 0.5, 0.25]}
+    cfg = base_config(kernel=kernel, grid={"m": 4, "horizon": 4.0}, output_dir=str(tmp_path / "out"))
+    assert run(["kernel-export", "--config", str(write_config(tmp_path, "c.json", cfg))]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "config" and "values" in err["error"]["message"]
+    del kernel["values"]
+    assert run(["kernel-export", "--config", str(write_config(tmp_path, "c.json", cfg))]) == 0
+
+
 def test_integral_carma_order_accepted_as_before(tmp_path):
     # a JSON 1.0 is an integer order: accepted, and the run is the run with q = 1
     outputs = []

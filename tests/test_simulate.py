@@ -1,12 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cmaqf import simulate
 from cmaqf.covariance import FiniteSupport, PowerDecay
 from cmaqf.errors import GridError, ParameterError, TruncationError
-from cmaqf.kernels import ExponentialOU, FractionalNoise, LinComboKernel, TabulatedKernel, grid_sample
-from cmaqf.levy import BrownianMotion, CompoundPoissonNormal, stream
+from cmaqf.kernels import ExponentialOU, FractionalNoise, LinComboKernel, TabulatedKernel, build_carma, grid_sample
+from cmaqf.levy import BilateralGamma, BrownianMotion, CompoundPoissonNormal, stream
 from cmaqf.simulate import (
     PathConfig,
     SamplePath,
@@ -81,14 +84,68 @@ NONCAUSAL = LinComboKernel(base=ExponentialOU(1.0), shifts=(-1.3, 0.7), coeffs=(
     horizon=st.sampled_from([8.0, 16.0, 32.0, 64.0]),
     seed=st.integers(0, 2**32),
 )
-@example(kernel=ExponentialOU(1.0), fine_steps=64, n=300, horizon=64.0, seed=0)  # block product
+@example(kernel=ExponentialOU(1.0), fine_steps=64, n=300, horizon=64.0, seed=0)  # low-rank product
+@example(kernel=ExponentialOU(1.0), fine_steps=8, n=40, horizon=8.0, seed=0)  # block product
 @example(kernel=FractionalNoise(0.1), fine_steps=8, n=300, horizon=1024.0, seed=0)  # FFT
 def test_fast_routes_match_direct_property(kernel, fine_steps, n, horizon, seed):
     cfg = PathConfig(delta=1.0, n=n, fine_steps=fine_steps, horizon=horizon, seed=seed)
     fast = simulate_path(kernel, CompoundPoissonNormal(1.0, 1.0), cfg)
     slow = simulate_path(kernel, CompoundPoissonNormal(1.0, 1.0), cfg, method="direct")
-    assert fast.provenance["route"] in ("blocked", "fft")
+    assert fast.provenance["route"] in ("lowrank", "blocked", "fft")
     assert np.max(np.abs(fast.values - slow.values)) <= 1e-12 * np.max(np.abs(slow.values))
+
+
+CARMA_COMPLEX = build_carma((1.0, 2.0), (0.5, 1.0), 1)  # roots (-1 +- i sqrt 7) / 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kernel=st.sampled_from([ExponentialOU(1.0), CARMA_COMPLEX, NONCAUSAL]),
+    delta=st.sampled_from([0.7, 1.0]),
+    fine_steps=st.integers(1, 64),
+    n=st.integers(1, 300),
+    periods=st.sampled_from([8, 32, 64]),
+    model=st.sampled_from([BrownianMotion(1.0), CompoundPoissonNormal(1.0, 1.0), BilateralGamma(1.0, 2.0)]),
+    seed=st.integers(0, 2**32),
+)
+def test_lowrank_route_matches_direct_property(kernel, delta, fine_steps, n, periods, model, seed):
+    # the cost model is bypassed, so the low-rank route runs at every size
+    cfg = PathConfig(delta=delta, n=n, fine_steps=fine_steps, horizon=periods * delta, seed=seed, tail_mass_budget=1.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_lowrank_cost", lambda *args: 0.0)
+        fast = simulate_path(kernel, model, cfg)
+    slow = simulate_path(kernel, model, cfg, method="direct")
+    assert fast.provenance["route"] == "lowrank" and 1 <= fast.provenance["rank"] <= 4
+    assert np.max(np.abs(fast.values - slow.values)) <= 1e-12 * np.max(np.abs(slow.values))
+
+
+def test_zero_phase_matrix_has_rank_zero():
+    zero = TabulatedKernel(t0=0.0, step=0.25, values=np.zeros(16))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_lowrank_cost", lambda *args: 0.0)
+        p = simulate_path(zero, BrownianMotion(1.0), PathConfig(delta=1.0, n=32, fine_steps=4, horizon=4.0))
+    assert (p.provenance["route"], p.provenance["rank"]) == ("lowrank", 0)
+    assert np.all(p.values == 0.0)
+
+
+def test_route_and_rank_follow_the_phase_matrix():
+    # exponential-mode kernels have one basis row per mode; fractional noise needs 9 > 4,
+    # so after one failed detection it keeps the block product
+    cfg = PathConfig(delta=1.0, n=400, fine_steps=64, seed=2)
+    carma = build_carma((3.0, 2.0), (3.0, 1.0), 1)
+    for kernel, rank in ((ExponentialOU(1.0), 1), (carma, 2)):
+        p = simulate_path(kernel, BrownianMotion(1.0), cfg)
+        assert (p.provenance["route"], p.provenance["rank"]) == ("lowrank", rank)
+    wide = replace(cfg, horizon=64.0, tail_mass_budget=1.0)
+    fn = simulate_path(FractionalNoise(0.1), BrownianMotion(1.0), wide)
+    assert (fn.provenance["route"], fn.provenance["rank"]) == ("blocked", None)
+    slow = simulate_path(FractionalNoise(0.1), BrownianMotion(1.0), wide, method="direct")
+    assert np.max(np.abs(fn.values - slow.values)) <= 1e-12 * np.max(np.abs(slow.values))
+    x1, x2 = simulate_pair(carma, ExponentialOU(0.5), BrownianMotion(1.0), cfg)
+    assert [(x.provenance["route"], x.provenance["rank"]) for x in (x1, x2)] == [("lowrank", 2), ("lowrank", 1)]
+    s1, s2 = simulate_pair(carma, ExponentialOU(0.5), BrownianMotion(1.0), cfg, method="direct")
+    for fast, slow in ((x1, s1), (x2, s2)):
+        assert np.max(np.abs(fast.values - slow.values)) <= 1e-12 * np.max(np.abs(slow.values))
 
 
 def test_discretization_second_order_and_within_budget():
