@@ -6,6 +6,12 @@ module reduces to such product integrals, their values on the sampling
 lattice ``h = s * Delta``, and the mixed discrete/continuous convolution
 ``(b * phi)(t) = sum_s b(s) phi(t - s Delta)`` of a kernel with an even
 coefficient sequence.
+
+A combination of lattice-shifted copies of one base kernel (the convolved
+kernels of :func:`star_conv_kernel`, their absolute companions, the
+least-squares kernel pair) is never integrated as a whole:
+:func:`covariance_lags` writes its lag covariances as an exact double sum of
+base covariances at shifted lags, so quadrature only ever sees base kernels.
 """
 
 from __future__ import annotations
@@ -243,8 +249,27 @@ def covariance_lags(
     base_step: float | None = None,
 ) -> np.ndarray:
     """Array of ``sigma2 * int phi_1(t) phi_2(t + s Delta) dt`` for ``s_min <= s <= s_max``
-    (quadrature step ``base_step``, by default ``Delta / COV_STEPS_PER_DELTA``)."""
+    (quadrature step ``base_step``, by default ``Delta / COV_STEPS_PER_DELTA``).
+
+    A kernel that is a combination of lattice-shifted copies of a base kernel
+    is never integrated as a whole.  That is a :class:`LinComboKernel` whose
+    every shift is an exact multiple of ``Delta``, or ``PowAbsKernel(., 1)``
+    of one with non-negative coefficients over a ``PowAbsKernel`` base.  With
+    ``phi_1 = sum_j c_j B_1(. - a_j Delta)`` and ``phi_2 = sum_k d_k B_2(. - b_k Delta)``,
+    ``gamma_12(h) = sum_j sum_k c_j d_k gamma_{B_1 B_2}(h + (a_j - b_k) Delta)``
+    exactly, so the base lags are integrated once over the widened range and
+    correlated with the convolved coefficients.  Any other pair takes one
+    quadrature per lag.
+    """
     base_step = Delta / COV_STEPS_PER_DELTA if base_step is None else base_step
+    base1, a, c = _lattice_combo(k1, Delta)
+    base2, b, d = _lattice_combo(k2, Delta)
+    if base1 is not k1 or base2 is not k2:
+        # w[n] is the summed c_j d_k with a_j - b_k = a.min() - b.max() + n
+        w = np.convolve(np.bincount(a - a.min(), weights=c), np.bincount(b.max() - b, weights=d))
+        lo, hi = s_min + a.min() - b.max(), s_max + a.max() - b.min()
+        g = covariance_lags(base1, base2, sigma2, Delta, int(lo), int(hi), base_step=base_step)
+        return np.correlate(g, w, mode="valid")
     same = k1 is k2 or k1 == k2
     out = np.empty(s_max - s_min + 1)
     for i, s in enumerate(range(s_min, s_max + 1)):
@@ -253,6 +278,27 @@ def covariance_lags(
             shift = -shift  # symmetric: reuse the positive-lag cache entry
         out[i] = sigma2 * _cached_product(k1, k2, float(shift), base_step).value
     return out
+
+
+def _lattice_combo(kernel: Kernel, Delta: float) -> tuple[Kernel, np.ndarray, np.ndarray]:
+    """``(base, offsets, coeffs)`` with ``kernel(t) = sum_j coeffs[j] base(t - offsets[j] Delta)``.
+
+    Reduces a :class:`LinComboKernel` whose every shift is an exact multiple of
+    ``Delta``, and the absolute value (``PowAbsKernel(., 1)``) of one that adds
+    non-negative multiples of an absolute value, which equals the combination
+    itself.  Any other kernel is its own base, at offset 0 with coefficient 1.
+    """
+    combo = kernel
+    if isinstance(kernel, PowAbsKernel) and kernel.power == 1.0:
+        inner = kernel.base
+        if isinstance(inner, LinComboKernel) and isinstance(inner.base, PowAbsKernel) and min(inner.coeffs) >= 0.0:
+            combo = inner
+    if isinstance(combo, LinComboKernel):
+        shifts = np.asarray(combo.shifts)
+        offsets = np.round(shifts / Delta)
+        if np.array_equal(offsets * Delta, shifts):
+            return combo.base, offsets.astype(int), np.asarray(combo.coeffs)
+    return kernel, np.zeros(1, dtype=int), np.ones(1)
 
 
 def gamma_seq_exponent(kernel: Kernel, other: Kernel | None = None) -> float | None:

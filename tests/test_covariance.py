@@ -14,7 +14,15 @@ from cmaqf.covariance import (
     star_conv_kernel,
 )
 from cmaqf.errors import ConvergenceError, ParameterError
-from cmaqf.kernels import ExponentialOU, FractionalNoise, LinComboKernel, TabulatedKernel, build_carma, grid_sample
+from cmaqf.kernels import (
+    ExponentialOU,
+    FractionalNoise,
+    LinComboKernel,
+    PowAbsKernel,
+    TabulatedKernel,
+    build_carma,
+    grid_sample,
+)
 from cmaqf.quadrature import phase_lattice, product_integral
 
 
@@ -200,8 +208,6 @@ def test_phase_lattice_closes_on_left_limits():
 
 
 def test_tail_warning_when_bound_exceeds_one_percent():
-    from cmaqf.kernels import PowAbsKernel
-
     slow = PowAbsKernel(FractionalNoise(0.1), 0.58)  # decays like t^-0.52; pair sum barely converges
     with pytest.warns(RuntimeWarning, match="tail bound"):
         crosscovariance(slow, slow, 1.0, 0.0)
@@ -242,3 +248,80 @@ def test_shifted_combination_covariances_match_closed_forms(delta, s, family):
     h = s * delta
     exact = gamma(h - delta) - 0.5 * gamma(h - 2.0 * delta)
     assert product_integral(base, combo, h).value == pytest.approx(exact, abs=1e-8)
+
+
+_COMBO_BASES = {
+    "ou": (ExponentialOU(0.8), lambda h: math.exp(-0.8 * abs(h)) / 1.6),
+    "carma": (build_carma((3.0, 2.0), (3.0, 1.0), 1), _carma_gamma),
+}
+_lattice_terms = st.lists(
+    st.tuples(st.integers(-6, 6), st.floats(-2.0, 2.0).filter(lambda c: abs(c) > 0.05)), min_size=1, max_size=4
+)
+
+
+@given(
+    family=st.sampled_from(sorted(_COMBO_BASES)),
+    delta=st.floats(0.1, 2.0),
+    terms1=_lattice_terms,
+    terms2=st.one_of(st.none(), _lattice_terms),
+    absolute=st.booleans(),
+)
+@example(family="ou", delta=0.7, terms1=[(-2, 1.0), (-2, -0.4), (3, 0.5)], terms2=[(1, 2.0), (-6, -1.0)],
+         absolute=False)
+@settings(max_examples=40, deadline=None)
+def test_lattice_combination_lags_are_double_sums_of_base_covariances(family, delta, terms1, terms2, absolute):
+    # both bases are non-negative, so the absolute companion of a combination
+    # with |coefficients| has the same closed form
+    base, gamma = _COMBO_BASES[family]
+    sigma2 = 1.3
+
+    def combo(terms):
+        if terms is None:
+            return base, [(0, 1.0)]
+        if absolute:
+            terms = [(a, abs(c)) for a, c in terms]
+            inner = LinComboKernel(PowAbsKernel(base, 1.0), [a * delta for a, _ in terms], [c for _, c in terms])
+            return PowAbsKernel(inner, 1.0), terms
+        return LinComboKernel(base, [a * delta for a, _ in terms], [c for _, c in terms]), terms
+
+    (k1, t1), (k2, t2) = combo(terms1), combo(terms2)
+    lags = np.arange(-3, 4)
+    got = covariance_lags(k1, k2, sigma2, delta, -3, 3)
+    exact = [sigma2 * sum(c * d * gamma((s + a - b) * delta) for a, c in t1 for b, d in t2) for s in lags]
+    scale = sigma2 * sum(abs(c * d) for _, c in t1 for _, d in t2) * gamma(0.0)
+    quad = [sigma2 * product_integral(k1, k2, s * delta, base_step=delta / 256).value for s in lags]
+    np.testing.assert_allclose(got, exact, rtol=1e-9, atol=1e-9 * scale)
+    np.testing.assert_allclose(got, quad, rtol=1e-9, atol=1e-9 * scale)
+
+
+def test_off_lattice_and_signed_absolute_combinations_stay_on_per_lag_quadrature():
+    ou = ExponentialOU(1.0)
+    off_lattice = LinComboKernel(ou, shifts=(0.0, 0.35), coeffs=(1.0, -0.5))
+    # |sum c phi| differs from sum |c| |phi| once a coefficient is negative
+    signed_abs = PowAbsKernel(LinComboKernel(PowAbsKernel(ou, 1.0), shifts=(0.0, 1.0), coeffs=(1.0, -0.5)), 1.0)
+    for k1, k2 in ((ou, off_lattice), (PowAbsKernel(ou, 1.0), signed_abs)):
+        got = covariance_lags(k1, k2, 1.0, 1.0, -3, 3)
+        per_lag = [product_integral(k1, k2, float(s), base_step=1.0 / 256).value for s in range(-3, 4)]
+        assert got.tolist() == per_lag
+
+
+def test_eta2_qn_integrates_no_combination_kernel(monkeypatch):
+    # a work bound, not a wall clock: the convolved kernel (29 lattice shifts
+    # each way) and its absolute companion reach quadrature only through their base
+    from cmaqf import covariance
+    from cmaqf.levy import CompoundPoissonNormal
+    from cmaqf.variance import eta2_qn
+
+    seen = []
+    real = covariance.product_integral
+
+    def spy(k1, k2, *args, **kwargs):
+        seen.extend((k1, k2))
+        return real(k1, k2, *args, **kwargs)
+
+    monkeypatch.setattr(covariance, "product_integral", spy)
+    covariance._cached_product.cache_clear()
+    b = FiniteSupport(tuple((-0.8) ** k for k in range(30)))
+    eta2_qn(ExponentialOU(1.0), b, CompoundPoissonNormal(1.0, 1.0), 1.0)
+    combos = [k for k in seen if isinstance(k, LinComboKernel) or isinstance(getattr(k, "base", None), LinComboKernel)]
+    assert seen and not combos
