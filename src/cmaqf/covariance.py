@@ -12,6 +12,9 @@ kernels of :func:`star_conv_kernel`, their absolute companions, the
 least-squares kernel pair) is never integrated as a whole:
 :func:`covariance_lags` writes its lag covariances as an exact double sum of
 base covariances at shifted lags, so quadrature only ever sees base kernels.
+Base kernels that are sums of exponential modes (OU, CARMA; see
+:attr:`Kernel.modes`) have closed-form lag covariances and see no quadrature
+either.
 """
 
 from __future__ import annotations
@@ -258,9 +261,15 @@ def covariance_lags(
     ``phi_1 = sum_j c_j B_1(. - a_j Delta)`` and ``phi_2 = sum_k d_k B_2(. - b_k Delta)``,
     ``gamma_12(h) = sum_j sum_k c_j d_k gamma_{B_1 B_2}(h + (a_j - b_k) Delta)``
     exactly, so the base lags are integrated once over the widened range and
-    correlated with the convolved coefficients.  Any other pair takes one
-    quadrature per lag.
+    correlated with the convolved coefficients.
+
+    Two bases with exponential modes (:attr:`Kernel.modes`), such as OU and
+    CARMA kernels in any pairing, take the closed form of :func:`_mode_lags`
+    and ``base_step`` is unused.  Any other pair takes one quadrature per lag.
+    An empty range (``s_min > s_max``) raises :class:`ParameterError`.
     """
+    if s_min > s_max:
+        raise ParameterError(f"empty lag range: s_min = {s_min} > s_max = {s_max}")
     base_step = Delta / COV_STEPS_PER_DELTA if base_step is None else base_step
     base1, a, c = _lattice_combo(k1, Delta)
     base2, b, d = _lattice_combo(k2, Delta)
@@ -270,6 +279,8 @@ def covariance_lags(
         lo, hi = s_min + a.min() - b.max(), s_max + a.max() - b.min()
         g = covariance_lags(base1, base2, sigma2, Delta, int(lo), int(hi), base_step=base_step)
         return np.correlate(g, w, mode="valid")
+    if k1.modes is not None and k2.modes is not None:
+        return sigma2 * _mode_lags(k1.modes, k2.modes, Delta, s_min, s_max)
     same = k1 is k2 or k1 == k2
     out = np.empty(s_max - s_min + 1)
     for i, s in enumerate(range(s_min, s_max + 1)):
@@ -277,6 +288,26 @@ def covariance_lags(
         if same and s < 0 and -s <= s_max:
             shift = -shift  # symmetric: reuse the positive-lag cache entry
         out[i] = sigma2 * _cached_product(k1, k2, float(shift), base_step).value
+    return out
+
+
+def _mode_lags(modes1, modes2, Delta: float, s_min: int, s_max: int) -> np.ndarray:
+    """``int phi_1(t) phi_2(t + s Delta) dt`` for ``s_min <= s <= s_max`` in closed form.
+
+    With ``phi_1 = sum_i c_i e^{mu_i t}`` and ``phi_2 = sum_j d_j e^{nu_j t}`` on
+    ``t >= 0`` and ``h = s Delta``, the integral is
+    ``sum_ij c_i d_j e^{nu_j h} / -(mu_i + nu_j)`` for ``h >= 0`` and ``sum_ij c_i d_j e^{-mu_i h} / -(mu_i + nu_j)`` for ``h < 0``.
+    The mode pairs accumulate into one vector, never an array per pair.
+    """
+    (c, mu), (d, nu) = modes1, modes2
+    h = np.arange(s_min, s_max + 1) * Delta
+    k = int(np.searchsorted(h, 0.0))  # h[:k] < 0 <= h[k:]
+    out = np.zeros(len(h))
+    for ci, mi in zip(c, mu):
+        for dj, nj in zip(d, nu):
+            w = ci * dj / -(mi + nj)
+            out[:k] += (w * np.exp(-mi * h[:k])).real
+            out[k:] += (w * np.exp(nj * h[k:])).real
     return out
 
 
@@ -301,13 +332,23 @@ def _lattice_combo(kernel: Kernel, Delta: float) -> tuple[Kernel, np.ndarray, np
     return kernel, np.zeros(1, dtype=int), np.ones(1)
 
 
+def conv_exponent(a: float, b: float) -> float:
+    """Decay exponent of the convolution of two power tails ``|s|^-a`` and
+    ``|s|^-b`` (``a + b > 1``): ``min(a, b, a + b - 1)``.
+
+    When both are below 1 the bulk term ``|s|^(1-a-b)`` leads; otherwise the
+    heavier tail leads, scaled by the sum of the other sequence (assumed
+    non-zero).
+    """
+    return min(a, b, a + b - 1.0)
+
+
 def gamma_seq_exponent(kernel: Kernel, other: Kernel | None = None) -> float | None:
     """Analytic power-decay exponent of the lag covariance when both kernels
     have exact power tails; ``None`` for exponential decay."""
     d1, d2 = kernel.decay, (other or kernel).decay
     if isinstance(d1, PowerTail) and isinstance(d2, PowerTail) and d1.exact and d2.exact:
-        a, b = d1.exponent, d2.exponent
-        return min(a, b, a + b - 1.0)
+        return conv_exponent(d1.exponent, d2.exponent)
     return None
 
 
@@ -375,11 +416,16 @@ def b_star_gamma(
 
 
 def _gamma_power_exponent_or_check(b: CoefficientSeq, kernel: Kernel) -> float | None:
+    """Power exponent of the lag covariance, after refusing by exponent arithmetic
+    a ``b * gamma`` that diverges termwise or is not square summable."""
     ge = gamma_seq_exponent(kernel)
     if isinstance(b, PowerDecay) and ge is not None and b.rho + ge <= 1.0:
         raise ConvergenceError(
             f"(b * gamma) diverges termwise: rho_b + rho_gamma = {b.rho + ge:g} <= 1"
         )
+    bsg = _bsg_exponent(b, ge)
+    if bsg is not None and 2.0 * bsg <= 1.0:
+        raise ConvergenceError(f"(b * gamma) is not square summable: decay exponent {bsg:g} <= 1/2")
     return ge
 
 
@@ -388,4 +434,4 @@ def _bsg_exponent(b: CoefficientSeq, gamma_exp: float | None) -> float | None:
         return None
     if isinstance(b, FiniteSupport):
         return gamma_exp
-    return min(b.rho, gamma_exp)
+    return conv_exponent(b.rho, gamma_exp)

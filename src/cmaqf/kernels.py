@@ -85,6 +85,15 @@ class Kernel:
         """``(location, exponent)`` pairs of algebraic kinks with exponent < 1."""
         return ()
 
+    @property
+    def modes(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Exponential modes ``(c, mu)`` with ``phi(t) = Re sum_i c_i exp(mu_i t)``
+        on ``t >= 0`` (the kernel vanishes below), or ``None``.
+
+        Complex modes come in conjugate pairs, so the sum is real before ``Re``.
+        """
+        return None
+
 
 @dataclass(frozen=True)
 class ExponentialOU(Kernel):
@@ -105,6 +114,10 @@ class ExponentialOU(Kernel):
     @property
     def jumps(self):
         return (0.0,)
+
+    @property
+    def modes(self):
+        return np.ones(1), np.array([-self.lam])
 
 
 @dataclass(frozen=True)
@@ -200,6 +213,14 @@ class CarmaKernel(Kernel):
     def jumps(self):
         # phi(0) = b[p-1], nonzero only in the full-order case q = p - 1
         return (0.0,) if self.b[-1] != 0.0 else ()
+
+    @property
+    def modes(self):
+        # the scaling-and-squaring fallback (a defective A) has none
+        if self._eig[0] != "eig":
+            return None
+        _, eigvals, coeffs = self._eig
+        return coeffs, eigvals
 
 
 def build_carma(a, b, q: int) -> CarmaKernel:

@@ -184,7 +184,7 @@ def eta2_sn(
     t_auto, t_cross, diag = _cov_product_sums(k1, k2, sigma2, Delta)
     diagnostics.update(diag)
     return VarianceReport(
-        eta2=k4_term + t_auto + t_cross,
+        eta2=k4_term + (t_auto + t_cross),  # equals kappa4_term + sum(covariance_terms) exactly
         kappa4_term=k4_term,
         covariance_terms={"auto_products": t_auto, "cross_products": t_cross},
         diagnostics=diagnostics,
@@ -211,8 +211,8 @@ def eta2_qn(
     second factor; the second value is stored in ``eta2_alt``.
     """
     report, note = _gate_conditions("qn_general", kernel, b, Delta, model, check, force)
-    conv = star_conv_kernel(b, kernel, Delta)
     _gamma_power_exponent_or_check(b, kernel)  # refuse a divergent b * gamma before the slow lag sums
+    conv = star_conv_kernel(b, kernel, Delta)
     # the bilinear route first: its period integral peaks in memory, so it runs before the lag caches fill
     bilinear = eta2_sn(kernel, conv, model, Delta, check="skip")
     bsg = b_star_gamma(b, kernel, model.cumulants()[0], Delta)

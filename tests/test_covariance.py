@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -224,7 +225,7 @@ def test_star_conv_kernel_power_decay_truncation():
     assert k.eval(0.5) == pytest.approx(oracle, rel=1e-9)
 
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 
@@ -325,3 +326,100 @@ def test_eta2_qn_integrates_no_combination_kernel(monkeypatch):
     eta2_qn(ExponentialOU(1.0), b, CompoundPoissonNormal(1.0, 1.0), 1.0)
     combos = [k for k in seen if isinstance(k, LinComboKernel) or isinstance(getattr(k, "base", None), LinComboKernel)]
     assert seen and not combos
+
+
+@st.composite
+def _modal_kernels(draw):
+    # OU, or a CARMA(p <= 3) with separated real roots or a complex pair, any MA order up to full
+    if draw(st.booleans()):
+        return ExponentialOU(draw(st.floats(0.2, 2.5)))
+    rates = st.floats(0.3, 1.0)
+    if draw(st.booleans()):
+        r1 = draw(rates)
+        roots = [-r1, -(r1 + draw(rates))]
+    else:
+        alpha, beta = draw(rates), draw(st.floats(0.3, 1.5))
+        roots = [complex(-alpha, beta), complex(-alpha, -beta)]
+    if draw(st.booleans()):
+        roots.append(min(r.real for r in roots) - draw(rates))
+    p = len(roots)
+    q = draw(st.integers(0, p - 1))
+    b = [draw(st.floats(-1.0, 1.0)) for _ in range(q)] + [1.0] + [0.0] * (p - 1 - q)
+    return build_carma(tuple(np.poly(roots)[1:].real), tuple(b), q)
+
+
+@given(k1=_modal_kernels(), k2=_modal_kernels(), delta=st.floats(0.1, 2.0))
+@settings(max_examples=40, deadline=None)
+def test_modal_closed_form_matches_per_lag_quadrature(k1, k2, delta):
+    assert k1.modes is not None and k2.modes is not None
+    # Simpson's relative error is about (rate * step)^4 / 180: a fixed fine step keeps the
+    # reference well below 1e-9 for every drawn rate (|mu_i + nu_j| <= 5.5)
+    sigma2 = 0.7
+    got = covariance_lags(k1, k2, sigma2, delta, -4, 4)
+    quad = np.array([sigma2 * product_integral(k1, k2, s * delta, base_step=1.0 / 512).value for s in range(-4, 5)])
+    np.testing.assert_allclose(got, quad, rtol=1e-9, atol=1e-9 * np.abs(quad).max())
+
+
+def test_kernels_without_modes_stay_on_per_lag_quadrature():
+    repeated = build_carma((2.0, 1.0), (1.0, 0.0), 0)  # (z + 1)^2: a defective A takes the expm fallback
+    ou_abs = PowAbsKernel(ExponentialOU(1.0), 1.0)
+    assert repeated.modes is None and ou_abs.modes is None
+    # one side with modes is not enough; the fallback evaluates point by point, so few lags
+    for k1, k2 in ((repeated, ExponentialOU(0.5)), (ou_abs, ou_abs)):
+        got = covariance_lags(k1, k2, 1.0, 2.0, 0, 1)
+        per_lag = [product_integral(k1, k2, s * 2.0, base_step=2.0 / 256).value for s in (0, 1)]
+        assert got.tolist() == per_lag
+
+
+def test_eta2_qn_of_ou_makes_no_quadrature_call(monkeypatch):
+    from cmaqf import covariance
+    from cmaqf.levy import CompoundPoissonNormal
+    from cmaqf.variance import eta2_qn
+
+    calls = []
+    monkeypatch.setattr(covariance, "product_integral", lambda *args, **kwargs: calls.append(args))
+    covariance._cached_product.cache_clear()
+    rep = eta2_qn(ExponentialOU(1.0), PowerDecay(1.0, 1.5, 1.0), CompoundPoissonNormal(1.0, 1.0), 1.0, check="skip")
+    assert calls == [] and np.isfinite(rep.eta2)
+
+
+@pytest.mark.parametrize("kernels", [(ExponentialOU(1.0),) * 2, (ExponentialOU(1.0), PowAbsKernel(ExponentialOU(1.0), 1.0))])
+def test_empty_lag_range_raises(kernels):
+    k1, k2 = kernels
+    with pytest.raises(ParameterError, match="empty lag range"):
+        covariance_lags(k1, k2, 1.0, 1.0, 3, 1)
+    combo = star_conv_kernel(FiniteSupport((1.0, 0.5)), k1, 1.0)
+    with pytest.raises(ParameterError, match="empty lag range"):
+        covariance_lags(combo, k2, 1.0, 1.0, 3, 1)
+
+
+@given(a=st.floats(0.55, 0.8) | st.floats(1.2, 1.6), b=st.floats(0.55, 0.8) | st.floats(1.2, 1.6))
+@example(a=0.8, b=0.6)  # gamma of FractionalNoise(0.1) against PowerDecay rho 0.6: rule 0.4, min(a, b) 0.6
+@example(a=0.6, b=0.7)
+@example(a=0.6, b=1.2)
+@example(a=0.8, b=1.5)
+@settings(max_examples=12, deadline=None)
+def test_conv_exponent_matches_log_log_slope_of_a_convolution(a, b):
+    from cmaqf.covariance import conv_exponent
+
+    assume(a + b >= 1.2)
+    N = 2**16
+    s = np.maximum(np.abs(np.arange(-N, N + 1)), 1.0)
+    n = 1 << (4 * N).bit_length()
+    conv = np.fft.irfft(np.fft.rfft(s**-a, n) * np.fft.rfft(s**-b, n), n)[2 * N : 3 * N + 1]  # lags 0..N
+    k = np.arange(2**8, 2**11 + 1)
+    slope = -np.polyfit(np.log(k), np.log(conv[k]), 1)[0]
+    # truncation at N and lower-order terms bias the slope by up to ~0.06 on this range;
+    # where both exponents are below 1 the old rule min(a, b) is off by 1 - max(a, b) >= 0.2
+    assert conv_exponent(a, b) == pytest.approx(slope, abs=0.08)
+
+
+@pytest.mark.parametrize("d, rho", [(0.2, 0.7), (0.1, 0.6)])
+def test_eta2_qn_refuses_a_b_star_gamma_outside_l2_at_once(d, rho):
+    from cmaqf.levy import BrownianMotion
+    from cmaqf.variance import eta2_qn
+
+    t0 = time.perf_counter()
+    with pytest.raises(ConvergenceError, match="not square summable"):
+        eta2_qn(FractionalNoise(d), PowerDecay(1.0, rho, 1.0), BrownianMotion(1.0), 1.0, check="skip")
+    assert time.perf_counter() - t0 < 1.0

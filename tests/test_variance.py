@@ -318,3 +318,16 @@ def test_eta2_qn_routes_agree_within_their_bounds_off_unit_spacing():
     exact = 4.0 * (1.0 - a * a)
     assert rep.eta2 == pytest.approx(exact, rel=1e-8)
     assert rep.eta2_alt == pytest.approx(exact, rel=1e-8)
+
+
+def test_whittle_score_kappa4_term_vanishes_under_compound_poisson():
+    # the sampled OU is an AR(1); its Whittle score has Var ~ (1 - a^2)/n for any iid
+    # noise, so the fourth-cumulant period integral must cancel and both routes keep
+    # the Gaussian value
+    lam, delta = 0.5, 0.7
+    a = math.exp(-lam * delta)
+    rep = eta2_qn(ExponentialOU(lam), FiniteSupport((2.0 * a, -1.0)), CompoundPoissonNormal(1.0, 1.0), delta, check="skip")
+    assert abs(rep.kappa4_term) <= 1e-15
+    exact = 4.0 * (1.0 - a * a)
+    assert rep.eta2 == pytest.approx(exact, rel=1e-8)
+    assert rep.eta2_alt == pytest.approx(exact, rel=1e-8)
