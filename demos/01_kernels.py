@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from cmaqf import ExponentialOU, FractionalNoise, build_carma, grid_sample, solve_sdde_kernel
+from cmaqf import ExponentialOU, FractionalNoise, SddeKernel, build_carma, grid_sample
 
 print("== Ornstein-Uhlenbeck kernel: exp(-lam t) on t >= 0")
 ou = ExponentialOU(1.0)
@@ -23,7 +23,7 @@ for ti, vi in zip(t, carma.eval(t)):
     print(f"   {ti:4.1f}  {vi:10.6f}  {2*math.exp(-ti) - math.exp(-2*ti):12.6f}")
 
 print("\n== Delay-equation kernel: dX = -X_{t-1} dt + dL reduces to pure delay dynamics")
-sdde = solve_sdde_kernel([(1.0, -0.5)], horizon=8.0, step=1e-3)
+sdde = SddeKernel(atoms=[(1.0, -0.5)], horizon=8.0, step=1e-3)
 for ti in (0.5, 1.5, 2.5):
     print(f"   phi({ti}) = {sdde.eval(ti):.6f}")
 print(f"   fitted tail: {sdde.tail_fit.preferred} (exp rate {sdde.tail_fit.exp_rate:.3f})")

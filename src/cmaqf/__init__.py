@@ -26,7 +26,6 @@ from .kernels import (
     TabulatedKernel,
     build_carma,
     grid_sample,
-    solve_sdde_kernel,
 )
 from .covariance import (
     BStarGamma,

@@ -56,6 +56,7 @@ from .covariance import (
     CoefficientSeq,
     FiniteSupport,
     PowerDecay,
+    conv_exponent,
     covariance_lags,
     gamma_seq_exponent,
     star_conv_kernel,
@@ -64,7 +65,7 @@ from .errors import ParameterError
 from .kernels import Kernel, PowAbsKernel
 from .levy import BrownianMotion, LevyModel
 from .quadrature import phase_integral, product_integral
-from .tails import CompactTail, ExpTail, TailModel, fit_tail, lattice_tail_sum, tail_sup
+from .tails import CompactTail, ExpTail, TailModel, grow_lags, lattice_tail_sum, tail_sup
 
 __all__ = [
     "CONDITION_SETS",
@@ -212,18 +213,15 @@ def _rho_cap(kernel: Kernel) -> tuple[float, bool]:
     return (1.0, True) if pe is None else (min(pe[0], 1.0), pe[1])
 
 
-def _abs_lag_sequence(k1, k2, Delta, tail_tol=1e-6, s_cap=4096):
+def _abs_lag_sequence(k1, k2, Delta):
     """``(values, tail, radius)`` of ``s -> int |k1(t) k2(t + s Delta)| dt`` with a fitted tail model."""
-    known = gamma_seq_exponent(k1, k2)
     abs1, abs2 = PowAbsKernel(k1, 1.0), PowAbsKernel(k2, 1.0)
-    S = 32
-    while True:
-        vals = covariance_lags(abs1, abs2, 1.0, Delta, -S, S, base_step=Delta / _NORM_STEPS_PER_DELTA)
-        tail = fit_tail(np.arange(-S, S + 1), vals, S / 10, known_exponent=known).as_tail()
-        _, up = lattice_tail_sum(tail, S + 1)
-        if up <= tail_tol * max(float(np.sum(np.abs(vals))), 1e-300) or S >= s_cap:
-            return vals, tail, S
-        S *= 2
+
+    def rows_at(S):
+        return (covariance_lags(abs1, abs2, 1.0, Delta, -S, S, base_step=Delta / _NORM_STEPS_PER_DELTA),)
+
+    lag = grow_lags(rows_at, p=1, rel_tol=1e-6, cap=4096, exponent=gamma_seq_exponent(k1, k2))
+    return lag.rows[0], lag.tails[0], lag.radius
 
 
 def _norm_entry(name, seq, p) -> NormEstimate:
@@ -335,16 +333,20 @@ def check_conditions(
 
 
 def _qn_envelope_divergence(kernel: Kernel, b: CoefficientSeq, tag: str) -> ConditionReport | None:
-    """Arithmetic short-circuit: when the absolute coefficient convolution of a
-    power kernel decays like ``t**-min(rho_b, rho_phi)`` with exponent <= 1/2,
-    its lag self-products diverge for every lag and the set is refuted."""
+    """Arithmetic short-circuit: the absolute coefficient convolution of a
+    power kernel diverges termwise when ``rho_b + rho_phi <= 1``, and otherwise
+    decays like ``t**-conv_exponent(rho_b, rho_phi)``; with that exponent
+    <= 1/2 its lag self-products diverge for every lag and the set is refuted."""
     pe = _power_exponent(kernel)
     if not isinstance(b, PowerDecay) or pe is None or not pe[1]:
         return None
-    rho_psi = min(b.rho, pe[0])
-    if 2.0 * rho_psi > 1.0:
-        return None
-    note = f"envelope decays like t^-{rho_psi:g}; its lag products diverge (2 rho <= 1)"
+    if b.rho + pe[0] <= 1.0:
+        note = f"envelope diverges termwise: rho_b + rho_phi = {b.rho + pe[0]:g} <= 1"
+    else:
+        rho_psi = conv_exponent(b.rho, pe[0])
+        if 2.0 * rho_psi > 1.0:
+            return None
+        note = f"envelope decays like t^-{rho_psi:g}; its lag products diverge (2 rho <= 1)"
     return ConditionReport(
         condition_set=tag,
         exponents={},

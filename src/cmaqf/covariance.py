@@ -32,8 +32,7 @@ from .tails import (
     CompactTail,
     PowerTail,
     TailModel,
-    fit_tail,
-    lattice_tail_sum,
+    grow_lags,
     sparse_tail_sum_estimate,
     tail_sup,
 )
@@ -378,41 +377,26 @@ def b_star_gamma(
 ) -> BStarGamma:
     """Sequence ``s -> sum_u b(u) gamma((s - u) Delta)`` with its squared l2 norm.
 
-    The truncation radius doubles adaptively until the extrapolated tail of
-    the squared-norm is below 1e-8 (relative), capping at ``10**6`` with
-    ``capped=True``.  A tail that provably diverges raises
+    The truncation radius doubles adaptively (:func:`~cmaqf.tails.grow_lags`)
+    until the extrapolated tail of the squared norm is below 1e-8 (relative),
+    capping at ``10**6`` with ``capped=True``.  A tail that provably diverges raises
     :class:`ConvergenceError`.  ``base_step`` is as in :func:`covariance_lags`.
     """
     gamma_exp = _gamma_power_exponent_or_check(b, kernel)
 
-    if isinstance(b, FiniteSupport):
-        b_radius = b.radius
-    else:
-        b_radius = None  # grows with S below
-
-    S = 32
-    while True:
-        ub = b_radius if b_radius is not None else max(64, 4 * S)
-        g_lo, g_hi = -(S + ub), S + ub
-        gam = covariance_lags(kernel, kernel, sigma2, Delta, g_lo, g_hi, base_step=base_step)
-        w = b.weights(ub)
+    def rows_at(S):
+        ub = b.radius if isinstance(b, FiniteSupport) else max(64, 4 * S)
+        gam = covariance_lags(kernel, kernel, sigma2, Delta, -(S + ub), S + ub, base_step=base_step)
         # full convolution, then crop to [-S, S]
-        conv = np.convolve(gam, w, mode="same")
+        conv = np.convolve(gam, b.weights(ub), mode="same")
         mid = len(gam) // 2
-        vals = conv[mid - S : mid + S + 1]
-        tail = fit_tail(np.arange(-S, S + 1), vals, S / 10, known_exponent=_bsg_exponent(b, gamma_exp)).as_tail()
-        head = float(np.sum(vals**2))
-        _, tail_sq = lattice_tail_sum(tail, S + 1, 2.0)
-        if not np.isfinite(tail_sq) and S >= _BSG_S_CAP:
-            raise ConvergenceError("squared-norm tail of (b * gamma) diverges or cannot be bounded")
-        if tail_sq <= _BSG_REL_TOL * max(head, 1e-300):
-            capped = False
-            break
-        if S >= _BSG_S_CAP:
-            capped = True
-            break
-        S *= 2
-    return BStarGamma(values=vals, radius=S, tail=tail, l2_sq=head + tail_sq / 2.0, l2_sq_tail=tail_sq, capped=capped)
+        return (conv[mid - S : mid + S + 1],)
+
+    lag = grow_lags(rows_at, p=2.0, rel_tol=_BSG_REL_TOL, cap=_BSG_S_CAP, exponent=_bsg_exponent(b, gamma_exp))
+    if lag.capped and not np.isfinite(lag.bracket):
+        raise ConvergenceError("squared-norm tail of (b * gamma) diverges or cannot be bounded")
+    (vals,), (tail,), (head,) = lag.rows, lag.tails, lag.heads
+    return BStarGamma(vals, lag.radius, tail, l2_sq=head + lag.bracket / 2.0, l2_sq_tail=lag.bracket, capped=lag.capped)
 
 
 def _gamma_power_exponent_or_check(b: CoefficientSeq, kernel: Kernel) -> float | None:

@@ -35,7 +35,6 @@ __all__ = [
     "PowAbsKernel",
     "KernelGrid",
     "build_carma",
-    "solve_sdde_kernel",
     "grid_sample",
     "grid_cells",
 ]
@@ -509,11 +508,6 @@ def _solve_sdde_table(atoms, horizon: float, step: float) -> np.ndarray:
             raise GridError(f"step {step} too large for the implicit update (denominator {denom:.3g})")
         phi[k + 1] = (phi[k] + 0.5 * step * (f_right + known)) / denom
     return phi
-
-
-def solve_sdde_kernel(atoms, horizon: float, step: float) -> SddeKernel:
-    """Tabulated delay-equation kernel on ``[0, horizon]``; see :class:`SddeKernel`."""
-    return SddeKernel(atoms=atoms, horizon=horizon, step=step)
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,15 @@ its ``constant`` is the function itself, and its tail sums are exact.
 How a tail is modelled, fitted and completed is decided here alone:
 :func:`fit_tail` fits every sampled tail (kernel tables, kernel grids, lag
 sequences), and :func:`lattice_tail_sum` completes every truncated two-sided
-lag sum.
+lag sum.  :func:`grow_lags` decides where every adaptive lag sum is
+truncated: ``|b * gamma|^2``, the covariance and absolute lag products, and
+the mean of a quadratic form.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -273,3 +276,26 @@ def lattice_tail_sum(tail: TailModel, start: int, p: float = 1.0, spacing: float
     up = (c**p) * (start - 1) ** (1.0 - a) / (a - 1.0) if start > 1 else (c**p) * a / (a - 1.0)
     lo = (l**p) * (start + 1) ** (1.0 - a) / (a - 1.0)
     return 2.0 * lo, 2.0 * up
+
+
+#: What :func:`grow_lags` returns: each row on ``-radius..radius``, its fitted tail and its
+#: head ``sum_s a_s**p``, the rows' summed upper tail bracket, and whether it missed the tolerance.
+LagSums = namedtuple("LagSums", "rows radius tails heads bracket capped")
+
+
+def grow_lags(rows_at, *, p: float, rel_tol: float, cap: int, exponent: float | None = None) -> LagSums:
+    """Sums ``sum_s a_s**p`` of the rows ``rows_at(S)`` (lags ``-S..S``) at the
+    first radius ``S = 32, 64, ...`` whose tails, fitted over the last decade
+    (with power exponent ``exponent`` when known), bracket at most ``rel_tol``
+    of the summed absolute heads, or at the first ``S >= cap``, marked ``capped``."""
+    S = 32
+    while True:
+        rows = tuple(rows_at(S))
+        lags = np.arange(-S, S + 1)
+        tails = tuple(fit_tail(lags, row, S / 10, known_exponent=exponent).as_tail() for row in rows)
+        heads = tuple(float(np.sum(row**p)) for row in rows)
+        bracket = sum(lattice_tail_sum(tail, S + 1, p)[1] for tail in tails)
+        met = bracket <= rel_tol * max(sum(abs(h) for h in heads), 1e-300)
+        if met or S >= cap:
+            return LagSums(rows, S, tails, heads, bracket, not met)
+        S *= 2

@@ -34,7 +34,7 @@ from .errors import ConditionsRefutedError, ParameterError
 from .kernels import Kernel, KernelGrid, LinComboKernel, grid_cells
 from .levy import LevyModel
 from .quadrature import _simpson, lattice_s_range, phase_integral, phase_product_sum
-from .tails import fit_tail, lattice_tail_sum
+from .tails import grow_lags
 
 __all__ = [
     "VarianceReport",
@@ -134,25 +134,18 @@ def _gate_conditions(condition_set, kernels, b, Delta, model, check, force):
 # ---------------------------------------------------------------------------
 
 
-def _product_sum_with_tail(S, prod):
-    """Sum of the lag products on ``-S..S`` and the upper bracket of the rest."""
-    _, up = lattice_tail_sum(fit_tail(np.arange(-S, S + 1), prod, S / 10).as_tail(), S + 1)
-    return float(np.sum(prod)), up
+def _cov_product_sums(k1, k2, sigma2, Delta):
+    """Auto and cross covariance-product lag sums, with their truncation diagnostics."""
 
-
-def _cov_product_sums(k1, k2, sigma2, Delta, rel_tol=1e-9, s_cap=2**14):
-    S = 32
-    while True:
+    def rows_at(S):
         g11 = covariance_lags(k1, k1, sigma2, Delta, -S, S)
         g22 = covariance_lags(k2, k2, sigma2, Delta, -S, S)
         g12 = covariance_lags(k1, k2, sigma2, Delta, -S, S)
-        t_auto, tail_a = _product_sum_with_tail(S, g11 * g22)
-        t_cross, tail_c = _product_sum_with_tail(S, g12 * g12[::-1])
-        scale = max(abs(t_auto) + abs(t_cross), 1e-300)
-        if (tail_a + tail_c) <= rel_tol * scale or S >= s_cap:
-            capped = (tail_a + tail_c) > rel_tol * scale
-            return t_auto, t_cross, {"cov_radius": float(S), "cov_tail_bound": tail_a + tail_c, "cov_capped": float(capped)}
-        S *= 2
+        return g11 * g22, g12 * g12[::-1]
+
+    lag = grow_lags(rows_at, p=1, rel_tol=1e-9, cap=2**14)
+    t_auto, t_cross = lag.heads
+    return t_auto, t_cross, {"cov_radius": float(lag.radius), "cov_tail_bound": lag.bracket, "cov_capped": float(lag.capped)}
 
 
 # ---------------------------------------------------------------------------
@@ -287,22 +280,22 @@ def expected_sn(k1: Kernel, k2: Kernel, model: LevyModel, Delta: float, n: int) 
 def expected_qn(b: CoefficientSeq, kernel: Kernel, model: LevyModel, Delta: float, n: int) -> float:
     """Exact mean of the quadratic form, collapsed to a single lag sum.
 
-    ``E Q_n = n * sum_{|u| < n} (1 - |u|/n) b(u) gamma(u Delta)``; lags whose
-    covariance is below the floating floor are dropped.
+    ``E Q_n = n * sum_{|u| < n} (1 - |u|/n) b(u) gamma(u Delta)``.  A finite
+    support is summed whole; power-decay weights are summed to the first
+    radius of :func:`~cmaqf.tails.grow_lags` whose fitted tail is below
+    rounding (``1e-16`` relative), or to ``n - 1``.
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
     sigma2, _ = model.cumulants()
-    u_max = n - 1
-    if isinstance(b, FiniteSupport):
-        u_max = min(u_max, b.radius)
-    gam0 = covariance_lags(kernel, kernel, sigma2, Delta, 0, 0)[0]
-    total = b.weight(0) * gam0
-    floor, dead = abs(gam0) * 1e-18, 0
-    for u in range(1, u_max + 1):
-        g = covariance_lags(kernel, kernel, sigma2, Delta, u, u)[0]
-        total += 2.0 * (1.0 - u / n) * b.weight(u) * g
-        dead = dead + 1 if abs(g) < floor else 0
-        if dead >= 8:
-            break
-    return n * total
+    u_max = min(n - 1, b.radius) if isinstance(b, FiniteSupport) else n - 1
+
+    def rows_at(S):
+        gam = np.zeros(S + 1)  # zero past u_max
+        gam[: min(S, u_max) + 1] = covariance_lags(kernel, kernel, sigma2, Delta, 0, min(S, u_max))
+        u = np.abs(np.arange(-S, S + 1))
+        return ((1.0 - u / n) * b.weight(u) * gam[u],)
+
+    if isinstance(b, FiniteSupport):  # whole: a fitted tail cannot see weights past a run of zero weights
+        return n * float(np.sum(rows_at(u_max)[0]))
+    return n * grow_lags(rows_at, p=1, rel_tol=1e-16, cap=u_max).heads[0]

@@ -15,7 +15,7 @@ import pytest
 from cmaqf.cli import run as cli_run
 from cmaqf.conditions import check_conditions, lp_norm_sequence
 from cmaqf.covariance import FiniteSupport, PowerDecay, autocovariance
-from cmaqf.kernels import ExponentialOU, FractionalNoise, TabulatedKernel, build_carma, grid_sample, solve_sdde_kernel
+from cmaqf.kernels import ExponentialOU, FractionalNoise, SddeKernel, TabulatedKernel, build_carma, grid_sample
 from cmaqf.levy import BrownianMotion, CompoundPoissonNormal, stream
 from cmaqf.montecarlo import ExperimentConfig, run_experiment
 from cmaqf.simulate import PathConfig, simulate_path, stochastic_integrals_joint
@@ -206,7 +206,7 @@ def test_criterion_09_delay_kernel_reduction():
     ts = np.linspace(0.0, 10.0, 4001)
     errs = {}
     for step in (1e-3, 5e-4):
-        k = solve_sdde_kernel([(0.0, -1.0)], 10.0, step)
+        k = SddeKernel(atoms=[(0.0, -1.0)], horizon=10.0, step=step)
         errs[step] = float(np.max(np.abs(k.eval(ts) - np.exp(-ts))))
     assert errs[1e-3] < 1e-4, f"max error {errs[1e-3]}"
     assert errs[1e-3] / errs[5e-4] >= 3.0, f"halving ratio {errs[1e-3] / errs[5e-4]}"

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -227,6 +228,25 @@ def test_envelope_implies_general_assumptions():
     alpha = env.exponents["alpha"]
     gen = check_conditions("qn_general", ou, b=b, Delta=1.0, exponents=(alpha, beta))
     assert gen.overall == "supported"
+
+
+@pytest.mark.parametrize("condition_set", ["qn_general", "qn_envelope"])
+@pytest.mark.parametrize("d, rho", [(0.2, 0.7), (0.1, 0.6)])
+def test_envelope_of_long_memory_refuted_by_convolution_exponent(condition_set, d, rho):
+    # |b| * |phi| decays like t^-(rho + (1 - d) - 1) = t^-0.5 here, not like t^-min(rho, 1 - d):
+    # its lag self-products diverge, and the arithmetic says so at once
+    t0 = time.perf_counter()
+    rep = check_conditions(condition_set, FractionalNoise(d), b=PowerDecay(c=1.0, rho=rho, b0=1.0), Delta=1.0)
+    assert time.perf_counter() - t0 < 1.0
+    assert rep.overall == "refuted"
+    assert "t^-0.5;" in rep.assumptions[0].note
+
+
+@pytest.mark.parametrize("d, rho", [(0.2, 1.2), (0.1, 1.5)])
+def test_envelope_of_gaussian_side_long_memory_not_short_circuited(d, rho):
+    # exponents min(rho, 1 - d, rho - d) = 1 - d > 1/2: the envelope's lag products may converge
+    kernel, b = FractionalNoise(d), PowerDecay(c=1.0, rho=rho, b0=1.0)
+    assert conditions._qn_envelope_divergence(kernel, b, "qn_general") is None
 
 
 def test_autocov_conditions_supported_for_ou():

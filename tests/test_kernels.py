@@ -10,10 +10,10 @@ from cmaqf.kernels import (
     FractionalNoise,
     LinComboKernel,
     PowAbsKernel,
+    SddeKernel,
     TabulatedKernel,
     build_carma,
     grid_sample,
-    solve_sdde_kernel,
 )
 from cmaqf.tails import fit_tail
 
@@ -103,7 +103,7 @@ def test_fractional_noise_asymptotic_ratio():
 
 
 def test_sdde_ou_reduction():
-    k = solve_sdde_kernel([(0.0, -1.0)], 10.0, 1e-3)
+    k = SddeKernel(atoms=[(0.0, -1.0)], horizon=10.0, step=1e-3)
     ts = np.linspace(0.0, 10.0, 5001)
     assert np.max(np.abs(k.eval(ts) - np.exp(-ts))) < 1e-4
     assert k.eval(0.0) == 1.0
@@ -111,14 +111,14 @@ def test_sdde_ou_reduction():
 
 def test_sdde_nonstationary_cases():
     with pytest.raises(NonStationaryError):
-        solve_sdde_kernel([(0.0, 0.0)], 10.0, 1e-3)  # characteristic function z, root at 0
+        SddeKernel(atoms=[(0.0, 0.0)], horizon=10.0, step=1e-3)  # characteristic function z, root at 0
     with pytest.raises(NonStationaryError):
-        solve_sdde_kernel([(0.0, 1.0)], 10.0, 1e-3)  # z + 1, root at -1
+        SddeKernel(atoms=[(0.0, 1.0)], horizon=10.0, step=1e-3)  # z + 1, root at -1
 
 
 def test_sdde_delayed_atom_matches_method_of_steps():
     # dX = -0.5 X_{t-1} dt: phi = 1 on [0,1); 1 - (t-1)/2 on [1,2); quadratic on [2,3)
-    k = solve_sdde_kernel([(1.0, -0.5)], 8.0, 1e-3)
+    k = SddeKernel(atoms=[(1.0, -0.5)], horizon=8.0, step=1e-3)
 
     def oracle(t):
         if t < 1.0:
@@ -136,7 +136,7 @@ def test_sdde_halving_step_improves_at_least_threefold():
     ts = np.linspace(0.0, 10.0, 2001)
     errs = []
     for step in (2e-3, 1e-3):
-        k = solve_sdde_kernel([(0.0, -1.0)], 10.0, step)
+        k = SddeKernel(atoms=[(0.0, -1.0)], horizon=10.0, step=step)
         errs.append(np.max(np.abs(k.eval(ts) - np.exp(-ts))))
     assert errs[0] / errs[1] >= 3.0
 
@@ -160,7 +160,7 @@ def test_grid_sample_errors():
         grid_sample(ou, 1.0, 8, 3.5)  # horizon not a multiple of Delta
     with pytest.raises(GridError):
         grid_sample(ou, 1.0, 0, 4.0)
-    sd = solve_sdde_kernel([(0.0, -1.0)], 4.0, 0.3)
+    sd = SddeKernel(atoms=[(0.0, -1.0)], horizon=4.0, step=0.3)
     with pytest.raises(GridError):
         grid_sample(sd, 1.0, 2, 4.0)  # native step 0.3 does not divide Delta = 1
 

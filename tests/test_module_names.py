@@ -156,3 +156,41 @@ def test_every_private_helper_and_constant_is_used():
             if not used:
                 dead.append(f"{stem}.{name}")
     assert dead == []
+
+
+# Where a sampled tail may be fitted or a truncated lag sum completed: the tails
+# module itself (its radius loop, ``grow_lags``, serves every adaptive lag sum),
+# the kernel table and grid fits, the norm of a given sequence and the lattice
+# tail of a period integral.
+TAIL_CALLERS = {
+    ("kernels", "_fit_table_tail"),
+    ("kernels", "grid_sample"),
+    ("conditions", "lp_norm_sequence"),
+    ("quadrature", "phase_integral"),
+}
+
+
+def _tail_calls(tree) -> set[tuple[str, str]]:
+    """``(top-level definition, callee)`` for each call of ``fit_tail`` or ``lattice_tail_sum``."""
+    found = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("fit_tail", "lattice_tail_sum"):
+                found.add((getattr(top, "name", "<module>"), name))
+    return found
+
+
+def test_lag_tails_are_fitted_and_completed_in_one_place():
+    src = Path(cmaqf.__file__).parent
+    stray = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "tails":
+            continue
+        for where, name in _tail_calls(ast.parse(path.read_text(), str(path))):
+            if (path.stem, where) not in TAIL_CALLERS:
+                stray.append(f"{path.stem}.{where} calls {name}")
+    assert stray == [], "grow a truncated lag sum with tails.grow_lags instead"

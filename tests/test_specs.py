@@ -9,9 +9,9 @@ from cmaqf.kernels import (
     FractionalNoise,
     LinComboKernel,
     PowAbsKernel,
+    SddeKernel,
     TabulatedKernel,
     build_carma,
-    solve_sdde_kernel,
 )
 from cmaqf.levy import BilateralGamma, BrownianMotion, CompoundPoissonNormal
 
@@ -25,7 +25,7 @@ OBJECTS = {
     "exponential_ou": ExponentialOU(0.8),
     "carma": build_carma((3.0, 2.0), (3.0, 1.0), 1),
     "fractional_noise": FractionalNoise(0.1),
-    "sdde": solve_sdde_kernel([(0.5, -1.0)], 8.0, 0.25),
+    "sdde": SddeKernel(atoms=[(0.5, -1.0)], horizon=8.0, step=0.25),
     "tabulated": TabulatedKernel(t0=0.0, step=0.25, values=np.exp(-_TS)),
     "finite_support": FiniteSupport((1.0, 0.5)),
     "power_decay": PowerDecay(1.0, 1.5, 1.0),

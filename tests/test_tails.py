@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cmaqf.tails import CompactTail, ExpTail, PowerTail, fit_tail, lattice_tail_sum
+from cmaqf.tails import CompactTail, ExpTail, PowerTail, fit_tail, grow_lags, lattice_tail_sum
 
 
 @given(
@@ -58,3 +58,60 @@ def test_fit_tail_vanishes_without_three_usable_samples():
     assert fit.constant == 0.0 and fit.points == 0
     assert fit.as_tail() == CompactTail(end=40.0, exact=False)
     assert lattice_tail_sum(fit.as_tail(), 41) == (0.0, 0.0)
+
+
+def _geometric(q, scale=1.0):
+    """Rows ``scale * q**|s|`` on ``-S..S``, counting the radii asked for."""
+    asked = []
+
+    def rows_at(S):
+        asked.append(S)
+        return (scale * q ** np.abs(np.arange(-S, S + 1)),)
+
+    return rows_at, asked
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_grow_lags_stops_at_the_first_bracketed_radius(p):
+    # a geometric row is fitted exactly, so the bracket is 2 r**(S + 1) / (1 - r)
+    # with r = q**p, against the head (1 + r) / (1 - r): the radius follows in closed form
+    q, tol = 0.8, 1e-9
+    r = q**p
+    expected = next(S for S in (32, 64, 128, 256) if 2 * r ** (S + 1) / (1 + r) <= tol)
+    rows_at, asked = _geometric(q)
+    lag = grow_lags(rows_at, p=p, rel_tol=tol, cap=10**6)
+    assert expected > 32 and asked == [S for S in (32, 64, 128) if S <= expected]
+    assert lag.radius == expected and not lag.capped
+    assert lag.bracket == pytest.approx(2 * r ** (expected + 1) / (1 - r), rel=1e-9)
+    assert lag.heads[0] == pytest.approx((1 + r) / (1 - r), rel=1e-12)
+    assert lag.rows[0].shape == (2 * expected + 1,)
+
+
+def test_grow_lags_caps_a_divergent_power_row():
+    asked = []
+
+    def rows_at(S):
+        asked.append(S)
+        s = np.abs(np.arange(-S, S + 1))
+        return (np.maximum(s, 1.0) ** -0.5,)
+
+    lag = grow_lags(rows_at, p=1, rel_tol=1e-3, cap=100)
+    assert asked == [32, 64, 128]  # the first radius at or past the cap
+    assert lag.radius == 128 and lag.capped and lag.bracket == math.inf
+    assert isinstance(lag.tails[0], PowerTail) and lag.tails[0].exponent == pytest.approx(0.5, abs=0.05)
+
+
+def test_grow_lags_scales_by_the_summed_absolute_heads():
+    q, tol = 0.8, 1e-9
+    for second in (-1.0, -3.0):
+        # signed heads H and second * H: their sum would be 0 for second = -1,
+        # but the scale is (1 + |second|) H against a bracket (1 + |second|) times one row's
+        def rows_at(S, second=second):
+            row = q ** np.abs(np.arange(-S, S + 1))
+            return row, second * row
+
+        lag = grow_lags(rows_at, p=1, rel_tol=tol, cap=10**6)
+        single = grow_lags(_geometric(q)[0], p=1, rel_tol=tol, cap=10**6)
+        assert lag.radius == single.radius == 128 and not lag.capped
+        assert lag.heads[1] == pytest.approx(second * lag.heads[0], rel=1e-15) and lag.heads[1] < 0
+        assert lag.bracket == pytest.approx((1 - second) * single.bracket, rel=1e-12)

@@ -307,6 +307,36 @@ def test_expected_qn_power_decay_against_double_sum():
     assert val == pytest.approx(oracle, rel=1e-7)
 
 
+def _ou_mean_double_sum(b, lam, n):
+    """``sum_{i,j < n} b(i - j) gamma(i - j)`` with the closed-form OU covariance
+    ``gamma(h) = e^{-lam |h|} / (2 lam)`` of a unit Brownian driver, Delta = 1."""
+    d = np.subtract.outer(np.arange(n), np.arange(n))
+    return float(np.sum(b.weight(d) * np.exp(-lam * np.abs(d)) / (2.0 * lam)))
+
+
+def test_expected_qn_sums_a_finite_support_whole():
+    # radius 99 with OU(0.3): gamma(99) is 1e-13 of gamma(0), far above rounding, and
+    # a support with a gap past lag 32 (b = delta_50) leaves nothing for a fitted tail to see
+    lam, n = 0.3, 400
+    for b in (FiniteSupport(tuple(1.0 / (1 + k) for k in range(100))), FiniteSupport((0.0,) * 50 + (1.0,))):
+        val = expected_qn(b, ExponentialOU(lam), BrownianMotion(1.0), 1.0, n)
+        assert val == pytest.approx(_ou_mean_double_sum(b, lam, n), rel=1e-13)
+
+
+def test_expected_qn_grows_power_weights_until_rounding(monkeypatch):
+    from cmaqf import variance
+    from cmaqf.covariance import PowerDecay
+
+    asked = []
+    lags = variance.covariance_lags
+    monkeypatch.setattr(variance, "covariance_lags", lambda *a, **kw: asked.append(a[5]) or lags(*a, **kw))
+    lam, n, b = 0.3, 400, PowerDecay(c=1.0, rho=1.5, b0=1.0)
+    val = expected_qn(b, ExponentialOU(lam), BrownianMotion(1.0), 1.0, n)
+    # more than one doubling, and stopped by the tail bracket before the n - 1 cap
+    assert asked == [32, 64, 128]
+    assert val == pytest.approx(_ou_mean_double_sum(b, lam, n), rel=1e-13)
+
+
 def test_eta2_qn_routes_agree_within_their_bounds_off_unit_spacing():
     # Whittle score of the sampled OU at a non-dyadic spacing: the bilinear route's
     # lag covariances put quadrature edges at jumps shifted by multiples of 0.7;
