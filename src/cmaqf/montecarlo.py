@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 import scipy.special
 
-from .conditions import check_conditions
 from .covariance import CoefficientSeq, covariance_lags
 from .errors import ParameterError
 from .inference import ls_kernel_pair, poly_map, yule_walker
@@ -35,7 +34,7 @@ from .simulate import (
     simulate_pair,
     simulate_path,
 )
-from .variance import autocov_clt_sigma, eta2_qn, eta2_sn, expected_qn, expected_sn
+from .variance import _gate_conditions, autocov_clt_sigma, eta2_qn, eta2_sn, expected_qn, expected_sn
 
 __all__ = ["ExperimentConfig", "LsSpec", "McReport", "run_experiment", "ks_distance", "run_replicates"]
 
@@ -221,10 +220,19 @@ def _qn_setup(cfg: ExperimentConfig):
     return rep.eta2, rep.conditions_note, one, {}
 
 
+def _autocov_gate(cfg: ExperimentConfig):
+    """The kernel's autocov condition check, run once and gated as the limit
+    variances gate theirs (refuted raises unless conditions are waived): the
+    report to pass on as ``check`` and a note naming the verdict."""
+    check = "auto" if cfg.conditions == "auto" else "skip"
+    report, note = _gate_conditions("autocov", cfg.kernel, None, cfg.delta, cfg.model, check, False)
+    return ("skip", note) if report is None else (report, f"autocov conditions {report.overall}")
+
+
 def _autocov_setup(cfg: ExperimentConfig):
     m = cfg.lags
     alpha = np.asarray(cfg.contrast, dtype=float)
-    check = "auto" if cfg.conditions == "auto" else "skip"
+    check, note = _autocov_gate(cfg)
     sigma = autocov_clt_sigma(cfg.kernel, cfg.model, cfg.delta, m, check=check)
     target = float(alpha @ sigma @ alpha)
     sigma2, _ = cfg.model.cumulants()
@@ -243,22 +251,15 @@ def _autocov_setup(cfg: ExperimentConfig):
         ghat = sample_autocov(x, m)
         return math.sqrt(cfg.n) * float(alpha @ (ghat - finite_mean))
 
-    note = "centering at the exact finite-n mean (1 - j/n) gamma(j Delta)"
-    return target, note, one, extra
+    return target, f"{note}; centering at the exact finite-n mean (1 - j/n) gamma(j Delta)", one, extra
 
 
 def _ls_setup(cfg: ExperimentConfig):
+    _, note = _autocov_gate(cfg)  # the base kernel's autocovariance conditions license the limit
     spec = cfg.ls
     v, vp = (spec.v, spec.vp) if spec.v is not None and spec.vp is not None else poly_map([[0.0, 1.0]])
     theta0 = spec.theta0 if spec.theta0 is not None else float(yule_walker(cfg.kernel, cfg.model, cfg.delta, 1)[0])
     k1, k2 = ls_kernel_pair(cfg.kernel, v, vp, theta0, spec.k, cfg.delta)
-    check = "auto" if cfg.conditions == "auto" else "skip"
-    if check == "auto":
-        # license the limit through the base kernel's autocovariance conditions
-        base_rep = check_conditions("autocov", cfg.kernel, Delta=cfg.delta, model=cfg.model)
-        note = f"autocov conditions {base_rep.overall}"
-    else:
-        note = "unverified (check skipped)"
     rep = eta2_sn(k1, k2, cfg.model, cfg.delta, check="skip")
 
     def one(r: int) -> float:

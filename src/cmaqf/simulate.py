@@ -3,15 +3,15 @@
 Paths are generated by Riemann discretisation of the stochastic convolution
 on a fine grid of ``fine_steps`` cells per sampling interval: exact driver
 increments, kernel evaluated at the cell midpoint, and only the ``n`` sampled
-values computed from one long increment sequence.  Three routes compute them,
-each named in ``provenance["route"]``: a polyphase block product of the
-increments with the phase matrix (the reversed weights cut into one row per
-sampling interval); one FFT convolution when the window is so wide that the
-block product costs more; and, when the phase matrix has numerical rank at
-most 4 (recorded in ``provenance["rank"]``), a low-rank product through its
-row basis.  Kernels that are sums of ``p`` exponential modes, OU and CARMA,
-have rank ``p``: each row is the same ``p`` exponentials over one sampling
-interval, scaled per mode.
+values computed from one long increment sequence.  The phase matrix (the
+reversed weights cut into one row per sampling interval) picks the route,
+named in ``provenance["route"]``: when its numerical rank is at most 4
+(recorded in ``provenance["rank"]``), a low-rank product through its row
+basis; otherwise a polyphase block product of the increments with the phase
+matrix, or one FFT convolution when the window is so wide that the block
+product costs more.  Kernels that are sums of ``p`` exponential modes, OU and
+CARMA, have rank ``p``: each row is the same ``p`` exponentials over one
+sampling interval, scaled per mode.
 
 Midpoint evaluation makes the second-order error of the simulated process
 O(step^2) instead of the O(step) of an edge rule, which is what lets desk-scale
@@ -61,21 +61,17 @@ __all__ = [
 _POWER_HORIZON_CAP = 1024  # multiples of delta; power-tail truncation is disclosed, not silent
 _INTEGRAL_CHUNK = 100_000  # replicates per increment matrix in stochastic_integrals_joint
 _GEMM_CALLING_THREAD = 262_144  # OpenBLAS runs a gemm with m*n*k at most this without its thread pool
-# block-product multiply-adds that cost as much as one unit of N log2 N in an
-# FFT convolution of length N: about 0.14 ns against 2.8 ns on a Xeon vCPU with
-# OpenBLAS's Haswell kernels, where at n = 4000, fine_steps = 64 the block
-# product is faster up to P = 257 weight rows and slower from P = 513
-_FFT_OPS_PER_NLOGN = 20.0
-_LOWRANK_MAX = 4  # phase-matrix rank past which the detection gives up
+# the block product costs F multiply-adds for each of its (n + P - 1) P window
+# cells plus about 22 more for writing the cell and reading it into a diagonal
+# sum, and one unit of N log2 N of an FFT convolution of length N about 28: on
+# a 2-vCPU Xeon with OpenBLAS's Haswell kernels, 0.06 ns per multiply-add,
+# 1.3 ns per cell and 1.7 ns per N log2 N (n = 50-4000, P = 9-1025,
+# fine_steps 1-64).  At 32 the choice is within 1.25x or 0.02 ms of the faster
+# route at every point measured.
+_WINDOW_CELL_OPS = 22.0
+_FFT_OPS_PER_NLOGN = 32.0
+_LOWRANK_MAX = 4  # phase-matrix rank up to which the low-rank product is taken
 _LOWRANK_TOL = 1e-13  # relative Frobenius residual of the row basis the low-rank route keeps
-# a multiply-add of the low-rank route (skinny gemm, correlation, Gram-Schmidt
-# update) costs about 3.5 block-product ones, and each Gram-Schmidt step adds
-# about 22 us of call overhead, i.e. 60 000 such multiply-adds (same Xeon vCPU,
-# ranks 1-4, n = 50-4000, fine_steps 1-64, P = 9-65).  The block product's
-# count leaves out its window writes, so at fine_steps <= 16 the model keeps
-# the block product in some cases where the low-rank route is faster.
-_LOWRANK_OPS_WEIGHT = 3.5
-_GS_STEP_OPS = 60_000
 
 
 @dataclass(frozen=True)
@@ -137,37 +133,28 @@ def resolve_horizon(kernel: Kernel, cfg: PathConfig) -> float:
     """Truncation window for ``kernel``: the configured one, or the smallest
     power-of-two multiple of ``delta`` (64 by default, up to 1024 for
     power-law tails) whose relative squared tail mass meets the budget."""
+    total = product_integral(kernel, kernel, 0.0).value
     if cfg.horizon is not None:
-        _check_tail_mass(kernel, cfg.horizon, cfg.tail_mass_budget)
-        return cfg.horizon
-    if isinstance(kernel.decay, PowerTail):
+        T = cap = cfg.horizon
+    else:
         T = 64 * cfg.delta
-        while True:
-            try:
-                _check_tail_mass(kernel, T, cfg.tail_mass_budget)
-                return T
-            except TruncationError:
-                if T >= _POWER_HORIZON_CAP * cfg.delta:
-                    raise
-                T *= 2.0
-    T = 64 * cfg.delta
-    _check_tail_mass(kernel, T, cfg.tail_mass_budget)
+        cap = _POWER_HORIZON_CAP * cfg.delta if isinstance(kernel.decay, PowerTail) else T
+    while not (rel := _tail_mass_rel(kernel, T, total)) <= cfg.tail_mass_budget:
+        if T >= cap:
+            raise TruncationError(
+                f"kernel squared mass outside [-{T:g}, {T:g}] is {rel:.3g} of the total, "
+                f"exceeding the budget {cfg.tail_mass_budget:g}"
+            )
+        T *= 2.0
     return T
 
 
-def _check_tail_mass(kernel: Kernel, horizon: float, budget: float) -> float:
-    total = product_integral(kernel, kernel, 0.0).value
+def _tail_mass_rel(kernel: Kernel, horizon: float, total: float) -> float:
+    """Squared kernel mass outside ``[-horizon, horizon]`` relative to ``total``."""
     out = tail_integral(kernel.decay, horizon, power=2.0)
-    lo = kernel.support_lo
-    if lo < -horizon:
+    if kernel.support_lo < -horizon:
         out = math.inf  # window must cover the support start
-    rel = out / max(total, 1e-300)
-    if not rel <= budget:
-        raise TruncationError(
-            f"kernel squared mass outside [-{horizon:g}, {horizon:g}] is {rel:.3g} of the total, "
-            f"exceeding the budget {budget:g}"
-        )
-    return rel
+    return out / max(total, 1e-300)
 
 
 def _weights(kernel: Kernel, lo: float, horizon: float, step: float) -> np.ndarray:
@@ -184,24 +171,14 @@ def _increment_count(cfg: PathConfig, horizon: float, lo: float) -> int:
     return int(round((u_max - u_min) / step)) + 1
 
 
-def _fast_route(n: int, fine_steps: int, width: int) -> tuple[str, float]:
-    """``"blocked"`` when the block product's multiply-adds undercut the FFT's
-    modelled cost, else ``"fft"``, with that cost in block-product
-    multiply-adds; both depend only on the geometry."""
+def _fast_route(n: int, fine_steps: int, width: int) -> str:
+    """``"blocked"`` when the block product's modelled cost, in multiply-adds,
+    undercuts the FFT's, else ``"fft"``; both depend only on the geometry."""
     phases = -(-width // fine_steps)
     size = (n - 1) * fine_steps + 2 * width - 1  # full convolution length
-    blocked_ops = (n + phases - 1) * phases * fine_steps
+    blocked_ops = (n + phases - 1) * phases * (fine_steps + _WINDOW_CELL_OPS)
     fft_ops = _FFT_OPS_PER_NLOGN * size * math.log2(size)
-    return ("blocked", blocked_ops) if blocked_ops < fft_ops else ("fft", fft_ops)
-
-
-def _lowrank_cost(n: int, phases: int, fine_steps: int, rank: int) -> float:
-    """Modelled cost, in block-product multiply-adds, of finding a phase
-    matrix's rank to be ``rank`` (``rank + 1`` Gram-Schmidt steps) and of the
-    low-rank product at that rank."""
-    product = (n + phases - 1) * fine_steps * rank + n * phases * rank
-    detection = (rank + 1) * (_GS_STEP_OPS + 4 * phases * fine_steps)
-    return _LOWRANK_OPS_WEIGHT * (product + detection)
+    return "blocked" if blocked_ops < fft_ops else "fft"
 
 
 def _phase_matrix(w: np.ndarray, fine_steps: int) -> np.ndarray:
@@ -211,9 +188,9 @@ def _phase_matrix(w: np.ndarray, fine_steps: int) -> np.ndarray:
     return R
 
 
-def _row_basis(R: np.ndarray, max_rank: int) -> np.ndarray | None:
+def _row_basis(R: np.ndarray) -> np.ndarray | None:
     """Orthonormal rows ``B`` with ``||R - (R B^T) B||_F <= _LOWRANK_TOL ||R||_F``,
-    or ``None`` when that takes more than ``max_rank`` rows.
+    or ``None`` when that takes more than ``_LOWRANK_MAX`` rows.
 
     Gram-Schmidt on the rows of ``R``, each step taking the row with the
     largest residual; an all-zero ``R`` has rank 0.
@@ -223,7 +200,7 @@ def _row_basis(R: np.ndarray, max_rank: int) -> np.ndarray | None:
     limit = _LOWRANK_TOL**2 * norms.sum()
     basis = np.empty((0, R.shape[1]))
     while norms.sum() > limit:
-        if len(basis) == max_rank:
+        if len(basis) == _LOWRANK_MAX:
             return None
         b = resid[np.argmax(norms)]
         b = b - (basis @ b) @ basis  # second pass: orthogonality lost to cancellation in resid
@@ -319,15 +296,11 @@ def _convolve_paths(weights_list, dL, n: int, fine_steps: int, method: str):
         return out, [("direct", None)] * len(out)
     if method != "fast":
         raise ParameterError(f"unknown method {method!r}")
-    route, cost = _fast_route(n, fine_steps, width)
-    phases = -(-width // fine_steps)
-    max_rank = max(
-        (r for r in range(_LOWRANK_MAX + 1) if _lowrank_cost(n, phases, fine_steps, r) < cost), default=None
-    )
+    route = _fast_route(n, fine_steps, width)
     out, routes = [], []
     for w in weights_list:
         R = _phase_matrix(w, fine_steps)
-        basis = None if max_rank is None else _row_basis(R, max_rank)
+        basis = _row_basis(R)
         if basis is not None:
             out.append(_lowrank_samples(R, basis, dL, n))
             routes.append(("lowrank", len(basis)))
@@ -344,13 +317,13 @@ def simulate_path(kernel: Kernel, model: LevyModel, cfg: PathConfig, *, method: 
     """Simulate ``X_delta, ..., X_{n delta}`` for one kernel.
 
     ``method="fast"`` computes only the ``n`` kept samples: by a low-rank
-    product when the phase matrix has rank at most 4 and that is cheaper,
-    else by a polyphase block product or, for wide windows where that costs
-    more, by one FFT convolution of all increments; ``provenance["route"]``
-    names the one used and ``provenance["rank"]`` the rank on the low-rank
-    route (else ``None``).  ``method="direct"`` computes every sampled value
-    by an explicit window dot product; it is the slow reference the fast
-    routes are checked against.
+    product when the phase matrix has rank at most 4, else by a polyphase
+    block product or, for wide windows where that costs more, by one FFT
+    convolution of all increments; ``provenance["route"]`` names the one
+    used and ``provenance["rank"]`` the rank on the low-rank route (else
+    ``None``).  ``method="direct"`` computes every sampled value by an
+    explicit window dot product; it is the slow reference the fast routes
+    are checked against.
     """
     (path,) = _simulate((kernel,), model, cfg, method)
     return path
@@ -381,7 +354,7 @@ def _simulate(kernels, model: LevyModel, cfg: PathConfig, method: str):
             "config": _hash_dict(asdict(cfg_res)),
             "kernel": _hash_dict(spec(k)),
             "model": _hash_dict(spec(model)),
-            "tail_mass_rel": _check_tail_mass(k, horizon, cfg.tail_mass_budget),
+            "tail_mass_rel": _tail_mass_rel(k, horizon, product_integral(k, k, 0.0).value),
             "route": route,
             "rank": rank,
         }

@@ -1,10 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cmaqf import variance
+from cmaqf.conditions import AssumptionCheck, ConditionReport
 from cmaqf.inference import ls_kernel_pair, poly_map, yule_walker
-from cmaqf.errors import ParameterError
+from cmaqf.errors import ConditionsRefutedError, ParameterError
 from cmaqf.kernels import ExponentialOU
 from cmaqf.levy import BrownianMotion, CompoundPoissonNormal
 from cmaqf.montecarlo import ExperimentConfig, LsSpec, run_experiment
@@ -51,10 +54,38 @@ def test_autocov_contrast_calibrates_and_reports_centering():
         lags=1, contrast=(1.0,), n=1000, replicates=300, seed=6,
     )
     rep = run_experiment(cfg, threads=4)
+    assert rep.conditions_note.startswith("autocov conditions supported; centering")
     assert 0.75 < rep.variance_ratio < 1.25
     assert abs(rep.extra["centering_shift"]) <= rep.extra["centering_shift_bound"]
     sig = autocov_clt_sigma(ExponentialOU(1.0), BrownianMotion(2.0), 1.0, 1)
     assert rep.eta2 == pytest.approx(float(sig[0, 0]), rel=1e-12)
+
+
+AUTOCOV_GATED = {"autocov_contrast": {"lags": 1, "contrast": (1.0,)}, "ls_derivative": {"ls": LsSpec()}}
+
+
+@pytest.mark.parametrize("statistic", sorted(AUTOCOV_GATED))
+def test_autocov_gated_experiments_run_one_check_and_name_its_verdict(monkeypatch, statistic):
+    cfg = ExperimentConfig(
+        statistic=statistic, kernel=ExponentialOU(1.0), model=BrownianMotion(1.0), delta=1.0,
+        n=50, replicates=10, seed=0, **AUTOCOV_GATED[statistic],
+    )
+    calls, verdict = [], "indeterminate"
+
+    def stub(condition_set, *args, **kwargs):
+        calls.append(condition_set)
+        return ConditionReport(condition_set, {}, (AssumptionCheck(name="stub", verdict=verdict),))
+
+    monkeypatch.setattr(variance, "check_conditions", stub)
+    rep = run_experiment(cfg)
+    assert calls == ["autocov"]
+    assert rep.conditions_note.startswith("autocov conditions indeterminate")
+    verdict = "refuted"
+    with pytest.raises(ConditionsRefutedError):
+        run_experiment(cfg)
+    waived = run_experiment(replace(cfg, conditions="waive"))
+    assert calls == ["autocov", "autocov"]
+    assert waived.conditions_note.startswith("unverified (check skipped)")
 
 
 def test_autocov_contrast_calibrates_with_kappa4_block():

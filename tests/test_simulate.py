@@ -8,8 +8,17 @@ from hypothesis import strategies as st
 from cmaqf import simulate
 from cmaqf.covariance import FiniteSupport, PowerDecay
 from cmaqf.errors import GridError, ParameterError, TruncationError
-from cmaqf.kernels import ExponentialOU, FractionalNoise, LinComboKernel, TabulatedKernel, build_carma, grid_sample
+from cmaqf.kernels import (
+    ExponentialOU,
+    FractionalNoise,
+    LinComboKernel,
+    PowAbsKernel,
+    TabulatedKernel,
+    build_carma,
+    grid_sample,
+)
 from cmaqf.levy import BilateralGamma, BrownianMotion, CompoundPoissonNormal, stream
+from cmaqf.quadrature import product_integral
 from cmaqf.simulate import (
     PathConfig,
     SamplePath,
@@ -43,7 +52,7 @@ def test_simulation_deterministic_and_provenance():
     assert a.provenance == b.provenance
     c = simulate_path(ExponentialOU(1.0), BrownianMotion(2.0), PathConfig(delta=1.0, n=64, fine_steps=16, seed=9, stream_index=3))
     assert not np.array_equal(a.values, c.values)
-    assert a.provenance["route"] == "blocked"
+    assert (a.provenance["route"], a.provenance["rank"]) == ("lowrank", 1)
     assert simulate_path(ExponentialOU(1.0), BrownianMotion(2.0), cfg, method="direct").provenance["route"] == "direct"
     wide = simulate_path(FractionalNoise(0.1), BrownianMotion(1.0), PathConfig(delta=1.0, n=300, fine_steps=8, horizon=1024.0))
     assert wide.provenance["route"] == "fft"
@@ -74,28 +83,30 @@ def test_fft_matches_direct_for_noncausal_combo():
 
 
 NONCAUSAL = LinComboKernel(base=ExponentialOU(1.0), shifts=(-1.3, 0.7), coeffs=(0.5, -1.0))
+CARMA_COMPLEX = build_carma((1.0, 2.0), (0.5, 1.0), 1)  # roots (-1 +- i sqrt 7) / 2
+# |phi| of the oscillating CARMA kernel kinks at each zero, so its phase matrix has rank above 4
+ABS_CARMA = PowAbsKernel(CARMA_COMPLEX, 1.0)
+LOW_RANK = (ExponentialOU(1.0), ExponentialOU(2.0), NONCAUSAL)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    kernel=st.sampled_from([ExponentialOU(1.0), ExponentialOU(2.0), NONCAUSAL]),
+    kernel=st.sampled_from(LOW_RANK),
     fine_steps=st.integers(1, 64),
     n=st.integers(1, 300),
     horizon=st.sampled_from([8.0, 16.0, 32.0, 64.0]),
     seed=st.integers(0, 2**32),
 )
 @example(kernel=ExponentialOU(1.0), fine_steps=64, n=300, horizon=64.0, seed=0)  # low-rank product
-@example(kernel=ExponentialOU(1.0), fine_steps=8, n=40, horizon=8.0, seed=0)  # block product
+@example(kernel=ABS_CARMA, fine_steps=8, n=40, horizon=16.0, seed=0)  # block product
 @example(kernel=FractionalNoise(0.1), fine_steps=8, n=300, horizon=1024.0, seed=0)  # FFT
 def test_fast_routes_match_direct_property(kernel, fine_steps, n, horizon, seed):
     cfg = PathConfig(delta=1.0, n=n, fine_steps=fine_steps, horizon=horizon, seed=seed)
     fast = simulate_path(kernel, CompoundPoissonNormal(1.0, 1.0), cfg)
     slow = simulate_path(kernel, CompoundPoissonNormal(1.0, 1.0), cfg, method="direct")
     assert fast.provenance["route"] in ("lowrank", "blocked", "fft")
+    assert (fast.provenance["route"] == "lowrank") == (kernel in LOW_RANK)
     assert np.max(np.abs(fast.values - slow.values)) <= 1e-12 * np.max(np.abs(slow.values))
-
-
-CARMA_COMPLEX = build_carma((1.0, 2.0), (0.5, 1.0), 1)  # roots (-1 +- i sqrt 7) / 2
 
 
 @settings(max_examples=40, deadline=None)
@@ -109,11 +120,9 @@ CARMA_COMPLEX = build_carma((1.0, 2.0), (0.5, 1.0), 1)  # roots (-1 +- i sqrt 7)
     seed=st.integers(0, 2**32),
 )
 def test_lowrank_route_matches_direct_property(kernel, delta, fine_steps, n, periods, model, seed):
-    # the cost model is bypassed, so the low-rank route runs at every size
+    # a phase matrix of rank at most 4 takes the low-rank route at every size
     cfg = PathConfig(delta=delta, n=n, fine_steps=fine_steps, horizon=periods * delta, seed=seed, tail_mass_budget=1.0)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulate, "_lowrank_cost", lambda *args: 0.0)
-        fast = simulate_path(kernel, model, cfg)
+    fast = simulate_path(kernel, model, cfg)
     slow = simulate_path(kernel, model, cfg, method="direct")
     assert fast.provenance["route"] == "lowrank" and 1 <= fast.provenance["rank"] <= 4
     assert np.max(np.abs(fast.values - slow.values)) <= 1e-12 * np.max(np.abs(slow.values))
@@ -121,16 +130,14 @@ def test_lowrank_route_matches_direct_property(kernel, delta, fine_steps, n, per
 
 def test_zero_phase_matrix_has_rank_zero():
     zero = TabulatedKernel(t0=0.0, step=0.25, values=np.zeros(16))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulate, "_lowrank_cost", lambda *args: 0.0)
-        p = simulate_path(zero, BrownianMotion(1.0), PathConfig(delta=1.0, n=32, fine_steps=4, horizon=4.0))
+    p = simulate_path(zero, BrownianMotion(1.0), PathConfig(delta=1.0, n=32, fine_steps=4, horizon=4.0))
     assert (p.provenance["route"], p.provenance["rank"]) == ("lowrank", 0)
     assert np.all(p.values == 0.0)
 
 
 def test_route_and_rank_follow_the_phase_matrix():
     # exponential-mode kernels have one basis row per mode; fractional noise needs 9 > 4,
-    # so after one failed detection it keeps the block product
+    # so after one failed detection it takes the block product
     cfg = PathConfig(delta=1.0, n=400, fine_steps=64, seed=2)
     carma = build_carma((3.0, 2.0), (3.0, 1.0), 1)
     for kernel, rank in ((ExponentialOU(1.0), 1), (carma, 2)):
@@ -146,6 +153,33 @@ def test_route_and_rank_follow_the_phase_matrix():
     s1, s2 = simulate_pair(carma, ExponentialOU(0.5), BrownianMotion(1.0), cfg, method="direct")
     for fast, slow in ((x1, s1), (x2, s2)):
         assert np.max(np.abs(fast.values - slow.values)) <= 1e-12 * np.max(np.abs(slow.values))
+
+
+@pytest.mark.parametrize("fine_steps", [1, 4, 8])
+def test_exponential_mode_kernels_take_the_lowrank_route_at_every_fine_step(fine_steps):
+    # the rank alone picks the low-rank product, also where the block product needs few multiply-adds
+    cfg = PathConfig(delta=1.0, n=4000, fine_steps=fine_steps, seed=3)
+    for kernel, rank in ((ExponentialOU(1.0), 1), (build_carma((3.0, 2.0), (3.0, 1.0), 1), min(2, fine_steps))):
+        fast = simulate_path(kernel, BrownianMotion(1.0), cfg)
+        slow = simulate_path(kernel, BrownianMotion(1.0), cfg, method="direct")
+        assert (fast.provenance["route"], fast.provenance["rank"]) == ("lowrank", rank)
+        assert np.max(np.abs(fast.values - slow.values)) <= 1e-12 * np.max(np.abs(slow.values))
+
+
+def test_block_or_fft_choice_counts_the_window_cells():
+    # (n, fine_steps, weights): n = 4000 with P = 257 phase rows is faster by FFT at every
+    # fine_steps; with P = 65 at fine_steps 8 the block product is faster
+    assert simulate._fast_route(4000, 1, 257) == "fft"
+    assert simulate._fast_route(4000, 8, 257 * 8 - 7) == "fft"
+    assert simulate._fast_route(4000, 8, 65 * 8 - 7) == "blocked"
+
+
+def test_power_tail_horizon_search_integrates_the_squared_mass_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(simulate, "product_integral", lambda *a, **kw: calls.append(a) or product_integral(*a, **kw))
+    p = simulate_path(FractionalNoise(0.1), BrownianMotion(1.0), PathConfig(delta=1.0, n=10, fine_steps=8))
+    assert len(calls) == 2  # the horizon search (64 to 1024 delta) and the provenance's tail mass
+    assert p.provenance["tail_mass_rel"] <= 1e-4
 
 
 def test_discretization_second_order_and_within_budget():
@@ -175,7 +209,8 @@ def test_paired_simulation_common_driver_crosscovariance():
 
 def test_pair_with_same_kernel_reproduces_single_path():
     cases = (
-        (ExponentialOU(1.0), PathConfig(delta=1.0, n=64, fine_steps=8, seed=1), "blocked"),
+        (ExponentialOU(1.0), PathConfig(delta=1.0, n=64, fine_steps=8, seed=1), "lowrank"),
+        (ABS_CARMA, PathConfig(delta=1.0, n=64, fine_steps=8, horizon=16.0, seed=1), "blocked"),
         (FractionalNoise(0.1), PathConfig(delta=1.0, n=300, fine_steps=8, horizon=1024.0, seed=1), "fft"),
     )
     for kernel, cfg, route in cases:
