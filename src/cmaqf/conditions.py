@@ -14,7 +14,8 @@ analytic envelopes of the kernel families) refutes in every set.  The fitted
 tail exponent of a tabulated kernel refutes only in the decay-style sets
 (``sn_decay``, ``qn_decay``), whose hypotheses are those exponents; in the
 other sets a fitted exponent that caps the search leaves the set
-indeterminate.
+indeterminate.  So does a fitted exponent sum that makes a lag product or a
+period norm infinite, which an exact one refutes; that norm takes no quadrature.
 
 Each norm is computed once per check: period norms go through one
 :func:`~cmaqf.quadrature.phase_integral` each, lag sequences through one
@@ -213,8 +214,31 @@ def _rho_cap(kernel: Kernel) -> tuple[float, bool]:
     return (1.0, True) if pe is None else (min(pe[0], 1.0), pe[1])
 
 
+def _divergence(kernels, alpha) -> tuple[float, bool] | None:
+    """``(alpha * sum_i rho_i, exact)`` of the kernels' power tails when it is
+    <= 1: then ``sum_s prod_i |k_i(t + s Delta)|**alpha`` diverges, and for
+    ``alpha = 1`` so does every ``int |k_1(t) k_2(t + s Delta)| dt``."""
+    pes = [_power_exponent(k) for k in kernels]
+    total = math.inf if None in pes else alpha * sum(rho for rho, _ in pes)
+    return (total, all(exact for _, exact in pes)) if total <= 1.0 else None
+
+
+def _judged(name, norms, divergence, verdict=None, note="") -> AssumptionCheck:
+    """Assumption ``name`` on ``norms``: refuted by an exact :func:`_divergence`, indeterminate
+    by a fitted one, else ``verdict`` with ``note``, else judged by the norms' tails."""
+    if divergence is None:
+        return AssumptionCheck(name, verdict or _verdict_from_norms(norms), norms, note)
+    total, exact = divergence
+    infinite = ", ".join(n.name for n in norms if n.value == math.inf)
+    note = f"infinite {infinite}: {'exact' if exact else 'fitted'} tail exponents give alpha * sum rho = {total:g} <= 1"
+    return AssumptionCheck(name, REFUTED if exact else INDETERMINATE, norms, note)
+
+
 def _abs_lag_sequence(k1, k2, Delta):
-    """``(values, tail, radius)`` of ``s -> int |k1(t) k2(t + s Delta)| dt`` with a fitted tail model."""
+    """``(values, tail, radius)`` of ``s -> int |k1(t) k2(t + s Delta)| dt`` with a
+    fitted tail model, or ``None`` when :func:`_divergence` shows the integrals diverge."""
+    if _divergence((k1, k2), 1.0) is not None:
+        return None
     abs1, abs2 = PowAbsKernel(k1, 1.0), PowAbsKernel(k2, 1.0)
 
     def rows_at(S):
@@ -225,14 +249,19 @@ def _abs_lag_sequence(k1, k2, Delta):
 
 
 def _norm_entry(name, seq, p) -> NormEstimate:
-    """l^p norm of a lag sequence ``(values, tail, radius)`` from :func:`_abs_lag_sequence`."""
+    """l^p norm of a lag sequence ``(values, tail, radius)`` from :func:`_abs_lag_sequence`, or ``inf``."""
+    if seq is None:
+        return NormEstimate(name=name, value=math.inf, tail_bound=math.inf)
     values, tail, radius = seq
     norm, bound = lp_norm_sequence(values, tail, p)
     return NormEstimate(name=name, value=norm, tail_bound=bound, radius=radius)
 
 
 def _period_norm(kernels, alpha, p_out, Delta, label) -> NormEstimate:
-    """Norm of ``t -> sum_s prod_i |k_i(t + s Delta)|**alpha`` in ``L^{p_out}([0, Delta])``."""
+    """Norm of ``t -> sum_s prod_i |k_i(t + s Delta)|**alpha`` in ``L^{p_out}([0, Delta])``;
+    infinite, with no quadrature, when :func:`_divergence` shows the sum diverges."""
+    if _divergence(kernels, alpha) is not None:
+        return NormEstimate(name=label, value=math.inf, tail_bound=math.inf)
     ph = phase_integral(kernels, Delta, alpha=alpha, power=p_out, nodes_per_period=_NODES_PER_PERIOD)
     return NormEstimate(name=label, value=max(ph.value, 0.0) ** (1.0 / p_out), tail_bound=ph.tail_bound)
 
@@ -376,36 +405,26 @@ def _check_pair_general(tag, k1, k2, Delta, exponents, brownian):
         if _verdict_from_norms((n1, n2)) == SUPPORTED:
             chosen, chosen_norms = (al1, al2), (n1, n2)
             break
+    name = "lag_self_products_summable"
     if chosen is None:
+        norms = (_norm_entry("lag_self_products(2)[1]", seq1, 2.0), _norm_entry("lag_self_products(2)[2]", seq2, 2.0))
         # provable infeasibility: both sequences have exact power exponents
         e1, e2 = gamma_seq_exponent(k1, k1), gamma_seq_exponent(k2, k2)
-        refutable = (
-            e1 is not None
-            and e2 is not None
-            and k1.decay.exact
-            and k2.decay.exact
-            and e1 + e2 <= 1.0
-        )
-        first = AssumptionCheck(
-            name="lag_self_products_summable",
-            verdict=REFUTED if refutable else INDETERMINATE,
-            norms=(
-                _norm_entry("lag_self_products(2)[1]", seq1, 2.0),
-                _norm_entry("lag_self_products(2)[2]", seq2, 2.0),
-            ),
-            note="no conjugate exponent pair with resolvable tails" if not refutable else "exponent arithmetic: e1 + e2 <= 1",
+        refutable = e1 is not None and e2 is not None and e1 + e2 <= 1.0
+        first = _judged(
+            name,
+            norms,
+            _divergence((k1, k1), 1.0) or _divergence((k2, k2), 1.0),
+            REFUTED if refutable else INDETERMINATE,
+            "exponent arithmetic: e1 + e2 <= 1" if refutable else "no conjugate exponent pair with resolvable tails",
         )
         exps = {}
     else:
-        first = AssumptionCheck(name="lag_self_products_summable", verdict=SUPPORTED, norms=chosen_norms)
+        first = AssumptionCheck(name, SUPPORTED, chosen_norms)
         exps = {"alpha1": chosen[0], "alpha2": chosen[1]}
 
     ncross = _norm_entry("lag_cross_products(2)", cross, 2.0)
-    second = AssumptionCheck(
-        name="lag_cross_products_square_summable",
-        verdict=_verdict_from_norms((ncross,)),
-        norms=(ncross,),
-    )
+    second = _judged("lag_cross_products_square_summable", (ncross,), _divergence((k1, k2), 1.0))
 
     assumptions = [first, second]
     skipped = ()
@@ -413,9 +432,7 @@ def _check_pair_general(tag, k1, k2, Delta, exponents, brownian):
         skipped = ("period_square_integrable: not needed for a Brownian driver (kappa4 = 0)",)
     else:
         nph = _period_norm([k1, k2], 1.0, 2.0, Delta, "period_square(abs_products)")
-        assumptions.append(
-            AssumptionCheck(name="period_square_integrable", verdict=_verdict_from_norms((nph,)), norms=(nph,))
-        )
+        assumptions.append(_judged("period_square_integrable", (nph,), _divergence((k1, k2), 1.0)))
     return ConditionReport(condition_set=tag, exponents=exps, assumptions=tuple(assumptions), skipped=skipped)
 
 
@@ -624,17 +641,17 @@ def _check_qn_envelope(psi, Delta, exponents):
                 (AssumptionCheck("envelope_products_summable", SUPPORTED, (n,)),),
             )
     ge = gamma_seq_exponent(psi, psi)
-    refutable = ge is not None and psi.decay.exact and 2.0 * ge <= 1.0
     n2 = _norm_entry("envelope_products(2)", seq, 2.0)
-    verdict = REFUTED if refutable else INDETERMINATE
-    return ConditionReport("qn_envelope", {}, (AssumptionCheck("envelope_products_summable", verdict, (n2,)),))
+    verdict = REFUTED if ge is not None and 2.0 * ge <= 1.0 else INDETERMINATE
+    check = _judged("envelope_products_summable", (n2,), _divergence((psi, psi), 1.0), verdict)
+    return ConditionReport("qn_envelope", {}, (check,))
 
 
 def _check_autocov(kernel, Delta):
     n1 = _norm_entry("lag_products(2)", _abs_lag_sequence(kernel, kernel, Delta), 2.0)
     n2 = _period_norm([kernel], 2.0, 2.0, Delta, "period_square(grid_sum_squares)")
     assumptions = (
-        AssumptionCheck("lag_products_square_summable", _verdict_from_norms((n1,)), (n1,)),
-        AssumptionCheck("grid_square_sums_integrable", _verdict_from_norms((n2,)), (n2,)),
+        _judged("lag_products_square_summable", (n1,), _divergence((kernel, kernel), 1.0)),
+        _judged("grid_square_sums_integrable", (n2,), _divergence((kernel,), 2.0)),
     )
     return ConditionReport("autocov", {}, assumptions)

@@ -33,6 +33,7 @@ from .tails import (
     PowerTail,
     TailModel,
     grow_lags,
+    grow_radius,
     sparse_tail_sum_estimate,
     tail_sup,
 )
@@ -147,16 +148,12 @@ CoefficientSeq = FiniteSupport | PowerDecay
 
 def star_conv_kernel(b: CoefficientSeq, kernel: Kernel, Delta: float, *, absolute: bool = False) -> Kernel:
     """Kernel object evaluating ``(b * phi)(t)`` exactly (finite support) or
-    with a controlled truncation (power decay).
+    truncated at :func:`_power_star_radius` (power decay).
 
     The absolute companion evaluates ``(|b| * |phi|)(t)``.
     """
     base = PowAbsKernel(kernel, 1.0) if absolute else kernel
-    tail_dropped = 0.0
-    if isinstance(b, FiniteSupport):
-        radius = b.radius
-    else:
-        radius, tail_dropped = _power_star_radius(b, kernel, Delta)
+    radius = b.radius if isinstance(b, FiniteSupport) else _power_star_radius(b, kernel, Delta)
     s_vals = np.arange(-radius, radius + 1)
     coeffs = b.weights(radius)
     if absolute:
@@ -164,42 +161,24 @@ def star_conv_kernel(b: CoefficientSeq, kernel: Kernel, Delta: float, *, absolut
     keep = coeffs != 0.0
     if not np.any(keep):
         keep = s_vals == 0
-    return LinComboKernel(
-        base=base,
-        shifts=tuple(s_vals[keep] * Delta),
-        coeffs=tuple(coeffs[keep]),
-        truncation_bound=tail_dropped,
-    )
+    return LinComboKernel(base=base, shifts=tuple(s_vals[keep] * Delta), coeffs=tuple(coeffs[keep]))
 
 
-def _power_star_radius(b: PowerDecay, kernel: Kernel, Delta: float, rel_tol: float = 1e-10, cap: int = 4096):
-    """Truncation radius for a power-decay coefficient convolution.
-
-    Power tails rarely meet fine tolerances by direct summation, so the radius
-    caps at ``cap`` and the estimated dropped tail travels with the kernel as a
-    disclosed truncation diagnostic.
-    """
+def _power_star_radius(b: PowerDecay, kernel: Kernel, Delta: float) -> int:
+    """Truncation radius for a power-decay coefficient convolution: the first
+    of ``64, 128, ...`` (:func:`~cmaqf.tails.grow_radius`) whose dropped tail
+    is at most ``1e-10 (|b0| + c)``, or 4096, where power tails rarely meet it."""
     decay = kernel.decay
-    if isinstance(decay, PowerTail):
-        if b.rho + decay.exponent <= 1.0:
-            raise ConvergenceError(
-                f"sum b(s) phi(t - s Delta) diverges: rho_b + rho_phi = {b.rho + decay.exponent:g} <= 1"
-            )
-    scale = abs(b.b0) + b.c
-    radius = 64
-    while radius < cap:
-        tail = _star_tail_estimate(b, kernel, Delta, radius)
-        if tail <= rel_tol * scale:
-            return radius, tail
-        radius *= 2
-    return cap, _star_tail_estimate(b, kernel, Delta, cap)
+    if isinstance(decay, PowerTail) and b.rho + decay.exponent <= 1.0:
+        raise ConvergenceError(f"sum b(s) phi(t - s Delta) diverges: rho_b + rho_phi = {b.rho + decay.exponent:g} <= 1")
 
+    def dropped(radius):
+        # sparse_tail_sum_estimate (not a bound) of sum_{|s| > radius} |b(s) phi(t - s Delta)| over
+        # |t| <~ radius/2 * Delta; only the s -> -inf side survives for causal kernels, but both
+        # sides are treated the same way.
+        return sparse_tail_sum_estimate(lambda s: b.c * s**-b.rho * tail_sup(decay, s * Delta / 2.0), radius)
 
-def _star_tail_estimate(b: PowerDecay, kernel: Kernel, Delta: float, radius: int) -> float:
-    # estimate of sum_{|s| > radius} |b(s) phi(t - s Delta)| uniformly over a
-    # window of width ~ radius/2 * Delta around the origin; only the s -> -inf
-    # side survives for causal kernels but both sides are treated the same way.
-    return sparse_tail_sum_estimate(lambda s: b.c * s**-b.rho * tail_sup(kernel.decay, s * Delta / 2.0), radius)
+    return grow_radius(dropped, 64, 4096, 1e-10 * (abs(b.b0) + b.c))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +366,7 @@ def b_star_gamma(
     def rows_at(S):
         ub = b.radius if isinstance(b, FiniteSupport) else max(64, 4 * S)
         gam = covariance_lags(kernel, kernel, sigma2, Delta, -(S + ub), S + ub, base_step=base_step)
-        # full convolution, then crop to [-S, S]
-        conv = np.convolve(gam, b.weights(ub), mode="same")
-        mid = len(gam) // 2
-        return (conv[mid - S : mid + S + 1],)
+        return (np.convolve(gam, b.weights(ub), mode="valid"),)
 
     lag = grow_lags(rows_at, p=2.0, rel_tol=_BSG_REL_TOL, cap=_BSG_S_CAP, exponent=_bsg_exponent(b, gamma_exp))
     if lag.capped and not np.isfinite(lag.bracket):

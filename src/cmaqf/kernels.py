@@ -517,14 +517,11 @@ class LinComboKernel(Kernel):
     Evaluates exactly through the base kernel, so derived covariance integrals
     inherit the base kernel's accuracy.  Shifts may be negative (advanced
     lags), in which case the combination is no longer causal.
-    ``truncation_bound`` records the tail dropped when the combination stands
-    in for an infinite (power-decay) coefficient convolution.
     """
 
     base: Kernel
     shifts: tuple[float, ...]
     coeffs: tuple[float, ...]
-    truncation_bound: float = 0.0
 
     def __post_init__(self):
         shifts = tuple(float(s) for s in self.shifts)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .kernels import Kernel
-from .tails import lattice_tail_sum, product_tail_integral, sparse_tail_sum_estimate, tail_sup
+from .tails import grow_radius, lattice_tail_sum, product_tail_integral, sparse_tail_sum_estimate, tail_sup
 
 __all__ = ["QuadResult", "product_integral", "phase_lattice", "phase_product_sum", "phase_integral"]
 
@@ -185,18 +185,16 @@ def product_integral(
 def lattice_s_range(kernels, Delta: float) -> tuple[int, int]:
     """Lag range ``[s_lo, s_hi]`` so the omitted product terms are negligible.
 
-    The lower end is fixed by the supports; the upper end doubles until the
-    estimated sum of the product of the decay-model sups at ``s * Delta``
-    beyond it is below 1e-9, up to ``2**20``.
+    The lower end is fixed by the supports; the upper end doubles from
+    ``max(8, 8 - s_lo)`` (:func:`~cmaqf.tails.grow_radius`) until the summed
+    product of the decay-model sups at ``s * Delta`` beyond it is at most 1e-9
+    (a :func:`~cmaqf.tails.sparse_tail_sum_estimate`, not a bound), or to ``2**20``.
     """
     support = max(k.support_lo for k in kernels)
     s_lo = int(math.floor(support / Delta)) - 1
-    s_hi = max(8, -s_lo + 8)
-    while s_hi < _LATTICE_S_CAP:
-        sup = _product_sup_tail_sum(kernels, Delta, s_hi)
-        if sup <= _LATTICE_REL_TOL or sup == 0.0:
-            break
-        s_hi *= 2
+    s_hi, _, _ = grow_radius(
+        lambda S: _product_sup_tail_sum(kernels, Delta, S), max(8, -s_lo + 8), _LATTICE_S_CAP, _LATTICE_REL_TOL
+    )
     return s_lo, s_hi
 
 

@@ -42,7 +42,7 @@ from .kernels import Kernel, grid_cells
 from .levy import LevyModel, check_key, stream
 from .quadrature import product_integral
 from .specs import spec
-from .tails import PowerTail, tail_integral
+from .tails import PowerTail, grow_radius, tail_integral
 
 __all__ = [
     "PathConfig",
@@ -130,22 +130,19 @@ def _hash_dict(d: dict) -> str:
 
 
 def resolve_horizon(kernel: Kernel, cfg: PathConfig) -> float:
-    """Truncation window for ``kernel``: the configured one, or the smallest
-    power-of-two multiple of ``delta`` (64 by default, up to 1024 for
-    power-law tails) whose relative squared tail mass meets the budget."""
+    """Truncation window for ``kernel``: the configured one, or the first of
+    ``64 delta, 128 delta, ...`` (:func:`~cmaqf.tails.grow_radius`, past 64
+    delta only for power-law tails, up to 1024 delta) whose relative squared
+    tail mass meets the budget; one that misses it raises :class:`TruncationError`."""
     total = product_integral(kernel, kernel, 0.0).value
-    if cfg.horizon is not None:
-        T = cap = cfg.horizon
-    else:
-        T = 64 * cfg.delta
-        cap = _POWER_HORIZON_CAP * cfg.delta if isinstance(kernel.decay, PowerTail) else T
-    while not (rel := _tail_mass_rel(kernel, T, total)) <= cfg.tail_mass_budget:
-        if T >= cap:
-            raise TruncationError(
-                f"kernel squared mass outside [-{T:g}, {T:g}] is {rel:.3g} of the total, "
-                f"exceeding the budget {cfg.tail_mass_budget:g}"
-            )
-        T *= 2.0
+    start = cfg.horizon if cfg.horizon is not None else 64 * cfg.delta
+    cap = _POWER_HORIZON_CAP * cfg.delta if cfg.horizon is None and isinstance(kernel.decay, PowerTail) else start
+    T, rel, met = grow_radius(lambda h: _tail_mass_rel(kernel, h, total), start, cap, cfg.tail_mass_budget)
+    if not met:
+        raise TruncationError(
+            f"kernel squared mass outside [-{T:g}, {T:g}] is {rel:.3g} of the total, "
+            f"exceeding the budget {cfg.tail_mass_budget:g}"
+        )
     return T
 
 

@@ -13,9 +13,11 @@ its ``constant`` is the function itself, and its tail sums are exact.
 How a tail is modelled, fitted and completed is decided here alone:
 :func:`fit_tail` fits every sampled tail (kernel tables, kernel grids, lag
 sequences), and :func:`lattice_tail_sum` completes every truncated two-sided
-lag sum.  :func:`grow_lags` decides where every adaptive lag sum is
-truncated: ``|b * gamma|^2``, the covariance and absolute lag products, and
-the mean of a quadratic form.
+lag sum.  Two routines double every truncation radius: :func:`grow_lags`
+that of every adaptive lag sum, by its data (``|b * gamma|^2``, the
+covariance and absolute lag products, the mean of a quadratic form), and
+:func:`grow_radius` every window that a decay model decides (the simulation
+horizon, the lag range of a period integral, the star radius of power weights).
 """
 
 from __future__ import annotations
@@ -299,3 +301,12 @@ def grow_lags(rows_at, *, p: float, rel_tol: float, cap: int, exponent: float | 
         if met or S >= cap:
             return LagSums(rows, S, tails, heads, bracket, not met)
         S *= 2
+
+
+def grow_radius(bound, start, cap, tol):
+    """``(S, bound(S), met)`` at the first ``S = start, 2 start, ...`` with
+    ``bound(S) <= tol`` (``met``), or at the first ``S >= cap``."""
+    S = start
+    while not (value := bound(S)) <= tol and S < cap:
+        S *= 2
+    return S, value, value <= tol

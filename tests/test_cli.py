@@ -298,6 +298,24 @@ def test_check_refutes_a_kernel_outside_l4(tmp_path):
     assert [a["verdict"] for a in report["assumptions"]] == ["refuted"] * 3
 
 
+def test_check_reports_divergent_lag_integrals_as_indeterminate(tmp_path, capsys):
+    # the same 0.2 tail under autocov: its lag products diverge, which a fitted exponent
+    # cannot refute, so the report says indeterminate (exit 0) instead of raising (exit 4)
+    step = 1.0 / 16.0
+    ts = np.arange(0, 1025) * step
+    vals = np.where(ts >= 1.0, np.maximum(ts, 1.0) ** -0.2, 1.0)
+    cfg = base_config(
+        kernel={"type": "tabulated", "t0": 0.0, "step": step, "values": [float(v) for v in vals]},
+        check={"condition_set": "autocov"},
+        output_dir=str(tmp_path / "out"),
+    )
+    assert run(["check", "--config", str(write_config(tmp_path, "c.json", cfg))]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["overall"] == "indeterminate"
+    assert [a["verdict"] for a in report["assumptions"]] == ["indeterminate"] * 2
+    assert "indeterminate" in capsys.readouterr().out
+
+
 def test_non_finite_driver_parameters_rejected(tmp_path, capsys):
     # an infinite parameter once passed the `> 0` checks and then stalled the eta^2 lag sums
     for i, levy in enumerate(

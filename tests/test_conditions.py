@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from cmaqf.conditions import check_conditions, lp_norm_sequence
 from cmaqf.covariance import FiniteSupport, PowerDecay
 from cmaqf.errors import ParameterError
 from cmaqf.kernels import ExponentialOU, FractionalNoise, PowAbsKernel, TabulatedKernel, build_carma
-from cmaqf.levy import BrownianMotion
+from cmaqf.levy import BrownianMotion, CompoundPoissonNormal
 from cmaqf.tails import CompactTail, ExpTail, PowerTail
 
 
@@ -247,6 +248,40 @@ def test_envelope_of_gaussian_side_long_memory_not_short_circuited(d, rho):
     # exponents min(rho, 1 - d, rho - d) = 1 - d > 1/2: the envelope's lag products may converge
     kernel, b = FractionalNoise(d), PowerDecay(c=1.0, rho=rho, b0=1.0)
     assert conditions._qn_envelope_divergence(kernel, b, "qn_general") is None
+
+
+@pytest.mark.parametrize("model", [BrownianMotion(1.0), CompoundPoissonNormal(rate=1.0, jump_variance=1.0)], ids=["brownian", "cpn"])
+@pytest.mark.parametrize("condition_set", ["autocov", "sn_general", "qn_general", "qn_envelope"])
+def test_divergent_lag_integrals_are_reported_not_raised(condition_set, model):
+    # a fitted tail exponent 0.2: every lag product int |k(t) k(t + s)| dt and every lattice
+    # sum of the period norms diverges (0.2 + 0.2 <= 1); a fitted exponent cannot refute, so
+    # each assumption is indeterminate by arithmetic, with no quadrature
+    kernel = tail07_kernel(0.2)
+    b = PowerDecay(c=1.0, rho=1.5, b0=1.0) if condition_set.startswith("qn") else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t0 = time.perf_counter()
+        rep = check_conditions(condition_set, kernel, b=b, Delta=1.0, model=model)
+        assert time.perf_counter() - t0 < 1.0
+    assert rep.overall == "indeterminate"
+    for a in rep.assumptions:
+        assert a.verdict == "indeterminate", a.name
+        assert a.note.startswith("infinite ") and "fitted tail exponents give alpha * sum rho = 0.4 <= 1" in a.note, a
+        assert all(n.value == math.inf for n in a.norms)
+
+
+def test_divergence_by_exact_exponents_refutes():
+    class Exact:
+        decay = PowerTail(constant=1.0, exponent=0.4, start=1.0)
+
+    assert conditions._divergence((Exact(), Exact()), 1.0) == (pytest.approx(0.8), True)
+    assert conditions._divergence((Exact(),), 2.0) == (pytest.approx(0.8), True)
+    assert conditions._divergence((Exact(),), 3.0) is None  # 3 * 0.4 > 1
+    assert conditions._divergence((Exact(), ExponentialOU(1.0)), 1.0) is None
+    norms = (conditions.NormEstimate("lag_products(2)", math.inf, math.inf),)
+    check = conditions._judged("lag_products_square_summable", norms, conditions._divergence((Exact(), Exact()), 1.0))
+    assert check.verdict == "refuted"
+    assert check.note == "infinite lag_products(2): exact tail exponents give alpha * sum rho = 0.8 <= 1"
 
 
 def test_autocov_conditions_supported_for_ou():

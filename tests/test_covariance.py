@@ -184,6 +184,19 @@ def test_b_star_gamma_even_output():
     assert np.allclose(res.values, res.values[::-1], rtol=1e-12, atol=1e-14)
 
 
+def test_b_star_gamma_of_power_weights_matches_a_direct_sum():
+    # each kept lag s is sum_{|u| <= max(64, 4 S)} b(u) gamma((s - u) Delta), summed here lag by lag
+    ou, b = ExponentialOU(1.0), PowerDecay(c=1.0, rho=1.5, b0=1.0)
+    res = b_star_gamma(b, ou, 2.0, 1.0)
+    S = res.radius
+    ub = max(64, 4 * S)
+    gam = covariance_lags(ou, ou, 2.0, 1.0, -(S + ub), S + ub)
+    u = np.arange(-ub, ub + 1)
+    assert res.values.shape == (2 * S + 1,)
+    for s in (-S, -S + 1, -1, 0, 1, S // 3, S):
+        assert res.values[s + S] == pytest.approx(np.sum(b.weight(u) * gam[s - u + S + ub]), rel=1e-12), s
+
+
 def test_b_star_gamma_divergence_raises():
     # power-decay weights against a long-memory covariance: rho_b + rho_gamma <= 1
     fn = FractionalNoise(0.1)  # gamma exponent 1 - 2d = 0.8

@@ -194,3 +194,27 @@ def test_lag_tails_are_fitted_and_completed_in_one_place():
             if (path.stem, where) not in TAIL_CALLERS:
                 stray.append(f"{path.stem}.{where} calls {name}")
     assert stray == [], "grow a truncated lag sum with tails.grow_lags instead"
+
+
+def _doublings(tree) -> list[int]:
+    """Line numbers of the augmented doublings ``x *= 2`` (or ``2.0``) in ``tree``."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.AugAssign)
+        and isinstance(node.op, ast.Mult)
+        and isinstance(node.value, ast.Constant)
+        and node.value.value == 2
+    ]
+
+
+def test_radii_are_doubled_in_one_place():
+    # tails.grow_lags grows the windows that data decide, tails.grow_radius those that decay models decide
+    src = Path(cmaqf.__file__).parent
+    stray = [
+        f"{path.stem}:{line}"
+        for path in sorted(src.glob("*.py"))
+        if path.stem != "tails"
+        for line in _doublings(ast.parse(path.read_text(), str(path)))
+    ]
+    assert stray == [], "grow a model-driven window with tails.grow_radius"

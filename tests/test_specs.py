@@ -54,19 +54,19 @@ def test_building_from_a_spec_gives_back_the_spec():
 
 
 def test_fields_mark_fields_without_default_as_required():
-    assert specs.fields(LinComboKernel) == {"base": True, "shifts": True, "coeffs": True, "truncation_bound": False}
+    assert specs.fields(LinComboKernel) == {"base": True, "shifts": True, "coeffs": True}
     assert specs.fields(TabulatedKernel) == {"t0": True, "step": True, "values": True}
 
 
 # provenance hashes of simulate_path, kept from before the specs module wrote them;
-# the combination's changed when its spec gained truncation_bound
+# the combination's is its value from before its spec had truncation_bound, which is gone
 PROVENANCE = {
     "exponential_ou": ("bed2be0903ce297c", "24228758ab6f5e86"),
     "carma": ("bed2be0903ce297c", "46b0659f413632da"),
     "fractional_noise": ("70e399409f279ebf", "b3b3cb6eaa13fc76"),
     "sdde": ("bed2be0903ce297c", "309a04d3e24c2617"),
     "tabulated": ("bed2be0903ce297c", "849d6714b6d0c885"),
-    "lin_combo": ("bed2be0903ce297c", "ff80b67a8460702a"),
+    "lin_combo": ("bed2be0903ce297c", "3a7829be47f4f8bc"),
     "pow_abs": ("bed2be0903ce297c", "71253ad0427673cd"),
 }
 MODEL_HASHES = {

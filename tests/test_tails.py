@@ -5,7 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cmaqf.tails import CompactTail, ExpTail, PowerTail, fit_tail, grow_lags, lattice_tail_sum
+from cmaqf import simulate
+from cmaqf.covariance import PowerDecay, star_conv_kernel
+from cmaqf.errors import TruncationError
+from cmaqf.kernels import ExponentialOU, FractionalNoise, build_carma
+from cmaqf.quadrature import lattice_s_range
+from cmaqf.tails import CompactTail, ExpTail, PowerTail, fit_tail, grow_lags, grow_radius, lattice_tail_sum
 
 
 @given(
@@ -115,3 +120,68 @@ def test_grow_lags_scales_by_the_summed_absolute_heads():
         assert lag.radius == single.radius == 128 and not lag.capped
         assert lag.heads[1] == pytest.approx(second * lag.heads[0], rel=1e-15) and lag.heads[1] < 0
         assert lag.bracket == pytest.approx((1 - second) * single.bracket, rel=1e-12)
+
+
+def _halving(first, asked):
+    """Bound ``first / S`` at radius ``S``, recording the radii asked for."""
+
+    def bound(S):
+        asked.append(S)
+        return first / S
+
+    return bound
+
+
+def test_grow_radius_stops_at_a_start_that_meets_the_tolerance():
+    asked = []
+    assert grow_radius(_halving(8.0, asked), 4, 64, 2.0) == (4, 2.0, True)
+    assert asked == [4]
+
+
+def test_grow_radius_doubles_to_the_first_radius_that_meets_the_tolerance():
+    asked = []
+    assert grow_radius(_halving(100.0, asked), 3, 10**6, 5.0) == (24, 100.0 / 24, True)
+    assert asked == [3, 6, 12, 24]
+
+
+def test_grow_radius_stops_unmet_at_the_first_radius_past_the_cap():
+    asked = []
+    assert grow_radius(_halving(100.0, asked), 3, 20, 1.0) == (24, 100.0 / 24, False)
+    assert asked == [3, 6, 12, 24]
+    asked.clear()
+    assert grow_radius(_halving(100.0, asked), 3, 24, 1.0) == (24, 100.0 / 24, False)  # the cap itself
+    assert asked == [3, 6, 12, 24]
+
+
+def test_grow_radius_evaluates_once_from_the_cap_on():
+    for start, cap in ((64, 64), (128, 64)):
+        asked = []
+        assert grow_radius(_halving(1.0, asked), start, cap, 0.0) == (start, 1.0 / start, False)
+        assert asked == [start]
+
+
+# Radii that decay models decide, pinned: the lattice range of a period integral,
+# the star radius of power weights (PowerDecay(1, 1.5, 1), then (2, 3, 0.5)), the
+# lattice range of each star kernel against its kernel, and the default simulation
+# horizon (None: the kernel misses the squared-mass budget at its 64 delta cap).
+RADII = [
+    (ExponentialOU(1.0), 1.0, 18, (64, 64), (72, 72), 64.0),
+    (ExponentialOU(0.05), 1.0, 288, (1024, 512), (1152, 576), None),
+    (FractionalNoise(0.1), 1.0, 36_864, (4096, 512), (147_456, 147_456), 1024.0),
+    (build_carma((3.0, 2.0), (3.0, 1.0), 1), 0.7, 18, (64, 64), (72, 72), 44.8),
+]
+
+
+@pytest.mark.parametrize("kernel, Delta, lattice, star, star_lattice, horizon", RADII, ids=["ou1", "ou005", "fn01", "carma"])
+def test_model_driven_radii_are_pinned(kernel, Delta, lattice, star, star_lattice, horizon):
+    assert lattice_s_range([kernel, kernel], Delta) == (-1, lattice)
+    stars = [star_conv_kernel(b, kernel, Delta) for b in (PowerDecay(1.0, 1.5, 1.0), PowerDecay(2.0, 3.0, 0.5))]
+    assert tuple((len(k.shifts) - 1) // 2 for k in stars) == star
+    assert tuple(lattice_s_range([kernel, k], Delta)[1] for k in stars) == star_lattice
+    assert all(lattice_s_range([kernel, k], Delta)[0] == -1 for k in stars)
+    cfg = simulate.PathConfig(delta=Delta, n=8, seed=1)
+    if horizon is None:
+        with pytest.raises(TruncationError, match=r"outside \[-64, 64\] is 0.00166 of the total, exceeding the budget 0.0001"):
+            simulate.resolve_horizon(kernel, cfg)
+    else:
+        assert simulate.resolve_horizon(kernel, cfg) == horizon
