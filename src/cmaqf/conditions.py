@@ -16,6 +16,9 @@ tail exponent of a tabulated kernel refutes only in the decay-style sets
 other sets a fitted exponent that caps the search leaves the set
 indeterminate.  So does a fitted exponent sum that makes a lag product or a
 period norm infinite, which an exact one refutes; that norm takes no quadrature.
+A tail faster than any power has exponent ``inf`` (:func:`~cmaqf.tails.decay_exponent`),
+so one arithmetic serves every family.  ``qn_general`` and ``qn_envelope`` first
+refute by the exact exponents of ``psi = |b| * |phi|`` and its lag products.
 
 Each norm is computed once per check: period norms go through one
 :func:`~cmaqf.quadrature.phase_integral` each, lag sequences through one
@@ -56,8 +59,6 @@ import numpy as np
 from .covariance import (
     CoefficientSeq,
     FiniteSupport,
-    PowerDecay,
-    conv_exponent,
     covariance_lags,
     gamma_seq_exponent,
     star_conv_kernel,
@@ -66,7 +67,7 @@ from .errors import ParameterError
 from .kernels import Kernel, PowAbsKernel
 from .levy import BrownianMotion, LevyModel
 from .quadrature import phase_integral, product_integral
-from .tails import CompactTail, ExpTail, TailModel, grow_lags, lattice_tail_sum, tail_sup
+from .tails import TailModel, conv_exponent, decay_exponent, grow_lags, lattice_tail_sum, tail_sup
 
 __all__ = [
     "CONDITION_SETS",
@@ -198,28 +199,26 @@ def lp_norm_sequence(values: np.ndarray, tail: TailModel, p: float) -> tuple[flo
 # ---------------------------------------------------------------------------
 
 
-def _power_exponent(kernel: Kernel) -> tuple[float, bool] | None:
-    """Tail exponent ``(rho, exact)`` of the kernel, ``None`` when the decay is
-    faster than any power (exponential or compactly supported)."""
+def _power_exponent(kernel: Kernel) -> tuple[float, bool]:
+    """Tail exponent ``(rho, exact)`` of the kernel; ``rho`` is ``inf`` when the
+    decay is faster than any power (exponential or compactly supported)."""
     d = kernel.decay
-    if isinstance(d, (ExpTail, CompactTail)):
-        return None
-    return float(d.exponent), bool(d.exact)
+    return float(decay_exponent(d)), bool(d.exact)
 
 
 def _rho_cap(kernel: Kernel) -> tuple[float, bool]:
     """``(min(rho, 1), exact)`` for the refutation arithmetic; ``(1, True)``
-    when the decay is faster than any power."""
-    pe = _power_exponent(kernel)
-    return (1.0, True) if pe is None else (min(pe[0], 1.0), pe[1])
+    when the decay is faster than any power, even by a fitted model."""
+    rho, exact = _power_exponent(kernel)
+    return min(rho, 1.0), exact or rho == math.inf
 
 
 def _divergence(kernels, alpha) -> tuple[float, bool] | None:
-    """``(alpha * sum_i rho_i, exact)`` of the kernels' power tails when it is
+    """``(alpha * sum_i rho_i, exact)`` of the kernels' tail exponents when it is
     <= 1: then ``sum_s prod_i |k_i(t + s Delta)|**alpha`` diverges, and for
     ``alpha = 1`` so does every ``int |k_1(t) k_2(t + s Delta)| dt``."""
     pes = [_power_exponent(k) for k in kernels]
-    total = math.inf if None in pes else alpha * sum(rho for rho, _ in pes)
+    total = alpha * sum(rho for rho, _ in pes)
     return (total, all(exact for _, exact in pes)) if total <= 1.0 else None
 
 
@@ -343,7 +342,7 @@ def check_conditions(
     if condition_set == "sn_general":
         return _check_pair_general("sn_general", ks[0], ks[1], Delta, exponents, brownian)
     if condition_set in ("qn_general", "qn_envelope"):
-        short = _qn_envelope_divergence(ks[0], b, condition_set)
+        short = _qn_envelope_divergence(ks[0], b, condition_set, exponents)
         if short is not None:
             return short
         psi = star_conv_kernel(b, ks[0], Delta, absolute=True)
@@ -361,26 +360,34 @@ def check_conditions(
     return _check_autocov(ks[0], Delta)
 
 
-def _qn_envelope_divergence(kernel: Kernel, b: CoefficientSeq, tag: str) -> ConditionReport | None:
-    """Arithmetic short-circuit: the absolute coefficient convolution of a
-    power kernel diverges termwise when ``rho_b + rho_phi <= 1``, and otherwise
-    decays like ``t**-conv_exponent(rho_b, rho_phi)``; with that exponent
-    <= 1/2 its lag self-products diverge for every lag and the set is refuted."""
-    pe = _power_exponent(kernel)
-    if not isinstance(b, PowerDecay) or pe is None or not pe[1]:
+def _qn_envelope_divergence(kernel: Kernel, b: CoefficientSeq, tag: str, exponents="auto") -> ConditionReport | None:
+    """Refuted report when exact exponents make a norm that ``tag`` needs infinite.
+
+    ``psi = |b| * |phi|`` diverges termwise when ``rho_b + rho_phi <= 1``, else decays like
+    ``t**-rho_psi``, ``rho_psi = conv(rho_b, rho_phi)``, which its decay model (``rho_phi``)
+    does not show.  Lag products of ``f`` and ``g`` decay like ``s**-conv(rho_f, rho_g)``:
+    ``psi``'s diverge when ``2 rho_psi <= 1``; ``qn_general`` needs ``phi x psi`` in ``l^2``
+    (``2 e12 > 1``, then equal to ``e11 + e22 > 1``, a conjugate pair for the self products)
+    and ``qn_envelope`` ``psi x psi`` in ``l^beta`` for a candidate (``beta_max e22 > 1``)."""
+    rho_phi, exact = _power_exponent(kernel)
+    if not exact:
         return None
-    if b.rho + pe[0] <= 1.0:
-        note = f"envelope diverges termwise: rho_b + rho_phi = {b.rho + pe[0]:g} <= 1"
-    else:
-        rho_psi = conv_exponent(b.rho, pe[0])
-        if 2.0 * rho_psi > 1.0:
-            return None
+    rho_b = decay_exponent(b.seq_tail())
+    rho_psi = conv_exponent(rho_b, rho_phi)
+    e22, e12 = conv_exponent(rho_psi, rho_psi), conv_exponent(rho_phi, rho_psi)
+    beta_max = float(max(_EXP_GRID if exponents == "auto" else exponents))
+    name = "envelope_products_summable"
+    if rho_b + rho_phi <= 1.0:
+        note = f"envelope diverges termwise: rho_b + rho_phi = {rho_b + rho_phi:g} <= 1"
+    elif 2.0 * rho_psi <= 1.0:
         note = f"envelope decays like t^-{rho_psi:g}; its lag products diverge (2 rho <= 1)"
-    return ConditionReport(
-        condition_set=tag,
-        exponents={},
-        assumptions=(AssumptionCheck("envelope_products_summable", REFUTED, (), note),),
-    )
+    elif tag == "qn_general" and 2.0 * e12 <= 1.0:
+        name, note = "lag_cross_products_square_summable", f"cross lag products decay like s^-{e12:g} (2 e12 <= 1)"
+    elif tag == "qn_envelope" and beta_max * e22 <= 1.0:
+        note = f"envelope lag products decay like s^-{e22:g}: in no l^beta, beta <= {beta_max:g}"
+    else:
+        return None
+    return ConditionReport(condition_set=tag, exponents={}, assumptions=(AssumptionCheck(name, REFUTED, (), note),))
 
 
 def _check_pair_general(tag, k1, k2, Delta, exponents, brownian):
@@ -439,13 +446,8 @@ def _check_pair_general(tag, k1, k2, Delta, exponents, brownian):
 def _feasible_alpha_min(kernel, grid):
     """Smallest grid exponent with convergent grid sums of ``|phi|**alpha`` and
     ``|phi|**2``, by decay arithmetic; ``None`` when there is none."""
-    pe = _power_exponent(kernel)
-    if pe is None:
-        return float(grid[0])
-    rho = pe[0]
-    if 2.0 * rho <= 1.0:
-        return None
-    return next((float(a) for a in grid if a * rho > 1.0), None)
+    rho = _power_exponent(kernel)[0]
+    return next((float(a) for a in grid if a * rho > 1.0), None) if 2.0 * rho > 1.0 else None
 
 
 def _grid_sum_search(kernel, pin, Delta):
@@ -505,9 +507,9 @@ def _check_sn_exponent(k1, k2, Delta, exponents):
 def _l4_check(kernel, suffix: str = "") -> AssumptionCheck:
     """``kernel in L^4``: refuted by a tail exponent <= 1/4 (exact or fitted),
     otherwise measured by quadrature, which converges for every other exponent."""
-    pe = _power_exponent(kernel)
-    if pe is not None and pe[0] <= 0.25:
-        return AssumptionCheck(f"kernel_in_l4{suffix}", REFUTED, (), f"tail exponent {pe[0]:g} <= 1/4")
+    rho = _power_exponent(kernel)[0]
+    if rho <= 0.25:
+        return AssumptionCheck(f"kernel_in_l4{suffix}", REFUTED, (), f"tail exponent {rho:g} <= 1/4")
     sq = PowAbsKernel(kernel, 2.0)
     r = product_integral(sq, sq, 0.0)
     l4 = NormEstimate(name=f"l4_norm{suffix}", value=max(r.value, 0.0) ** 0.25, tail_bound=r.tail_bound)
@@ -590,9 +592,9 @@ def _check_qn_exponent(kernel, b, Delta, exponents):
         return ConditionReport("qn_exponent", {}, assumptions)
 
     cap, kernel_exact = _rho_cap(kernel)
-    cap_b = 1.0 if isinstance(b, FiniteSupport) else min(b.rho, 1.0)
+    cap_b = min(decay_exponent(b.seq_tail()), 1.0)
     best = cap * 2.0 + cap_b
-    strict = cap < 1.0 or (isinstance(b, PowerDecay) and b.rho < 1.0)
+    strict = cap < 1.0 or cap_b < 1.0
     infeasible = best < 2.5 or (strict and best == 2.5)
     verdict = REFUTED if (infeasible and kernel_exact) else INDETERMINATE
     note = f"best achievable 2/alpha + 1/beta = {best:g} < 5/2" if infeasible else "exponent search failed"
@@ -600,12 +602,8 @@ def _check_qn_exponent(kernel, b, Delta, exponents):
 
 
 def _check_qn_decay(kernel, b, exponents):
-    pe = _power_exponent(kernel)
-    alpha_floor = 0.01 if pe is None else max(0.01, 2.0 * (1.0 - pe[0]))
-    if isinstance(b, FiniteSupport):
-        beta_floor = 0.01
-    else:
-        beta_floor = max(0.01, 1.0 - b.rho)
+    alpha_floor = max(0.01, 2.0 * (1.0 - _power_exponent(kernel)[0]))
+    beta_floor = max(0.01, 1.0 - decay_exponent(b.seq_tail()))
 
     if exponents != "auto":
         a, bb = (float(x) for x in exponents)
@@ -640,10 +638,8 @@ def _check_qn_envelope(psi, Delta, exponents):
                 {"beta": float(beta), "alpha": _conjugate(float(beta))},
                 (AssumptionCheck("envelope_products_summable", SUPPORTED, (n,)),),
             )
-    ge = gamma_seq_exponent(psi, psi)
     n2 = _norm_entry("envelope_products(2)", seq, 2.0)
-    verdict = REFUTED if ge is not None and 2.0 * ge <= 1.0 else INDETERMINATE
-    check = _judged("envelope_products_summable", (n2,), _divergence((psi, psi), 1.0), verdict)
+    check = _judged("envelope_products_summable", (n2,), _divergence((psi, psi), 1.0), INDETERMINATE)
     return ConditionReport("qn_envelope", {}, (check,))
 
 

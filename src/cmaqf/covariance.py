@@ -14,7 +14,7 @@ least-squares kernel pair) is never integrated as a whole:
 base covariances at shifted lags, so quadrature only ever sees base kernels.
 Base kernels that are sums of exponential modes (OU, CARMA; see
 :attr:`Kernel.modes`) have closed-form lag covariances and see no quadrature
-either.
+either.  Decay exponents and their arithmetic (``conv_exponent``) live in :mod:`cmaqf.tails`.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ from .tails import (
     CompactTail,
     PowerTail,
     TailModel,
+    conv_exponent,
+    decay_exponent,
     grow_lags,
     grow_radius,
     sparse_tail_sum_estimate,
@@ -169,8 +171,8 @@ def _power_star_radius(b: PowerDecay, kernel: Kernel, Delta: float) -> int:
     of ``64, 128, ...`` (:func:`~cmaqf.tails.grow_radius`) whose dropped tail
     is at most ``1e-10 (|b0| + c)``, or 4096, where power tails rarely meet it."""
     decay = kernel.decay
-    if isinstance(decay, PowerTail) and b.rho + decay.exponent <= 1.0:
-        raise ConvergenceError(f"sum b(s) phi(t - s Delta) diverges: rho_b + rho_phi = {b.rho + decay.exponent:g} <= 1")
+    if (total := b.rho + decay_exponent(decay)) <= 1.0:
+        raise ConvergenceError(f"sum b(s) phi(t - s Delta) diverges: rho_b + rho_phi = {total:g} <= 1")
 
     def dropped(radius):
         # sparse_tail_sum_estimate (not a bound) of sum_{|s| > radius} |b(s) phi(t - s Delta)| over
@@ -310,24 +312,11 @@ def _lattice_combo(kernel: Kernel, Delta: float) -> tuple[Kernel, np.ndarray, np
     return kernel, np.zeros(1, dtype=int), np.ones(1)
 
 
-def conv_exponent(a: float, b: float) -> float:
-    """Decay exponent of the convolution of two power tails ``|s|^-a`` and
-    ``|s|^-b`` (``a + b > 1``): ``min(a, b, a + b - 1)``.
-
-    When both are below 1 the bulk term ``|s|^(1-a-b)`` leads; otherwise the
-    heavier tail leads, scaled by the sum of the other sequence (assumed
-    non-zero).
-    """
-    return min(a, b, a + b - 1.0)
-
-
 def gamma_seq_exponent(kernel: Kernel, other: Kernel | None = None) -> float | None:
-    """Analytic power-decay exponent of the lag covariance when both kernels
-    have exact power tails; ``None`` for exponential decay."""
+    """Exact decay exponent of the lag covariance (``inf`` when it decays faster
+    than any power); ``None`` when a kernel's tail is fitted."""
     d1, d2 = kernel.decay, (other or kernel).decay
-    if isinstance(d1, PowerTail) and isinstance(d2, PowerTail) and d1.exact and d2.exact:
-        return conv_exponent(d1.exponent, d2.exponent)
-    return None
+    return conv_exponent(decay_exponent(d1), decay_exponent(d2)) if d1.exact and d2.exact else None
 
 
 @dataclass(frozen=True)
@@ -361,37 +350,29 @@ def b_star_gamma(
     capping at ``10**6`` with ``capped=True``.  A tail that provably diverges raises
     :class:`ConvergenceError`.  ``base_step`` is as in :func:`covariance_lags`.
     """
-    gamma_exp = _gamma_power_exponent_or_check(b, kernel)
 
     def rows_at(S):
         ub = b.radius if isinstance(b, FiniteSupport) else max(64, 4 * S)
         gam = covariance_lags(kernel, kernel, sigma2, Delta, -(S + ub), S + ub, base_step=base_step)
         return (np.convolve(gam, b.weights(ub), mode="valid"),)
 
-    lag = grow_lags(rows_at, p=2.0, rel_tol=_BSG_REL_TOL, cap=_BSG_S_CAP, exponent=_bsg_exponent(b, gamma_exp))
+    lag = grow_lags(rows_at, p=2.0, rel_tol=_BSG_REL_TOL, cap=_BSG_S_CAP, exponent=_bsg_exponent(b, kernel))
     if lag.capped and not np.isfinite(lag.bracket):
         raise ConvergenceError("squared-norm tail of (b * gamma) diverges or cannot be bounded")
     (vals,), (tail,), (head,) = lag.rows, lag.tails, lag.heads
     return BStarGamma(vals, lag.radius, tail, l2_sq=head + lag.bracket / 2.0, l2_sq_tail=lag.bracket, capped=lag.capped)
 
 
-def _gamma_power_exponent_or_check(b: CoefficientSeq, kernel: Kernel) -> float | None:
-    """Power exponent of the lag covariance, after refusing by exponent arithmetic
-    a ``b * gamma`` that diverges termwise or is not square summable."""
+def _bsg_exponent(b: CoefficientSeq, kernel: Kernel) -> float | None:
+    """Exact decay exponent of ``b * gamma`` (``None`` for a fitted kernel tail), after
+    refusing by exponent arithmetic one that diverges termwise or is not square summable."""
     ge = gamma_seq_exponent(kernel)
-    if isinstance(b, PowerDecay) and ge is not None and b.rho + ge <= 1.0:
-        raise ConvergenceError(
-            f"(b * gamma) diverges termwise: rho_b + rho_gamma = {b.rho + ge:g} <= 1"
-        )
-    bsg = _bsg_exponent(b, ge)
-    if bsg is not None and 2.0 * bsg <= 1.0:
-        raise ConvergenceError(f"(b * gamma) is not square summable: decay exponent {bsg:g} <= 1/2")
-    return ge
-
-
-def _bsg_exponent(b: CoefficientSeq, gamma_exp: float | None) -> float | None:
-    if gamma_exp is None:
+    if ge is None:
         return None
-    if isinstance(b, FiniteSupport):
-        return gamma_exp
-    return conv_exponent(b.rho, gamma_exp)
+    rho_b = decay_exponent(b.seq_tail())
+    if rho_b + ge <= 1.0:
+        raise ConvergenceError(f"(b * gamma) diverges termwise: rho_b + rho_gamma = {rho_b + ge:g} <= 1")
+    bsg = conv_exponent(rho_b, ge)
+    if 2.0 * bsg <= 1.0:
+        raise ConvergenceError(f"(b * gamma) is not square summable: decay exponent {bsg:g} <= 1/2")
+    return bsg

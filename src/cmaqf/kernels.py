@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConventionError, GridError, NonStationaryError, ParameterError, StabilityError
-from .tails import CompactTail, ExpTail, PowerTail, TailFit, TailModel, fit_tail
+from .tails import CompactTail, ExpTail, PowerTail, TailFit, TailModel, fit_tail, powered_tail, shifted_sum_tail
 
 __all__ = [
     "Kernel",
@@ -531,7 +531,7 @@ class LinComboKernel(Kernel):
         object.__setattr__(self, "shifts", shifts)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "support_lo", self.base.support_lo + min(shifts))
-        object.__setattr__(self, "decay", _shifted_sum_tail(self.base.decay, shifts, coeffs))
+        object.__setattr__(self, "decay", shifted_sum_tail(self.base.decay, shifts, coeffs))
 
     def _combine(self, t, base_eval):
         t = np.asarray(t, dtype=float)
@@ -568,24 +568,6 @@ class LinComboKernel(Kernel):
         return self.base.quad_step_hint
 
 
-def _shifted_sum_tail(tail: TailModel, shifts, coeffs) -> TailModel:
-    total = sum(abs(c) for c in coeffs)
-    smax = max(shifts)
-    if isinstance(tail, CompactTail):
-        return CompactTail(end=tail.end + smax, exact=tail.exact)
-    if isinstance(tail, ExpTail):
-        const = tail.constant * sum(abs(c) * math.exp(tail.rate * s) for s, c in zip(shifts, coeffs))
-        return ExpTail(constant=const, rate=tail.rate, start=tail.start + smax, exact=tail.exact)
-    start = max(2.0 * abs(smax), 2.0 * (tail.start + max(smax, 0.0)), tail.start, 1.0)
-    return PowerTail(
-        constant=tail.constant * total * 2.0**tail.exponent,
-        exponent=tail.exponent,
-        start=start,
-        lower=0.0,
-        exact=tail.exact,
-    )
-
-
 @dataclass(frozen=True)
 class PowAbsKernel(Kernel):
     """Pointwise power of the absolute value, ``|base(t)| ** power``."""
@@ -597,7 +579,7 @@ class PowAbsKernel(Kernel):
         if not self.power > 0:
             raise ParameterError("power must be > 0")
         object.__setattr__(self, "support_lo", self.base.support_lo)
-        object.__setattr__(self, "decay", _powered_tail(self.base.decay, self.power))
+        object.__setattr__(self, "decay", powered_tail(self.base.decay, self.power))
 
     def eval(self, t):
         return np.abs(self.base.eval(t)) ** self.power
@@ -616,26 +598,6 @@ class PowAbsKernel(Kernel):
     @property
     def quad_step_hint(self):
         return self.base.quad_step_hint
-
-
-def _powered_tail(tail: TailModel, power: float) -> TailModel:
-    if isinstance(tail, CompactTail):
-        return tail
-    if isinstance(tail, ExpTail):
-        return ExpTail(
-            constant=tail.constant**power,
-            rate=tail.rate * power,
-            start=tail.start,
-            lower=tail.lower**power,
-            exact=tail.exact,
-        )
-    return PowerTail(
-        constant=tail.constant**power,
-        exponent=tail.exponent * power,
-        start=tail.start,
-        lower=tail.lower**power,
-        exact=tail.exact,
-    )
 
 
 # ---------------------------------------------------------------------------

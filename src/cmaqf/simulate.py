@@ -42,7 +42,7 @@ from .kernels import Kernel, grid_cells
 from .levy import LevyModel, check_key, stream
 from .quadrature import product_integral
 from .specs import spec
-from .tails import PowerTail, grow_radius, tail_integral
+from .tails import decay_exponent, grow_radius, tail_integral
 
 __all__ = [
     "PathConfig",
@@ -136,7 +136,7 @@ def resolve_horizon(kernel: Kernel, cfg: PathConfig) -> float:
     tail mass meets the budget; one that misses it raises :class:`TruncationError`."""
     total = product_integral(kernel, kernel, 0.0).value
     start = cfg.horizon if cfg.horizon is not None else 64 * cfg.delta
-    cap = _POWER_HORIZON_CAP * cfg.delta if cfg.horizon is None and isinstance(kernel.decay, PowerTail) else start
+    cap = _POWER_HORIZON_CAP * cfg.delta if cfg.horizon is None and decay_exponent(kernel.decay) < math.inf else start
     T, rel, met = grow_radius(lambda h: _tail_mass_rel(kernel, h, total), start, cap, cfg.tail_mass_budget)
     if not met:
         raise TruncationError(

@@ -18,6 +18,9 @@ that of every adaptive lag sum, by its data (``|b * gamma|^2``, the
 covariance and absolute lag products, the mean of a quadratic form), and
 :func:`grow_radius` every window that a decay model decides (the simulation
 horizon, the lag range of a period integral, the star radius of power weights).
+So is the decay algebra, and no other module looks at a model's class:
+:func:`decay_exponent` (``inf`` for a tail faster than any power), :func:`conv_exponent`
+and the kernel transforms :func:`shifted_sum_tail` and :func:`powered_tail`.
 """
 
 from __future__ import annotations
@@ -66,6 +69,62 @@ class CompactTail:
 
 
 TailModel = ExpTail | PowerTail | CompactTail
+
+
+def decay_exponent(tail: TailModel) -> float:
+    """Power exponent of ``tail``; ``inf`` for a tail faster than any power."""
+    return tail.exponent if isinstance(tail, PowerTail) else math.inf
+
+
+def conv_exponent(a: float, b: float) -> float:
+    """Decay exponent of the convolution of two tails ``|s|^-a`` and ``|s|^-b``
+    (``a + b > 1``): ``min(a, b, a + b - 1)``, and ``a`` when ``b`` is ``inf``.
+
+    When both are below 1 the bulk term ``|s|^(1-a-b)`` leads; otherwise the
+    heavier tail leads, scaled by the sum of the other sequence (assumed
+    non-zero).
+    """
+    return min(a, b, a + b - 1.0)
+
+
+def shifted_sum_tail(tail: TailModel, shifts, coeffs) -> TailModel:
+    """Model of ``sum_j coeffs[j] f(t - shifts[j])`` for a function ``f`` with model ``tail``."""
+    total = sum(abs(c) for c in coeffs)
+    smax = max(shifts)
+    if isinstance(tail, CompactTail):
+        return CompactTail(end=tail.end + smax, exact=tail.exact)
+    if isinstance(tail, ExpTail):
+        const = tail.constant * sum(abs(c) * math.exp(tail.rate * s) for s, c in zip(shifts, coeffs))
+        return ExpTail(constant=const, rate=tail.rate, start=tail.start + smax, exact=tail.exact)
+    start = max(2.0 * abs(smax), 2.0 * (tail.start + max(smax, 0.0)), tail.start, 1.0)
+    return PowerTail(
+        constant=tail.constant * total * 2.0**tail.exponent,
+        exponent=tail.exponent,
+        start=start,
+        lower=0.0,
+        exact=tail.exact,
+    )
+
+
+def powered_tail(tail: TailModel, power: float) -> TailModel:
+    """Model of ``|f|**power`` for a function ``f`` with model ``tail``."""
+    if isinstance(tail, CompactTail):
+        return tail
+    if isinstance(tail, ExpTail):
+        return ExpTail(
+            constant=tail.constant**power,
+            rate=tail.rate * power,
+            start=tail.start,
+            lower=tail.lower**power,
+            exact=tail.exact,
+        )
+    return PowerTail(
+        constant=tail.constant**power,
+        exponent=tail.exponent * power,
+        start=tail.start,
+        lower=tail.lower**power,
+        exact=tail.exact,
+    )
 
 
 @dataclass(frozen=True)
@@ -287,14 +346,15 @@ LagSums = namedtuple("LagSums", "rows radius tails heads bracket capped")
 
 def grow_lags(rows_at, *, p: float, rel_tol: float, cap: int, exponent: float | None = None) -> LagSums:
     """Sums ``sum_s a_s**p`` of the rows ``rows_at(S)`` (lags ``-S..S``) at the
-    first radius ``S = 32, 64, ...`` whose tails, fitted over the last decade
-    (with power exponent ``exponent`` when known), bracket at most ``rel_tol``
-    of the summed absolute heads, or at the first ``S >= cap``, marked ``capped``."""
+    first radius ``S = 32, 64, ...`` whose tails, fitted to ``max(|a_s|, |a_-s|)``
+    over the last decade (with power exponent ``exponent`` when finite), bracket
+    at most ``rel_tol`` of the summed absolute heads, or at the first ``S >= cap``, marked ``capped``."""
+    known = None if exponent == math.inf else exponent
     S = 32
     while True:
         rows = tuple(rows_at(S))
-        lags = np.arange(-S, S + 1)
-        tails = tuple(fit_tail(lags, row, S / 10, known_exponent=exponent).as_tail() for row in rows)
+        envelopes = (np.maximum(np.abs(row[S:]), np.abs(row[S::-1])) for row in rows)  # lags 0..S
+        tails = tuple(fit_tail(np.arange(S + 1), env, S / 10, known_exponent=known).as_tail() for env in envelopes)
         heads = tuple(float(np.sum(row**p)) for row in rows)
         bracket = sum(lattice_tail_sum(tail, S + 1, p)[1] for tail in tails)
         met = bracket <= rel_tol * max(sum(abs(h) for h in heads), 1e-300)

@@ -25,7 +25,7 @@ from .conditions import ConditionReport, check_conditions
 from .covariance import (
     CoefficientSeq,
     FiniteSupport,
-    _gamma_power_exponent_or_check,
+    _bsg_exponent,
     b_star_gamma,
     covariance_lags,
     star_conv_kernel,
@@ -204,7 +204,7 @@ def eta2_qn(
     second factor; the second value is stored in ``eta2_alt``.
     """
     report, note = _gate_conditions("qn_general", kernel, b, Delta, model, check, force)
-    _gamma_power_exponent_or_check(b, kernel)  # refuse a divergent b * gamma before the slow lag sums
+    _bsg_exponent(b, kernel)  # refuse a divergent b * gamma before the slow lag sums
     conv = star_conv_kernel(b, kernel, Delta)
     # the bilinear route first: its period integral peaks in memory, so it runs before the lag caches fill
     bilinear = eta2_sn(kernel, conv, model, Delta, check="skip")

@@ -8,10 +8,11 @@ import pytest
 import cmaqf.conditions as conditions
 from cmaqf.conditions import check_conditions, lp_norm_sequence
 from cmaqf.covariance import FiniteSupport, PowerDecay
-from cmaqf.errors import ParameterError
+from cmaqf.errors import ConvergenceError, ParameterError
 from cmaqf.kernels import ExponentialOU, FractionalNoise, PowAbsKernel, TabulatedKernel, build_carma
 from cmaqf.levy import BrownianMotion, CompoundPoissonNormal
-from cmaqf.tails import CompactTail, ExpTail, PowerTail
+from cmaqf.tails import CompactTail, ExpTail, PowerTail, conv_exponent, decay_exponent
+from cmaqf.variance import eta2_qn
 
 
 def tail07_kernel(exponent=0.7):
@@ -248,6 +249,83 @@ def test_envelope_of_gaussian_side_long_memory_not_short_circuited(d, rho):
     # exponents min(rho, 1 - d, rho - d) = 1 - d > 1/2: the envelope's lag products may converge
     kernel, b = FractionalNoise(d), PowerDecay(c=1.0, rho=rho, b0=1.0)
     assert conditions._qn_envelope_divergence(kernel, b, "qn_general") is None
+
+
+_SOUNDNESS_KERNELS = {
+    "ou": ExponentialOU(1.0),
+    "carma": build_carma((3.0, 2.0), (3.0, 1.0), 1),
+    **{f"fn{d:g}": FractionalNoise(d) for d in (0.05, 0.1, 0.2)},
+}
+
+def _b_star_gamma_exponent(kernel, rho_b):
+    """Decay exponent of ``b * gamma``: ``gamma`` decays like ``s^-conv(rho_phi, rho_phi)``."""
+    rho_phi = decay_exponent(kernel.decay)
+    return conv_exponent(rho_b, conv_exponent(rho_phi, rho_phi))
+
+
+# cells where b * gamma is not square summable, so eta2 of Q_n is infinite
+_INFINITE_ETA2 = [
+    (name, rho_b)
+    for name, kernel in _SOUNDNESS_KERNELS.items()
+    for rho_b in (0.2, 0.3, 0.4, 0.5, 0.55, 0.6, 0.7, 0.8)
+    if 2.0 * _b_star_gamma_exponent(kernel, rho_b) <= 1.0
+]
+
+
+def test_soundness_grid_has_29_cells():
+    assert len(_INFINITE_ETA2) == 29
+
+
+@pytest.mark.parametrize("name, rho_b", _INFINITE_ETA2)
+def test_infinite_eta2_is_refuted_and_refused(name, rho_b):
+    # the Gaussian limit needs b * gamma in l^2; where exponent arithmetic shows it is not, no
+    # check may say supported and eta2_qn must refuse at once instead of summing a divergent tail
+    kernel, b = _SOUNDNESS_KERNELS[name], PowerDecay(c=1.0, rho=rho_b, b0=1.0)
+    for condition_set in ("qn_general", "qn_envelope"):
+        t0 = time.perf_counter()
+        rep = check_conditions(condition_set, kernel, b=b, Delta=1.0, model=BrownianMotion(1.0))
+        assert rep.overall == "refuted", (condition_set, rep.assumptions)
+        assert time.perf_counter() - t0 < 1.0
+    t0 = time.perf_counter()
+    with pytest.raises(ConvergenceError):
+        eta2_qn(kernel, b, BrownianMotion(1.0), 1.0, check="skip")
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_envelope_lag_products_outside_every_candidate_are_refuted():
+    # OU with rho_b = 0.55: psi decays like t^-0.55 and its self products like s^-0.1, in no
+    # l^beta with beta <= 2; eta2 is finite (b * gamma ~ s^-0.55), so qn_general is not refuted
+    kernel, b = ExponentialOU(1.0), PowerDecay(c=1.0, rho=0.55, b0=1.0)
+    t0 = time.perf_counter()
+    rep = check_conditions("qn_envelope", kernel, b=b, Delta=1.0)
+    assert time.perf_counter() - t0 < 1.0
+    assert rep.overall == "refuted"
+    assert "s^-0.1: in no l^beta, beta <= 2" in rep.assumptions[0].note
+    assert conditions._qn_envelope_divergence(kernel, b, "qn_general") is None
+    # a pinned candidate large enough for s^-0.1 is not refuted by arithmetic
+    assert conditions._qn_envelope_divergence(kernel, b, "qn_envelope", (2.0, 11.0)) is None
+
+
+@pytest.mark.parametrize("condition_set", ["qn_general", "qn_envelope"])
+def test_fitted_kernel_tail_never_refutes_the_envelope(condition_set):
+    b = PowerDecay(c=1.0, rho=0.3, b0=1.0)
+    assert conditions._qn_envelope_divergence(tail07_kernel(), b, condition_set) is None
+
+
+def test_conjugate_pair_condition_follows_from_the_cross_condition():
+    # once psi's lag products converge (2 rho_psi > 1), no conjugate pair for the self products
+    # (e11 + e22 <= 1) implies cross products outside l^2 (2 e12 <= 1): one rule refutes both
+    exponents = [*np.round(np.arange(0.05, 2.0, 0.05), 2), math.inf]
+    checked = 0
+    for rho_phi in exponents:
+        for rho_b in exponents:
+            rho_psi = conv_exponent(rho_b, rho_phi)
+            if rho_b + rho_phi <= 1.0 or 2.0 * rho_psi <= 1.0:
+                continue
+            e11, e22 = conv_exponent(rho_phi, rho_phi), conv_exponent(rho_psi, rho_psi)
+            assert e11 + e22 > 1.0 or 2.0 * conv_exponent(rho_phi, rho_psi) <= 1.0 + 1e-12, (rho_phi, rho_b)
+            checked += 1
+    assert checked > 800
 
 
 @pytest.mark.parametrize("model", [BrownianMotion(1.0), CompoundPoissonNormal(rate=1.0, jump_variance=1.0)], ids=["brownian", "cpn"])

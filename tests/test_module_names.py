@@ -218,3 +218,31 @@ def test_radii_are_doubled_in_one_place():
         for line in _doublings(ast.parse(path.read_text(), str(path)))
     ]
     assert stray == [], "grow a model-driven window with tails.grow_radius"
+
+
+TAIL_MODELS = {"PowerTail", "ExpTail", "CompactTail"}
+
+
+def _tail_class_tests(tree) -> list[int]:
+    """Line numbers of the ``isinstance`` calls in ``tree`` that test for a tail model class."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and len(node.args) == 2
+        and any(getattr(n, "id", getattr(n, "attr", None)) in TAIL_MODELS for n in ast.walk(node.args[1]))
+    ]
+
+
+def test_tail_models_are_inspected_in_one_place():
+    # tails.decay_exponent reads a model's exponent (inf when faster than any power), tails transforms it
+    src = Path(cmaqf.__file__).parent
+    stray = [
+        f"{path.stem}:{line}"
+        for path in sorted(src.glob("*.py"))
+        if path.stem != "tails"
+        for line in _tail_class_tests(ast.parse(path.read_text(), str(path)))
+    ]
+    assert stray == [], "read exponents with tails.decay_exponent"

@@ -10,7 +10,17 @@ from cmaqf.covariance import PowerDecay, star_conv_kernel
 from cmaqf.errors import TruncationError
 from cmaqf.kernels import ExponentialOU, FractionalNoise, build_carma
 from cmaqf.quadrature import lattice_s_range
-from cmaqf.tails import CompactTail, ExpTail, PowerTail, fit_tail, grow_lags, grow_radius, lattice_tail_sum
+from cmaqf.tails import (
+    CompactTail,
+    ExpTail,
+    PowerTail,
+    conv_exponent,
+    decay_exponent,
+    fit_tail,
+    grow_lags,
+    grow_radius,
+    lattice_tail_sum,
+)
 
 
 @given(
@@ -120,6 +130,49 @@ def test_grow_lags_scales_by_the_summed_absolute_heads():
         assert lag.radius == single.radius == 128 and not lag.capped
         assert lag.heads[1] == pytest.approx(second * lag.heads[0], rel=1e-15) and lag.heads[1] < 0
         assert lag.bracket == pytest.approx((1 - second) * single.bracket, rel=1e-12)
+
+
+def test_grow_lags_fits_an_infinite_exponent_freely():
+    # inf is the exponent of a tail faster than any power: the same fit as no exponent at all
+    free = grow_lags(_geometric(0.8)[0], p=2, rel_tol=1e-9, cap=10**6)
+    inf = grow_lags(_geometric(0.8)[0], p=2, rel_tol=1e-9, cap=10**6, exponent=math.inf)
+    assert isinstance(inf.tails[0], ExpTail)
+    assert (inf.radius, inf.tails, inf.heads, inf.bracket, inf.capped) == (free.radius, free.tails, free.heads, free.bracket, free.capped)
+    assert np.array_equal(inf.rows[0], free.rows[0])
+
+
+@pytest.mark.parametrize("exponent", [None, 1.5])
+def test_grow_lags_brackets_the_heavier_side_of_an_uneven_row(exponent):
+    # exp(-s) for s >= 0 and |s|^-1.5 for s < 0: only the negative side shows the power tail,
+    # and the bracket must cover that side's sum beyond the radius
+    def rows_at(S):
+        s = np.arange(-S, S + 1)
+        return (np.where(s >= 0, np.exp(-np.abs(s)), np.maximum(np.abs(s), 1.0) ** -1.5),)
+
+    lag = grow_lags(rows_at, p=1, rel_tol=0.05, cap=4096, exponent=exponent)
+    assert not lag.capped
+    S = lag.radius
+    s = np.arange(S + 1, 10**7, dtype=float)
+    negative_tail = float(np.sum(s**-1.5)) + 2.0 / math.sqrt(1e7)  # integral bound beyond the last term
+    assert negative_tail <= lag.bracket
+    assert isinstance(lag.tails[0], PowerTail) and lag.tails[0].exponent == pytest.approx(1.5, abs=1e-6)
+
+
+def test_decay_exponent_of_each_tail_model():
+    assert decay_exponent(PowerTail(constant=2.0, exponent=0.7, start=1.0)) == 0.7
+    assert decay_exponent(PowerTail(constant=2.0, exponent=0.7, start=1.0, exact=False)) == 0.7
+    assert decay_exponent(ExpTail(constant=1.0, rate=0.5)) == math.inf
+    assert decay_exponent(CompactTail(end=3.0)) == math.inf
+    assert decay_exponent(ExponentialOU(1.0).decay) == math.inf
+    assert decay_exponent(FractionalNoise(0.1).decay) == pytest.approx(0.9)
+    assert decay_exponent(PowerDecay(c=1.0, rho=0.3, b0=1.0).seq_tail()) == 0.3
+
+
+def test_conv_exponent_passes_an_infinite_exponent_through():
+    assert conv_exponent(0.3, math.inf) == conv_exponent(math.inf, 0.3) == 0.3
+    assert conv_exponent(1.5, math.inf) == 1.5
+    assert conv_exponent(math.inf, math.inf) == math.inf
+    assert conv_exponent(0.7, 0.8) == pytest.approx(0.5)
 
 
 def _halving(first, asked):
