@@ -15,6 +15,12 @@ base covariances at shifted lags, so quadrature only ever sees base kernels.
 Base kernels that are sums of exponential modes (OU, CARMA; see
 :attr:`Kernel.modes`) have closed-form lag covariances and see no quadrature
 either.  Decay exponents and their arithmetic (``conv_exponent``) live in :mod:`cmaqf.tails`.
+
+Discrete convolutions of lag sequences go through one real FFT product,
+:func:`_fft_convolve`, which the simulated paths and ``compute_qn`` share.
+:func:`b_star_gamma` uses it for power weights, whose ``b * gamma`` decays like
+a power and so stays far above the FFT's rounding; a finite support keeps the
+direct product, because its ``b * gamma`` can decay exponentially below it.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .errors import ConvergenceError, ParameterError
 from .kernels import Kernel, LinComboKernel, PowAbsKernel
@@ -335,6 +342,13 @@ _BSG_REL_TOL = 1e-8
 _BSG_S_CAP = 10**6
 
 
+def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two real sequences by one real FFT product."""
+    size = len(a) + len(b) - 1
+    nfft = scipy.fft.next_fast_len(size, real=True)
+    return scipy.fft.irfft(scipy.fft.rfft(a, nfft) * scipy.fft.rfft(b, nfft), nfft)[:size]
+
+
 def b_star_gamma(
     b: CoefficientSeq,
     kernel: Kernel,
@@ -349,12 +363,23 @@ def b_star_gamma(
     until the extrapolated tail of the squared norm is below 1e-8 (relative),
     capping at ``10**6`` with ``capped=True``.  A tail that provably diverges raises
     :class:`ConvergenceError`.  ``base_step`` is as in :func:`covariance_lags`.
+
+    Power weights take one FFT product per radius (:func:`_fft_convolve`): their
+    ``8S + 1`` weights make the direct product cost ~16 S^2, and ``b * gamma``
+    decays like a power, so the FFT's rounding (a few ulps of the largest value)
+    stays far below every kept lag.  A finite support keeps the direct product:
+    against an exponential kernel its ``b * gamma`` decays exponentially, and FFT
+    rounding would swamp the far lags whose tail :func:`~cmaqf.tails.grow_lags` fits.
     """
 
     def rows_at(S):
-        ub = b.radius if isinstance(b, FiniteSupport) else max(64, 4 * S)
+        finite = isinstance(b, FiniteSupport)
+        ub = b.radius if finite else max(64, 4 * S)
         gam = covariance_lags(kernel, kernel, sigma2, Delta, -(S + ub), S + ub, base_step=base_step)
-        return (np.convolve(gam, b.weights(ub), mode="valid"),)
+        w = b.weights(ub)
+        if finite:
+            return (np.convolve(gam, w, mode="valid"),)
+        return (_fft_convolve(gam, w)[len(w) - 1 : len(gam)],)
 
     lag = grow_lags(rows_at, p=2.0, rel_tol=_BSG_REL_TOL, cap=_BSG_S_CAP, exponent=_bsg_exponent(b, kernel))
     if lag.capped and not np.isfinite(lag.bracket):

@@ -34,9 +34,8 @@ import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
-import scipy.fft
 
-from .covariance import CoefficientSeq, FiniteSupport
+from .covariance import CoefficientSeq, FiniteSupport, _fft_convolve
 from .errors import ParameterError, TruncationError
 from .kernels import Kernel, grid_cells
 from .levy import LevyModel, check_key, stream
@@ -266,13 +265,6 @@ def _lowrank_samples(R: np.ndarray, basis: np.ndarray, dL: np.ndarray, n: int) -
     for k in range(rank):
         out += np.correlate(Y[:, k], coeffs[:, k], "valid")
     return out
-
-
-def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution of two real sequences by one real FFT product."""
-    size = len(a) + len(b) - 1
-    nfft = scipy.fft.next_fast_len(size, real=True)
-    return scipy.fft.irfft(scipy.fft.rfft(a, nfft) * scipy.fft.rfft(b, nfft), nfft)[:size]
 
 
 def _convolve_paths(weights_list, dL, n: int, fine_steps: int, method: str):

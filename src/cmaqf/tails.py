@@ -334,9 +334,25 @@ def lattice_tail_sum(tail: TailModel, start: int, p: float = 1.0, spacing: float
     scale = spacing**-tail.exponent
     c, l = tail.constant * scale, tail.lower * scale
     # integral test: the sum from start lies between the integrals from start + 1 and start - 1
-    up = (c**p) * (start - 1) ** (1.0 - a) / (a - 1.0) if start > 1 else (c**p) * a / (a - 1.0)
-    lo = (l**p) * (start + 1) ** (1.0 - a) / (a - 1.0)
+    up = _power_product(c, p, start - 1, 1.0 - a, a - 1.0) if start > 1 else _power_product(c, p, a, 1.0, a - 1.0)
+    lo = _power_product(l, p, start + 1, 1.0 - a, a - 1.0)
     return 2.0 * lo, 2.0 * up
+
+
+def _power_product(k: float, p: float, x: float, e: float, d: float) -> float:
+    """``k**p * x**e / d`` for ``k >= 0`` and ``x, d > 0``, through logs when the
+    direct product is not finite (``k**p`` overflows, perhaps times an underflowed ``x**e``)."""
+    k, p, x, e, d = float(k), float(p), float(x), float(e), float(d)
+    try:
+        value = (k**p) * x**e / d
+    except OverflowError:
+        value = math.inf
+    if math.isfinite(value):
+        return value
+    try:
+        return math.exp(p * math.log(k) + e * math.log(x) - math.log(d))
+    except OverflowError:
+        return math.inf
 
 
 #: What :func:`grow_lags` returns: each row on ``-radius..radius``, its fitted tail and its

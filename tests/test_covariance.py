@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from cmaqf import covariance
 from cmaqf.covariance import (
     FiniteSupport,
     PowerDecay,
@@ -195,6 +196,37 @@ def test_b_star_gamma_of_power_weights_matches_a_direct_sum():
     assert res.values.shape == (2 * S + 1,)
     for s in (-S, -S + 1, -1, 0, 1, S // 3, S):
         assert res.values[s + S] == pytest.approx(np.sum(b.weight(u) * gam[s - u + S + ub]), rel=1e-12), s
+
+
+@pytest.mark.parametrize("Delta", [1.0, 0.7])
+@pytest.mark.parametrize("rho", [1.5, 3.0, 6.0])
+@pytest.mark.parametrize(
+    "kernel", [ExponentialOU(1.0), ExponentialOU(5.0), build_carma((3.0, 2.0), (3.0, 1.0), 1)], ids=["ou1", "ou5", "carma21"]
+)
+def test_b_star_gamma_of_power_weights_by_fft_matches_the_direct_product(kernel, rho, Delta, monkeypatch):
+    b = PowerDecay(c=1.0, rho=rho, b0=1.0)
+    fft = b_star_gamma(b, kernel, 1.0, Delta)
+    # the same lags with np.convolve in place of the FFT product: its "full" part sliced as "valid"
+    monkeypatch.setattr(covariance, "_fft_convolve", lambda a, w: np.convolve(a, w))
+    direct = b_star_gamma(b, kernel, 1.0, Delta)
+    assert (fft.radius, fft.capped) == (direct.radius, direct.capped)
+    scale = np.max(np.abs(fft.values))
+    assert np.max(np.abs(fft.values - direct.values)) <= 1e-14 * scale
+
+
+def test_b_star_gamma_of_slowly_decaying_power_weights_matches_an_fft_oracle():
+    # rho = 1.3 against OU(1): gamma(h) = exp(-|h|) / 2, and b * gamma ~ C s^-1.3 with C = sum_u gamma(u)
+    rho, N, ub = 1.3, 2**19, 2**20
+    b = PowerDecay(c=1.0, rho=rho, b0=1.0)
+    res = b_star_gamma(b, ExponentialOU(1.0), 1.0, 1.0)
+    assert not res.capped
+    gam = 0.5 * np.exp(-np.abs(np.arange(-64, 65)))
+    w = b.weights(ub)
+    size = len(gam) + len(w) - 1
+    full = np.fft.irfft(np.fft.rfft(gam, size) * np.fft.rfft(w, size), size)  # lag s sits at s + 64 + ub
+    head = float(np.sum(full[ub + 64 - N : ub + 64 + N + 1] ** 2))
+    tail = 2.0 * float(np.sum(gam)) ** 2 * (N + 0.5) ** (1.0 - 2.0 * rho) / (2.0 * rho - 1.0)
+    assert abs(res.l2_sq - (head + tail)) <= res.l2_sq_tail
 
 
 def test_b_star_gamma_divergence_raises():

@@ -246,3 +246,20 @@ def test_tail_models_are_inspected_in_one_place():
         for line in _tail_class_tests(ast.parse(path.read_text(), str(path)))
     ]
     assert stray == [], "read exponents with tails.decay_exponent"
+
+
+def _fft_calls(tree) -> set[str]:
+    """Top-level definitions in ``tree`` that call an ``rfft`` or ``irfft``."""
+    return {
+        getattr(top, "name", "<module>")
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("rfft", "irfft")
+    }
+
+
+def test_real_ffts_are_called_in_one_routine():
+    src = Path(cmaqf.__file__).parent
+    callers = {(path.stem, where) for path in sorted(src.glob("*.py")) for where in _fft_calls(ast.parse(path.read_text(), str(path)))}
+    # one FFT routine serves every convolution by FFT: paths, compute_qn and b * gamma
+    assert callers == {("covariance", "_fft_convolve")}, "convolve with covariance._fft_convolve"

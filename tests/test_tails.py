@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,30 @@ def test_lattice_sums_honour_start_and_support():
     assert lattice_tail_sum(compact, 6, 1.0, 2.0) == (0.0, 0.0)
     with pytest.raises(ValueError):
         lattice_tail_sum(compact, 0)
+
+
+@pytest.mark.parametrize("constant, start", [(1e4, 4097), (np.float64(1e4), 4097), (1e4, 10**7)])
+def test_power_lattice_sums_stay_finite_when_the_direct_product_overflows(constant, start):
+    # c**p = 1e404 overflows a float, and at start = 1e7 the power start**(1 - a) also underflows to 0
+    p, exponent = 101, 0.5
+    a = exponent * p
+    tail = PowerTail(constant=constant, exponent=exponent, start=1.0, lower=constant)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lo, up = lattice_tail_sum(tail, start, p)
+    for value, at in ((lo, start + 1), (up, start - 1)):
+        log_half = p * math.log(1e4) + (1.0 - a) * math.log(at) - math.log(a - 1.0)
+        assert math.isfinite(value)
+        assert math.log(value / 2.0) == pytest.approx(log_half, rel=1e-14)
+
+
+def test_finite_power_lattice_sums_keep_the_direct_product():
+    c, l, exponent, p, start = 2.0, 0.5, 1.5, 2.0, 10
+    a = exponent * p
+    lo = (l**p) * (start + 1) ** (1.0 - a) / (a - 1.0)
+    up = (c**p) * (start - 1) ** (1.0 - a) / (a - 1.0)
+    assert lattice_tail_sum(PowerTail(c, exponent, 1.0, lower=l), start, p) == (2.0 * lo, 2.0 * up)
+    assert lattice_tail_sum(PowerTail(c, exponent, 1.0, lower=l), 1, p)[1] == 2.0 * ((c**p) * a / (a - 1.0))
 
 
 def test_fit_tail_vanishes_without_three_usable_samples():
