@@ -9,9 +9,9 @@ coefficient sequence.
 
 A combination of lattice-shifted copies of one base kernel (the convolved
 kernels of :func:`star_conv_kernel`, their absolute companions, the
-least-squares kernel pair) is never integrated as a whole:
-:func:`covariance_lags` writes its lag covariances as an exact double sum of
-base covariances at shifted lags, so quadrature only ever sees base kernels.
+least-squares kernel pair) is never integrated as a whole: its lag covariances
+(:func:`covariance_lags`) are exact double sums of base covariances at shifted lags, and
+its period integrals sum its lattice rows from base rows, so quadrature only sees bases.
 Base kernels that are sums of exponential modes (OU, CARMA; see
 :attr:`Kernel.modes`) have closed-form lag covariances and see no quadrature
 either.  Decay exponents and their arithmetic (``conv_exponent``) live in :mod:`cmaqf.tails`.
@@ -33,7 +33,7 @@ import numpy as np
 import scipy.fft
 
 from .errors import ConvergenceError, ParameterError
-from .kernels import Kernel, LinComboKernel, PowAbsKernel
+from .kernels import Kernel, LinComboKernel, PowAbsKernel, _lattice_combo
 from .quadrature import QuadResult, product_integral
 from .tails import (
     CompactTail,
@@ -296,27 +296,6 @@ def _mode_lags(modes1, modes2, Delta: float, s_min: int, s_max: int) -> np.ndarr
             out[:k] += (w * np.exp(-mi * h[:k])).real
             out[k:] += (w * np.exp(nj * h[k:])).real
     return out
-
-
-def _lattice_combo(kernel: Kernel, Delta: float) -> tuple[Kernel, np.ndarray, np.ndarray]:
-    """``(base, offsets, coeffs)`` with ``kernel(t) = sum_j coeffs[j] base(t - offsets[j] Delta)``.
-
-    Reduces a :class:`LinComboKernel` whose every shift is an exact multiple of
-    ``Delta``, and the absolute value (``PowAbsKernel(., 1)``) of one that adds
-    non-negative multiples of an absolute value, which equals the combination
-    itself.  Any other kernel is its own base, at offset 0 with coefficient 1.
-    """
-    combo = kernel
-    if isinstance(kernel, PowAbsKernel) and kernel.power == 1.0:
-        inner = kernel.base
-        if isinstance(inner, LinComboKernel) and isinstance(inner.base, PowAbsKernel) and min(inner.coeffs) >= 0.0:
-            combo = inner
-    if isinstance(combo, LinComboKernel):
-        shifts = np.asarray(combo.shifts)
-        offsets = np.round(shifts / Delta)
-        if np.array_equal(offsets * Delta, shifts):
-            return combo.base, offsets.astype(int), np.asarray(combo.coeffs)
-    return kernel, np.zeros(1, dtype=int), np.ones(1)
 
 
 def gamma_seq_exponent(kernel: Kernel, other: Kernel | None = None) -> float | None:

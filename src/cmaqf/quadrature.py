@@ -4,9 +4,9 @@ Two geometries recur throughout the package:
 
 * full-line integrals ``int k1(t) k2(t + shift) dt`` (covariances, norm
   sequences), handled by :func:`product_integral`;
-* integrals over one sampling period of functionals of the lattice sums
-  ``t -> sum_s prod_i k_i(t + s * Delta)``, handled by :func:`phase_lattice`
-  and :func:`phase_integral`.
+* integrals over one sampling period of functionals of the lattice sums ``t -> sum_s prod_i
+  k_i(t + s * Delta)`` (fourth-cumulant terms, period norms), handled by :func:`phase_lattice`
+  and :func:`phase_integral`, which sample a lattice combination only through its base kernel.
 
 Both split the domain at kernel breakpoints, use composite Simpson rules on
 the smooth pieces (nested so a discretisation estimate comes for free), grade
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .kernels import Kernel
+from .kernels import Kernel, _lattice_combo
 from .tails import grow_radius, lattice_tail_sum, product_tail_integral, sparse_tail_sum_estimate, tail_sup
 
 __all__ = ["QuadResult", "product_integral", "phase_lattice", "phase_product_sum", "phase_integral"]
@@ -207,13 +207,18 @@ def phase_lattice(kernel: Kernel, nodes: np.ndarray, s_lo: int, s_hi: int, Delta
     """Matrix ``V[i, j] = kernel(nodes[j] + (s_lo + i) * Delta)``.
 
     ``nodes`` span one Simpson piece, so the last column, which closes it,
-    carries left limits instead of right-continuous values.
+    carries left limits instead of right-continuous values.  A lattice combination
+    ``sum_j c_j B(. - a_j Delta)`` (:func:`~cmaqf.kernels._lattice_combo`) samples only
+    ``B``, on the lags widened by the offsets, and row ``s`` sums ``c_j`` times base row ``s - a_j``.
     """
-    s_vals = np.arange(s_lo, s_hi + 1)
-    args = nodes[None, :] + s_vals[:, None] * Delta
-    V = np.asarray(kernel.eval(args.ravel()), dtype=float).reshape(args.shape)
-    V[:, -1] = np.asarray(kernel.left_limit(args[:, -1]), dtype=float)
-    return V
+    base, offsets, coeffs = _lattice_combo(kernel, Delta)
+    lo = s_lo - offsets.max()
+    args = nodes[None, :] + np.arange(lo, s_hi - offsets.min() + 1)[:, None] * Delta
+    B = np.asarray(base.eval(args.ravel()), dtype=float).reshape(args.shape)
+    B[:, -1] = np.asarray(base.left_limit(args[:, -1]), dtype=float)
+    if base is kernel:
+        return B
+    return sum(c * B[s_lo - a - lo : s_hi - a - lo + 1] for a, c in zip(offsets, coeffs))
 
 
 _LATTICE_CHUNK = 8192

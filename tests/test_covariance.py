@@ -16,6 +16,7 @@ from cmaqf.covariance import (
     star_conv_kernel,
 )
 from cmaqf.errors import ConvergenceError, ParameterError
+from cmaqf.inference import ls_kernel_pair, poly_map
 from cmaqf.kernels import (
     ExponentialOU,
     FractionalNoise,
@@ -25,7 +26,7 @@ from cmaqf.kernels import (
     build_carma,
     grid_sample,
 )
-from cmaqf.quadrature import phase_lattice, product_integral
+from cmaqf.quadrature import lattice_s_range, phase_lattice, product_integral
 
 
 def fn_gamma_oracle(d):
@@ -251,6 +252,98 @@ def test_phase_lattice_closes_on_left_limits():
     V = phase_lattice(ExponentialOU(1.0), np.linspace(0.0, 1.0, 5), -2, 1, 1.0)
     assert V[1, -1] == 0.0  # s = -1 at the closing node t = 1: left limit
     assert V[2, 0] == 1.0  # s = 0 at the opening node t = 0: right value
+
+
+_LATTICE_BASES = {
+    "ou": ExponentialOU(1.0),
+    "carma21": build_carma((3.0, 2.0), (3.0, 1.0), 1),
+    "fn01": FractionalNoise(0.1),
+}
+
+
+def _lattice_combinations(base, delta, power_weights):
+    finite = FiniteSupport((0.5, -0.8, 0.3))
+    out = {
+        "star_finite": star_conv_kernel(finite, base, delta),
+        "star_finite_abs": star_conv_kernel(finite, base, delta, absolute=True),
+        "ls_first": ls_kernel_pair(base, *poly_map([[0.5, 0.3], [0.1, -0.2]]), 0.4, 2, delta)[0],
+        "shifted": LinComboKernel(base, shifts=(-delta,), coeffs=(1.0,)),
+    }
+    if power_weights:
+        out["star_power"] = star_conv_kernel(PowerDecay(1.0, 1.5, 1.0), base, delta)
+        out["star_power_abs"] = star_conv_kernel(PowerDecay(1.0, 1.5, 1.0), base, delta, absolute=True)
+    return out
+
+
+def _pointwise_lattice(kernel, nodes, s_lo, s_hi, delta):
+    # the lattice of the kernel's own eval, with left limits in the closing column
+    args = nodes[None, :] + np.arange(s_lo, s_hi + 1)[:, None] * delta
+    V = np.asarray(kernel.eval(args.ravel())).reshape(args.shape)
+    V[:, -1] = kernel.left_limit(args[:, -1])
+    return V
+
+
+@pytest.mark.parametrize("delta", [1.0, 0.7])
+@pytest.mark.parametrize("family", sorted(_LATTICE_BASES))
+def test_phase_lattice_of_a_lattice_combination_matches_its_pointwise_values(family, delta):
+    # power weights only at delta = 1, and not over fractional noise, whose star has 8193
+    # offsets to evaluate point by point: at 0.7 the pointwise closing column takes the
+    # wrong side of the base's jump (next test)
+    base = _LATTICE_BASES[family]
+    nodes = np.linspace(0.0, delta, 65)
+    for name, k in _lattice_combinations(base, delta, power_weights=delta == 1.0 and family != "fn01").items():
+        s_lo, s_hi = lattice_s_range([base, k], delta)
+        s_hi = min(s_hi, 256)
+        ref = _pointwise_lattice(k, nodes, s_lo, s_hi, delta)
+        got = phase_lattice(k, nodes, s_lo, s_hi, delta)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), name
+
+
+@pytest.mark.parametrize("family", ["ou", "carma21"])
+def test_phase_lattice_closes_a_power_star_on_its_left_limits_off_unit_spacing(family):
+    # row s of the closing column holds sum_j c_j B(Delta + (s - a_j) Delta) from the left;
+    # for s - a_j = -1 the base's argument is exactly 0, its jump, so that term is 0.  The
+    # kernel's own left_limit sees (Delta + s Delta) - a_j Delta, a rounding away from 0,
+    # and can take the value after the jump (3.8e-2 of the largest entry for OU).
+    delta = 0.7
+    base = _LATTICE_BASES[family]
+    nodes = np.linspace(0.0, delta, 65)
+    for absolute in (False, True):
+        k = star_conv_kernel(PowerDecay(1.0, 1.5, 1.0), base, delta, absolute=absolute)
+        s_lo, s_hi = lattice_s_range([base, k], delta)
+        got = phase_lattice(k, nodes, s_lo, s_hi, delta)
+        inside = k.eval(delta * (1.0 - 1e-12) + np.arange(s_lo, s_hi + 1) * delta)
+        assert np.max(np.abs(got[:, -1] - inside)) <= 1e-9 * np.max(np.abs(got))
+        np.testing.assert_allclose(got[:, :-1], _pointwise_lattice(k, nodes, s_lo, s_hi, delta)[:, :-1],
+                                   rtol=0, atol=1e-13 * np.max(np.abs(got)))
+
+
+def test_combination_kernels_are_never_evaluated_point_by_point(monkeypatch):
+    # every call reads its lattice combinations through the base kernel, with
+    # values equal bit for bit to an unpatched run
+    from cmaqf.conditions import check_conditions
+    from cmaqf.levy import CompoundPoissonNormal
+    from cmaqf.variance import autocov_clt_sigma, eta2_qn, eta2_sn
+
+    ou, cpn, power = ExponentialOU(1.0), CompoundPoissonNormal(1.0, 1.0), PowerDecay(1.0, 1.5, 1.0)
+    pair = ls_kernel_pair(ou, *poly_map([[0.5, 0.3], [0.1, -0.2]]), 0.4, 2, 1.0)
+    calls = {
+        "eta2_qn": lambda: eta2_qn(ou, power, cpn, 1.0).to_dict(),
+        "qn_general": lambda: check_conditions("qn_general", ou, b=power, Delta=0.7, model=cpn).to_dict(),
+        # the sn_general check takes |signed combination|, which has no lattice reading
+        "ls_eta2_sn": lambda: eta2_sn(*pair, cpn, 1.0, check="skip").to_dict(),
+        "autocov": lambda: autocov_clt_sigma(ou, cpn, 1.0, 3).tolist(),
+    }
+    expect = {name: call() for name, call in calls.items()}
+
+    def refuse(self, t):
+        raise AssertionError("a lattice combination was evaluated point by point")
+
+    monkeypatch.setattr(LinComboKernel, "eval", refuse)
+    monkeypatch.setattr(LinComboKernel, "left_limit", refuse)
+    covariance._cached_product.cache_clear()
+    assert {name: call() for name, call in calls.items()} == expect
 
 
 def test_tail_warning_when_bound_exceeds_one_percent():

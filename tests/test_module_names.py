@@ -263,3 +263,27 @@ def test_real_ffts_are_called_in_one_routine():
     callers = {(path.stem, where) for path in sorted(src.glob("*.py")) for where in _fft_calls(ast.parse(path.read_text(), str(path)))}
     # one FFT routine serves every convolution by FFT: paths, compute_qn and b * gamma
     assert callers == {("covariance", "_fft_convolve")}, "convolve with covariance._fft_convolve"
+
+
+def _names(tree) -> set[str]:
+    """Every identifier ``tree`` names: variables, attributes and imports."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.asname or node.name)
+    return found
+
+
+def test_lattice_combinations_are_read_in_one_place():
+    # kernels._lattice_combo reads a lattice combination as (base, offsets, coefficients) for
+    # lag covariances and period integrals alike; quadrature samples only the base
+    src = Path(cmaqf.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(src.glob("*.py"))}
+    owners = {stem for stem, tree in trees.items() for node in tree.body if getattr(node, "name", None) == "_lattice_combo"}
+    assert owners == {"kernels"}
+    assert "LinComboKernel" not in _names(trees["quadrature"]), "read combinations with kernels._lattice_combo"
+    assert {"covariance", "quadrature"} <= {stem for stem, tree in trees.items() if "_lattice_combo" in _names(tree)}

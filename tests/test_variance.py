@@ -9,6 +9,7 @@ from cmaqf.covariance import FiniteSupport, covariance_lags
 from cmaqf.errors import ConditionsRefutedError, GridError
 from cmaqf.kernels import ExponentialOU, FractionalNoise, LinComboKernel, TabulatedKernel, grid_sample
 from cmaqf.levy import BilateralGamma, BrownianMotion, CompoundPoissonNormal, stream
+from cmaqf.quadrature import phase_integral
 from cmaqf.simulate import stochastic_integrals_joint
 from cmaqf.variance import autocov_clt_sigma, eta2_qn, eta2_sn, expected_qn, expected_sn, fourth_moment
 
@@ -228,6 +229,19 @@ def test_autocov_sigma_kappa4_block_ou_closed_form():
     ij = np.arange(1, m + 1)
     expect = kappa4 * np.exp(-lam * (ij[:, None] + ij[None, :]) * Delta) * kappa4_phase_ou(lam, Delta)
     assert block == pytest.approx(expect, rel=1e-7)
+
+
+def test_autocov_sigma_kappa4_block_of_long_memory_is_the_period_integral_of_k1():
+    # K_1(t) = sum_s phi(t + s) phi(t + s + 1) is a two-factor lattice sum, so its lag range
+    # is that of [phi, phi(. + Delta)]; a three-factor range stops ~1e-3 short for d = 0.1
+    k = FractionalNoise(0.1)
+    kwargs = dict(check="skip", lag_radius=1)
+    block = autocov_clt_sigma(k, CompoundPoissonNormal(1.0, 1.0), 1.0, 1, **kwargs) - autocov_clt_sigma(
+        k, BrownianMotion(1.0), 1.0, 1, **kwargs
+    )
+    shifted = LinComboKernel(base=k, shifts=(-1.0,), coeffs=(1.0,))
+    expect = 3.0 * phase_integral([k, shifted], 1.0, nodes_per_period=512).value  # kappa4 = 3
+    assert block[0, 0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_autocov_sigma_off_diagonal_ou_closed_form():
