@@ -338,9 +338,9 @@ def b_star_gamma(
 ) -> BStarGamma:
     """Sequence ``s -> sum_u b(u) gamma((s - u) Delta)`` with its squared l2 norm.
 
-    The truncation radius doubles adaptively (:func:`~cmaqf.tails.grow_lags`)
-    until the extrapolated tail of the squared norm is below 1e-8 (relative),
-    capping at ``10**6`` with ``capped=True``.  A tail that provably diverges raises
+    The truncation radius doubles adaptively (:func:`~cmaqf.tails.grow_lags`, from twice a
+    finite support's radius, at least 32) until the extrapolated tail of the squared norm is
+    below 1e-8 (relative), capping at ``10**6`` with ``capped=True``.  A tail that provably diverges raises
     :class:`ConvergenceError`.  ``base_step`` is as in :func:`covariance_lags`.
 
     Power weights take one FFT product per radius (:func:`_fft_convolve`): their
@@ -360,7 +360,8 @@ def b_star_gamma(
             return (np.convolve(gam, w, mode="valid"),)
         return (_fft_convolve(gam, w)[len(w) - 1 : len(gam)],)
 
-    lag = grow_lags(rows_at, p=2.0, rel_tol=_BSG_REL_TOL, cap=_BSG_S_CAP, exponent=_bsg_exponent(b, kernel))
+    start = max(32, 2 * b.radius) if isinstance(b, FiniteSupport) else 32  # rows reach past the farthest weight
+    lag = grow_lags(rows_at, p=2.0, rel_tol=_BSG_REL_TOL, cap=_BSG_S_CAP, exponent=_bsg_exponent(b, kernel), start=start)
     if lag.capped and not np.isfinite(lag.bracket):
         raise ConvergenceError("squared-norm tail of (b * gamma) diverges or cannot be bounded")
     (vals,), (tail,), (head,) = lag.rows, lag.tails, lag.heads

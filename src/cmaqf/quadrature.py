@@ -8,10 +8,10 @@ Two geometries recur throughout the package:
   k_i(t + s * Delta)`` (fourth-cumulant terms, period norms), handled by :func:`phase_lattice`
   and :func:`phase_integral`, which sample a lattice combination only through its base kernel.
 
-Both split the domain at kernel breakpoints, use composite Simpson rules on
-the smooth pieces (nested so a discretisation estimate comes for free), grade
-the mesh geometrically into algebraic kinks, and complete the truncated
-domain with closed-form bounds from the kernels' decay models.  A Simpson
+Both split the domain at kernel breakpoints and run one piece loop, :func:`_pieces`: nested
+composite Simpson rules (so a discretisation estimate comes for free), graded geometrically
+into the algebraic kinks of full-line integrals (period pieces are not graded), with the
+truncated domain completed by closed-form bounds from the kernels' decay models.  A Simpson
 piece that closes on a breakpoint takes :meth:`Kernel.left_limit` at its last
 node, so a kernel that jumps there contributes its value from inside the
 piece, not the value after the jump.
@@ -57,12 +57,12 @@ class QuadResult:
 def _simpson(fvals: np.ndarray, a: float, b: float) -> float:
     n = len(fvals) - 1
     h = (b - a) / n
-    return h / 3.0 * (fvals[0] + fvals[-1] + 4.0 * fvals[1:-1:2].sum() + 2.0 * fvals[2:-2:2].sum())
+    return h / 3.0 * (fvals[0] + fvals[-1] + 4.0 * fvals[1:-1:2].sum(axis=0) + 2.0 * fvals[2:-2:2].sum(axis=0))
 
 
 def _block(feval, a: float, b: float, n: int, fa: float | None = None, fb: float | None = None):
-    """Nested Simpson on [a, b], with the end values ``fa``/``fb`` in place of
-    ``feval`` where given: returns (fine value, |fine - coarse|/15)."""
+    """Nested Simpson on [a, b] of values along axis 0, with the end values ``fa``/``fb``
+    in place of ``feval`` where given: returns (fine value, |fine - coarse|/15)."""
     n = max(_MIN_NODES_PER_BLOCK, min(int(n), _MAX_NODES_PER_BLOCK))
     n = 4 * ((n + 3) // 4)
     nodes = np.linspace(a, b, n + 1)
@@ -93,6 +93,27 @@ def _graded(feval, a: float, b: float, toward_left: bool):
     sl = edges[-1]
     mid = a + 0.5 * sl if toward_left else b - 0.5 * sl
     total += float(feval(np.array([mid]))[0]) * sl
+    return total, est
+
+
+def _pieces(feval, edges, nodes_in, singular=frozenset(), close=None):
+    """The one piece loop of every integral: each piece between ascending ``edges`` is
+    graded into an end in ``singular``, then takes ``nodes_in(a, b)`` nodes and the end
+    values ``close(a, b) -> (fa, fb)`` when given.  Returns (value, estimate)."""
+    total, est = 0.0, 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        if a in singular:
+            w = min(b - a, 0.5)
+            v, e = _graded(feval, a, a + w, toward_left=True)
+            total, est, a = total + v, est + e, a + w
+        if b in singular and b > a:
+            w = min(b - a, 0.5)
+            v, e = _graded(feval, b - w, b, toward_left=False)
+            total, est, b = total + v, est + e, b - w
+        if b > a:
+            fa, fb = close(a, b) if close else (None, None)
+            v, e = _block(feval, a, b, nodes_in(a, b), fa=fa, fb=fb)
+            total, est = total + v, est + e
     return total, est
 
 
@@ -136,24 +157,8 @@ def product_integral(
     core_end = max(pts) + 1.0
     edges = sorted(p for p in pts if p < core_end) + [core_end]
 
-    total, est = 0.0, 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b - a <= 0:
-            continue
-        sing_left, sing_right = a in singular, b in singular
-        aa, bb = a, b
-        if sing_left:
-            w = min(b - a, 0.5)
-            v, e = _graded(feval, a, a + w, toward_left=True)
-            total, est, aa = total + v, est + e, a + w
-        if sing_right and bb > aa:
-            w = min(bb - aa, 0.5)
-            v, e = _graded(feval, bb - w, bb, toward_left=False)
-            total, est, bb = total + v, est + e, bb - w
-        if bb > aa:
-            fa = edge(aa, "eval") if aa in k2_bp else None
-            v, e = _block(feval, aa, bb, int(math.ceil((bb - aa) / step)), fa=fa, fb=edge(bb, "left_limit"))
-            total, est = total + v, est + e
+    total, est = _pieces(feval, edges, lambda a, b: int(math.ceil((b - a) / step)), singular,
+                         lambda a, b: (edge(a, "eval") if a in k2_bp else None, edge(b, "left_limit")))
 
     # dyadic extension until the decay-model tail bound is negligible
     u = core_end
@@ -246,6 +251,13 @@ def phase_product_sum(kernels, nodes, s_lo, s_hi, Delta, alpha: float | None = N
     return out
 
 
+def _period(feval, kernels, Delta: float, nodes_per_period: int):
+    """``_pieces`` over one period cut at the kernels' interior breakpoint phases, ungraded;
+    ``feval`` closes each piece on left limits, as the last column of :func:`phase_lattice` does."""
+    cuts = {r for k in kernels for bp in k.breakpoints if 1e-12 * Delta < (r := bp % Delta) < Delta * (1.0 - 1e-12)}
+    return _pieces(feval, sorted(cuts | {0.0, Delta}), lambda a, b: round(nodes_per_period * (b - a) / Delta))
+
+
 def phase_integral(
     kernels,
     Delta: float,
@@ -266,32 +278,19 @@ def phase_integral(
     start is handled exactly.
     """
     s_lo, s_hi = lattice_s_range(kernels, Delta)
+    fmax = []  # max |F| of each piece, for the tail bound
 
-    cuts = {0.0, Delta}
-    for k in kernels:
-        for bp in k.breakpoints:
-            r = bp % Delta
-            if 1e-12 * Delta < r < Delta * (1.0 - 1e-12):
-                cuts.add(r)
-    edges = sorted(cuts)
+    def integrand(nodes):
+        F = phase_product_sum(kernels, nodes, s_lo, s_hi, Delta, alpha)
+        fmax.append(float(np.max(np.abs(F))))
+        return F**power
 
-    total, est, fmax = 0.0, 0.0, 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        n = max(_MIN_NODES_PER_BLOCK, int(round(nodes_per_period * (b - a) / Delta)))
-        n = 4 * ((n + 3) // 4)
-        nodes = np.linspace(a, b, n + 1)
-        fnod = phase_product_sum(kernels, nodes, s_lo, s_hi, Delta, alpha)
-        fmax = max(fmax, float(np.max(np.abs(fnod))))
-        vals = fnod**power
-        fine = _simpson(vals, a, b)
-        coarse = _simpson(vals[::2], a, b)
-        total += fine
-        est += abs(fine - coarse) / 15.0
+    total, est = _period(integrand, kernels, Delta, nodes_per_period)
 
     # effect of the truncated lag sum on the integral
     if alpha is not None:
         sup_tail = sum(lattice_tail_sum(k.decay, s_hi + 1, alpha, Delta)[1] for k in kernels)
     else:
         sup_tail = _product_sup_tail_sum(kernels, Delta, s_hi + 1)
-    tail = Delta * power * ((fmax + sup_tail) ** (power - 1.0)) * sup_tail if sup_tail > 0 else 0.0
+    tail = Delta * power * ((max(fmax) + sup_tail) ** (power - 1.0)) * sup_tail if sup_tail > 0 else 0.0
     return QuadResult(value=float(total), disc_estimate=float(est), tail_bound=float(tail))

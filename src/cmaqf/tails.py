@@ -94,8 +94,17 @@ def shifted_sum_tail(tail: TailModel, shifts, coeffs) -> TailModel:
     if isinstance(tail, CompactTail):
         return CompactTail(end=tail.end + smax, exact=tail.exact)
     if isinstance(tail, ExpTail):
-        const = tail.constant * sum(abs(c) * math.exp(tail.rate * s) for s, c in zip(shifts, coeffs))
-        return ExpTail(constant=const, rate=tail.rate, start=tail.start + smax, exact=tail.exact)
+        start, rate = tail.start + smax, tail.rate
+        try:
+            const = tail.constant * sum(abs(c) * math.exp(rate * s) for s, c in zip(shifts, coeffs))
+        except OverflowError:
+            const = math.inf
+        if not math.isfinite(const):
+            # shifted past ~709/rate: from its value at start, decay at the fastest rate with a representable constant
+            at_start = tail.constant * sum(abs(c) * math.exp(-rate * (start - s)) for s, c in zip(shifts, coeffs))
+            rate = min(rate, (700.0 - math.log(at_start)) / start)
+            const = at_start * math.exp(rate * start)
+        return ExpTail(constant=const, rate=rate, start=start, exact=tail.exact)
     start = max(2.0 * abs(smax), 2.0 * (tail.start + max(smax, 0.0)), tail.start, 1.0)
     return PowerTail(
         constant=tail.constant * total * 2.0**tail.exponent,
@@ -360,13 +369,13 @@ def _power_product(k: float, p: float, x: float, e: float, d: float) -> float:
 LagSums = namedtuple("LagSums", "rows radius tails heads bracket capped")
 
 
-def grow_lags(rows_at, *, p: float, rel_tol: float, cap: int, exponent: float | None = None) -> LagSums:
+def grow_lags(rows_at, *, p: float, rel_tol: float, cap: int, exponent: float | None = None, start: int = 32) -> LagSums:
     """Sums ``sum_s a_s**p`` of the rows ``rows_at(S)`` (lags ``-S..S``) at the
-    first radius ``S = 32, 64, ...`` whose tails, fitted to ``max(|a_s|, |a_-s|)``
+    first radius ``S = start, 2 start, ...`` whose tails, fitted to ``max(|a_s|, |a_-s|)``
     over the last decade (with power exponent ``exponent`` when finite), bracket
     at most ``rel_tol`` of the summed absolute heads, or at the first ``S >= cap``, marked ``capped``."""
     known = None if exponent == math.inf else exponent
-    S = 32
+    S = start
     while True:
         rows = tuple(rows_at(S))
         envelopes = (np.maximum(np.abs(row[S:]), np.abs(row[S::-1])) for row in rows)  # lags 0..S

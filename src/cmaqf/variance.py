@@ -1,8 +1,8 @@
 """Asymptotic variances of the sampled bilinear and quadratic statistics.
 
 Every limit variance computed here has the same anatomy: a fourth-cumulant
-term (an integral over one sampling period of a squared lattice sum) plus
-covariance-product lag sums.  The quadratic-form variance is computed twice,
+term (a period integral of lattice sums through quadrature's one piece loop)
+plus covariance-product lag sums.  The quadratic-form variance is computed twice,
 once directly from its weighted-covariance form and once by reducing to the
 bilinear form with the coefficient-convolved kernel as second factor.  The routes agree to
 near machine precision for finite weights; for power weights the bilinear route cuts ``b`` at
@@ -31,9 +31,9 @@ from .covariance import (
     star_conv_kernel,
 )
 from .errors import ConditionsRefutedError, ParameterError
-from .kernels import Kernel, KernelGrid, LinComboKernel, grid_cells
+from .kernels import Kernel, KernelGrid, grid_cells
 from .levy import LevyModel
-from .quadrature import _simpson, lattice_s_range, phase_integral, phase_product_sum
+from .quadrature import _LATTICE_CHUNK, _period, lattice_s_range, phase_integral, phase_lattice
 from .tails import grow_lags
 
 __all__ = [
@@ -237,8 +237,8 @@ def autocov_clt_sigma(
 ) -> np.ndarray:
     """Asymptotic covariance matrix of the first ``m`` scaled sample autocovariances.
 
-    Fourth-cumulant term ``int_0^Delta K(t) K(t)^T dt`` with
-    ``K_j(t) = sum_s phi(t + s Delta) phi(t + (s + j) Delta)`` plus the lag sum
+    Fourth-cumulant term ``int_0^Delta K(t) K(t)^T dt``, a period integral of a matrix, with
+    ``K_j(t) = sum_s phi(t + s Delta) phi(t + (s + j) Delta)`` from one base lattice, plus the lag sum
     ``sum_s (gamma_s + gamma_{-s}) gamma_s^T``; symmetric positive
     semidefinite up to rounding.
     """
@@ -250,12 +250,16 @@ def autocov_clt_sigma(
     if kappa4 == 0.0:
         k4_block = np.zeros((m, m))
     else:
-        shifted = [LinComboKernel(base=kernel, shifts=(float(-j * Delta),), coeffs=(1.0,)) for j in range(1, m + 1)]
         s_lo, s_hi = lattice_s_range([kernel, kernel], Delta)
-        nodes = np.linspace(0.0, Delta, _NODES_PER_PERIOD + 1)
-        # K[j - 1] is K_j at the nodes, a two-factor lattice sum; int_0^Delta K_i K_j dt by Simpson
-        K = [phase_product_sum([kernel, kj], nodes, s_lo, s_hi, Delta) for kj in shifted]
-        k4_block = kappa4 * np.array([[_simpson(Ki * Kj, 0.0, Delta) for Kj in K] for Ki in K])
+
+        def gram(nodes):  # K_i K_j, K[j - 1] from rows s and s + j of one base lattice per lag chunk
+            K = np.zeros((m, len(nodes)))
+            for lo in range(s_lo, s_hi + 1, _LATTICE_CHUNK):
+                V = phase_lattice(kernel, nodes, lo, min(lo + _LATTICE_CHUNK - 1, s_hi) + m, Delta)
+                K += [(V[: len(V) - m] * V[j : len(V) - m + j]).sum(axis=0) for j in range(1, m + 1)]
+            return K.T[:, :, None] * K.T[:, None, :]
+
+        k4_block = kappa4 * _period(gram, [kernel], Delta, _NODES_PER_PERIOD)[0]
 
     S = lag_radius
     gam = covariance_lags(kernel, kernel, sigma2, Delta, -(S + m), S + m)

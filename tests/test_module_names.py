@@ -287,3 +287,12 @@ def test_lattice_combinations_are_read_in_one_place():
     assert owners == {"kernels"}
     assert "LinComboKernel" not in _names(trees["quadrature"]), "read combinations with kernels._lattice_combo"
     assert {"covariance", "quadrature"} <= {stem for stem, tree in trees.items() if "_lattice_combo" in _names(tree)}
+
+
+def test_pieces_are_integrated_in_one_module():
+    # quadrature._pieces is the one piece loop: product integrals, period integrals and the
+    # kappa4 block of Sigma hand it integrands and never run Simpson themselves
+    src = Path(cmaqf.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(src.glob("*.py"))}
+    users = {stem for stem, tree in trees.items() if _names(tree) & {"_simpson", "_block", "_graded"}}
+    assert users == {"quadrature"}, "integrate through quadrature's piece loop"

@@ -21,6 +21,7 @@ from cmaqf.tails import (
     grow_lags,
     grow_radius,
     lattice_tail_sum,
+    shifted_sum_tail,
 )
 
 
@@ -263,3 +264,16 @@ def test_model_driven_radii_are_pinned(kernel, Delta, lattice, star, star_lattic
             simulate.resolve_horizon(kernel, cfg)
     else:
         assert simulate.resolve_horizon(kernel, cfg) == horizon
+
+
+def test_an_exponential_tail_shifted_past_the_exponent_range_stays_a_representable_envelope():
+    # e^{rate s} overflows past s ~ 709: the model then lowers its rate so that the constant is
+    # finite, and still bounds sum_j |c_j| e^{-(t - s_j)} on t >= start; smaller shifts keep theirs
+    shifts, coeffs = (-800.0, 0.0, 800.0), (0.5, -1.0, 0.5)
+    model = shifted_sum_tail(ExpTail(constant=1.0, rate=1.0), shifts, coeffs)
+    assert math.isfinite(model.constant) and model.start == 800.0 and 0.0 < model.rate < 1.0
+    for t in (800.0, 850.0, 1200.0, 1500.0):
+        log_sum = math.log(sum(abs(c) * math.exp(-(t - s)) for s, c in zip(shifts, coeffs)))
+        assert log_sum <= math.log(model.constant) - model.rate * t + 1e-12
+    near = shifted_sum_tail(ExpTail(constant=1.0, rate=1.0), (0.0, 700.0), (1.0, 0.5))
+    assert near == ExpTail(constant=1.0 + 0.5 * math.exp(700.0), rate=1.0, start=700.0)

@@ -8,8 +8,9 @@ from cmaqf.conditions import AssumptionCheck, ConditionReport
 from cmaqf.covariance import FiniteSupport, covariance_lags
 from cmaqf.errors import ConditionsRefutedError, GridError
 from cmaqf.kernels import ExponentialOU, FractionalNoise, LinComboKernel, TabulatedKernel, grid_sample
+from cmaqf import variance
 from cmaqf.levy import BilateralGamma, BrownianMotion, CompoundPoissonNormal, stream
-from cmaqf.quadrature import phase_integral
+from cmaqf.quadrature import lattice_s_range, phase_integral
 from cmaqf.simulate import stochastic_integrals_joint
 from cmaqf.variance import autocov_clt_sigma, eta2_qn, eta2_sn, expected_qn, expected_sn, fourth_moment
 
@@ -242,6 +243,51 @@ def test_autocov_sigma_kappa4_block_of_long_memory_is_the_period_integral_of_k1(
     shifted = LinComboKernel(base=k, shifts=(-1.0,), coeffs=(1.0,))
     expect = 3.0 * phase_integral([k, shifted], 1.0, nodes_per_period=512).value  # kappa4 = 3
     assert block[0, 0] == pytest.approx(expect, rel=1e-12)
+
+
+def test_autocov_sigma_kappa4_block_splits_the_period_at_breakpoint_phases():
+    # At Delta = 0.7 the kink of FractionalNoise at t = 1 falls at phase 0.3, where phase_integral
+    # cuts the period; the kappa4 block cuts there too.  The two lattice ranges differ slightly.
+    k = FractionalNoise(0.1)
+    kwargs = dict(check="skip", lag_radius=1)
+    block = autocov_clt_sigma(k, CompoundPoissonNormal(1.0, 1.0), 0.7, 1, **kwargs) - autocov_clt_sigma(
+        k, BrownianMotion(1.0), 0.7, 1, **kwargs
+    )
+    shifted = LinComboKernel(base=k, shifts=(-0.7,), coeffs=(1.0,))
+    assert block[0, 0] == pytest.approx(3.0 * phase_integral([k, shifted], 0.7).value, abs=1e-5)
+
+
+def test_autocov_sigma_kappa4_block_samples_one_base_lattice_per_chunk(monkeypatch):
+    # K_1..K_m are products of rows s and s + j of one base lattice, so each lag chunk samples
+    # the base once on its rows widened by m, plus the closing left-limit column, not once per K_j
+    k, m, Delta = FractionalNoise(0.1), 4, 1.0
+    monkeypatch.setattr(variance, "covariance_lags", lambda *args, **kw: np.zeros(2 * (1 + m) + 1))
+    points, real_eval = [], FractionalNoise.eval
+    monkeypatch.setattr(FractionalNoise, "eval", lambda self, t: points.append(np.size(t)) or real_eval(self, t))
+    autocov_clt_sigma(k, CompoundPoissonNormal(1.0, 1.0), Delta, m, check="skip", lag_radius=1)
+    s_lo, s_hi = lattice_s_range([k, k], Delta)
+    chunks = -(-(s_hi - s_lo + 1) // 8192)
+    assert chunks > 1
+    assert len(points) == 2 * chunks
+    assert sum(points) == (s_hi - s_lo + 1 + m * chunks) * (513 + 1)  # 513 nodes, one left-limit column
+
+
+@pytest.mark.parametrize("radius", [40, 100, 600])
+@pytest.mark.parametrize("w", [0.5, 1e-3])
+def test_eta2_qn_sees_the_far_weight_of_a_finite_support_with_a_gap(radius, w):
+    # b = delta_0 + w (delta_R + delta_-R) and gamma(u) = e^{-|u|} / 2: the three shifted copies of
+    # gamma overlap by ~R e^{-R}, so eta2 = 2 sum (b * gamma)^2 = (1 + 2 w^2) coth(1) / 2
+    b = FiniteSupport((1.0,) + (0.0,) * (radius - 1) + (w,))
+    rep = eta2_qn(ExponentialOU(1.0), b, BrownianMotion(1.0), 1.0, check="skip")
+    assert rep.eta2 == pytest.approx(0.5 * (1 + 2 * w * w) / math.tanh(1.0), rel=1e-8)
+
+
+@pytest.mark.parametrize("radius", [800, 2000])
+def test_eta2_qn_of_weights_shifted_past_the_exponent_range(radius):
+    # the star kernel's shifts e^{rate s} overflow past s ~ 709; its envelope lowers its rate instead
+    b = FiniteSupport((1.0,) + (0.0,) * (radius - 1) + (0.5,))
+    rep = eta2_qn(ExponentialOU(1.0), b, BrownianMotion(1.0), 1.0, check="skip")
+    assert rep.eta2 == pytest.approx(0.75 / math.tanh(1.0), rel=1e-12)
 
 
 def test_autocov_sigma_off_diagonal_ou_closed_form():
