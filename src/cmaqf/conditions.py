@@ -59,6 +59,7 @@ import numpy as np
 from .covariance import (
     CoefficientSeq,
     FiniteSupport,
+    _lag_start,
     covariance_lags,
     gamma_seq_exponent,
     star_conv_kernel,
@@ -243,7 +244,8 @@ def _abs_lag_sequence(k1, k2, Delta):
     def rows_at(S):
         return (covariance_lags(abs1, abs2, 1.0, Delta, -S, S, base_step=Delta / _NORM_STEPS_PER_DELTA),)
 
-    lag = grow_lags(rows_at, p=1, rel_tol=1e-6, cap=4096, exponent=gamma_seq_exponent(k1, k2))
+    start = _lag_start([(abs1, abs2)], Delta)
+    lag = grow_lags(rows_at, p=1, rel_tol=1e-6, cap=4096, exponent=gamma_seq_exponent(k1, k2), start=start)
     return lag.rows[0], lag.tails[0], lag.radius
 
 

@@ -278,6 +278,13 @@ def covariance_lags(
     return out
 
 
+def _lag_start(pairs, Delta: float) -> int:
+    """Start radius ``max(32, 2 reach)`` of a lag sum, ``reach`` the farthest offset difference ``|a_j - b_k|``
+    that :func:`covariance_lags` reads for the kernel pairs: no tail is fitted inside a combination's gap."""
+    offsets = [(_lattice_combo(k1, Delta)[1], _lattice_combo(k2, Delta)[1]) for k1, k2 in pairs]
+    return max(32, 2 * int(max(max(a.max() - b.min(), b.max() - a.min()) for a, b in offsets)))
+
+
 def _mode_lags(modes1, modes2, Delta: float, s_min: int, s_max: int) -> np.ndarray:
     """``int phi_1(t) phi_2(t + s Delta) dt`` for ``s_min <= s <= s_max`` in closed form.
 

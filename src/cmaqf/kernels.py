@@ -81,7 +81,8 @@ class Kernel:
 
     @property
     def singular_points(self) -> tuple[tuple[float, float], ...]:
-        """``(location, exponent)`` pairs of algebraic kinks with exponent < 1."""
+        """``(location, exponent)`` pairs of algebraic kinks with exponent < 1, kinks from the
+        right: smooth just left of ``location``, ``|k(location + e) - k(location)| ~ e**exponent``."""
         return ()
 
     @property
@@ -592,8 +593,8 @@ class PowAbsKernel(Kernel):
         return self.base.breakpoints
 
     @property
-    def singular_points(self):
-        return tuple((loc, ex * self.power) for loc, ex in self.base.singular_points)
+    def singular_points(self):  # |f|**p keeps the exponent of f where f does not vanish
+        return tuple((loc, ex * self.power if self.base.eval(loc) == 0.0 else ex) for loc, ex in self.base.singular_points)
 
     @property
     def quad_step_hint(self):

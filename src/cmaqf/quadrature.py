@@ -9,8 +9,8 @@ Two geometries recur throughout the package:
   and :func:`phase_integral`, which sample a lattice combination only through its base kernel.
 
 Both split the domain at kernel breakpoints and run one piece loop, :func:`_pieces`: nested
-composite Simpson rules (so a discretisation estimate comes for free), graded geometrically
-into the algebraic kinks of full-line integrals (period pieces are not graded), with the
+composite Simpson rules (so a discretisation estimate comes for free), a piece that starts at
+an algebraic kink taken in the graded variable ``u`` of ``t = a + (b - a) u**5``, with the
 truncated domain completed by closed-form bounds from the kernels' decay models.  A Simpson
 piece that closes on a breakpoint takes :meth:`Kernel.left_limit` at its last
 node, so a kernel that jumps there contributes its value from inside the
@@ -30,8 +30,7 @@ from .tails import grow_radius, lattice_tail_sum, product_tail_integral, sparse_
 
 __all__ = ["QuadResult", "product_integral", "phase_lattice", "phase_product_sum", "phase_integral"]
 
-_GRADE_RATIO = 0.5
-_GRADE_LEVELS = 48
+_GRADE_POWER = 5
 _MAX_NODES_PER_BLOCK = 4096
 _MIN_NODES_PER_BLOCK = 8
 _PRODUCT_REL_TOL = 1e-10
@@ -76,44 +75,31 @@ def _block(feval, a: float, b: float, n: int, fa: float | None = None, fb: float
     return fine, abs(fine - coarse) / 15.0
 
 
-def _graded(feval, a: float, b: float, toward_left: bool):
-    """Geometrically graded Simpson toward one endpoint with an algebraic kink."""
-    total, est = 0.0, 0.0
-    w = b - a
-    edges = w * _GRADE_RATIO ** np.arange(_GRADE_LEVELS + 1)
-    for k in range(_GRADE_LEVELS):
-        if toward_left:
-            lo, hi = a + edges[k + 1], a + edges[k]
-        else:
-            lo, hi = b - edges[k], b - edges[k + 1]
-        v, e = _block(feval, lo, hi, 8)
-        total += v
-        est += e
-    # innermost sliver: one-sided rectangle, negligible by construction
-    sl = edges[-1]
-    mid = a + 0.5 * sl if toward_left else b - 0.5 * sl
-    total += float(feval(np.array([mid]))[0]) * sl
-    return total, est
+def _graded(feval, a: float, b: float, n: int, fb: float | None = None):
+    """:func:`_block` in ``u`` on [0, 1] with ``t = a + (b - a) u**q``, ``q = _GRADE_POWER``: a kink ``(t - a)**e``
+    becomes ``u**(q (1 + e) - 1)`` times a smooth factor, smooth to fourth order for every ``e > 0``."""
+    w, q = b - a, _GRADE_POWER
+
+    def geval(u):  # nodes ascend in t and end on b; values times dt/du, which vanishes at a
+        t = np.append(a + w * u[:-1] ** q, b)
+        return (np.asarray(feval(t), dtype=float).T * (q * w * u ** (q - 1))).T
+
+    return _block(geval, 0.0, 1.0, n, fa=0.0, fb=None if fb is None else q * w * fb)
 
 
 def _pieces(feval, edges, nodes_in, singular=frozenset(), close=None):
-    """The one piece loop of every integral: each piece between ascending ``edges`` is
-    graded into an end in ``singular``, then takes ``nodes_in(a, b)`` nodes and the end
-    values ``close(a, b) -> (fa, fb)`` when given.  Returns (value, estimate)."""
+    """The one piece loop of every integral: each piece between ascending ``edges`` takes ``nodes_in(a, b)``
+    nodes and the end values ``close(a, b) -> (fa, fb)`` when given, and is :func:`_graded` when it starts
+    at a kink in ``singular`` (kinks come from the right, :attr:`Kernel.singular_points`).
+    Returns (value, estimate)."""
     total, est = 0.0, 0.0
     for a, b in zip(edges[:-1], edges[1:]):
+        fa, fb = close(a, b) if close else (None, None)
         if a in singular:
-            w = min(b - a, 0.5)
-            v, e = _graded(feval, a, a + w, toward_left=True)
-            total, est, a = total + v, est + e, a + w
-        if b in singular and b > a:
-            w = min(b - a, 0.5)
-            v, e = _graded(feval, b - w, b, toward_left=False)
-            total, est, b = total + v, est + e, b - w
-        if b > a:
-            fa, fb = close(a, b) if close else (None, None)
-            v, e = _block(feval, a, b, nodes_in(a, b), fa=fa, fb=fb)
-            total, est = total + v, est + e
+            v, e = _graded(feval, a, b, nodes_in(a, b), fb)
+        else:
+            v, e = _block(feval, a, b, nodes_in(a, b), fa, fb)
+        total, est = total + v, est + e
     return total, est
 
 
@@ -164,19 +150,12 @@ def product_integral(
     u = core_end
     while True:
         tail = product_tail_integral(k1.decay, k2.decay, u, shift)
-        if tail <= _PRODUCT_REL_TOL * max(abs(total), 1e-300) or tail == 0.0:
-            break
-        if u > _PRODUCT_MAX_SPAN:
-            if not np.isfinite(tail):
-                raise ConvergenceError(
-                    f"product integral tail diverges (decay models {k1.decay} x {k2.decay})"
-                )
+        if tail <= _PRODUCT_REL_TOL * max(abs(total), 1e-300) or u > _PRODUCT_MAX_SPAN:
             break
         nxt = 2.0 * u if u >= 1.0 else u + 1.0
         n = int(math.ceil((nxt - u) / max(step, (nxt - u) / _MAX_NODES_PER_BLOCK)))
         v, e = _block(feval, u, nxt, n)
         total, est, u = total + v, est + e, nxt
-    tail = product_tail_integral(k1.decay, k2.decay, u, shift)
     if not np.isfinite(tail):
         raise ConvergenceError(f"product integral tail diverges (decay models {k1.decay} x {k2.decay})")
     return QuadResult(value=float(total), disc_estimate=float(est), tail_bound=float(tail))
@@ -252,10 +231,16 @@ def phase_product_sum(kernels, nodes, s_lo, s_hi, Delta, alpha: float | None = N
 
 
 def _period(feval, kernels, Delta: float, nodes_per_period: int):
-    """``_pieces`` over one period cut at the kernels' interior breakpoint phases, ungraded;
-    ``feval`` closes each piece on left limits, as the last column of :func:`phase_lattice` does."""
-    cuts = {r for k in kernels for bp in k.breakpoints if 1e-12 * Delta < (r := bp % Delta) < Delta * (1.0 - 1e-12)}
-    return _pieces(feval, sorted(cuts | {0.0, Delta}), lambda a, b: round(nodes_per_period * (b - a) / Delta))
+    """``_pieces`` over one period cut at the kernels' breakpoint phases and graded into their kink phases
+    (a phase within rounding of a period end is 0); ``feval`` closes each piece on left limits, as
+    :func:`phase_lattice` does."""
+
+    def phases(points):
+        return {r if 1e-12 * Delta < (r := p % Delta) < Delta * (1.0 - 1e-12) else 0.0 for p in points}
+
+    cuts = phases(bp for k in kernels for bp in k.breakpoints) | {0.0, Delta}
+    kinks = phases(loc for k in kernels for loc, ex in k.singular_points if ex < 1.0)
+    return _pieces(feval, sorted(cuts), lambda a, b: round(nodes_per_period * (b - a) / Delta), kinks)
 
 
 def phase_integral(

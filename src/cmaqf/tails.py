@@ -212,7 +212,7 @@ def fit_tail(x, y, lo: float, known_exponent: float | None = None) -> TailFit:
     (slope_p, icept_p, res_p), (slope_e, icept_e, res_e) = _log_fits(t, logy)
     return TailFit(
         exponent=float(-slope_p),
-        constant=float(np.exp(icept_p)),
+        constant=float(np.exp(icept_p)) if icept_p < 709.0 else math.inf,  # past exp's range: the power fit loses
         residual=res_p,
         exp_rate=float(-slope_e),
         exp_constant=float(np.exp(icept_e)),

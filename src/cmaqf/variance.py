@@ -3,8 +3,8 @@
 Every limit variance computed here has the same anatomy: a fourth-cumulant
 term (a period integral of lattice sums through quadrature's one piece loop)
 plus covariance-product lag sums.  The quadratic-form variance is computed twice,
-once directly from its weighted-covariance form and once by reducing to the
-bilinear form with the coefficient-convolved kernel as second factor.  The routes agree to
+once directly from its weighted-covariance form and once as the bilinear reduction of
+the same sum, with the coefficient-convolved kernel as second factor.  The two agree to
 near machine precision for finite weights; for power weights the bilinear route cuts ``b`` at
 the star radius R (64 for OU) and reads ~R^-2 low (5.97e-5 relative for OU with ``|s|^-1.5``).
 
@@ -26,6 +26,7 @@ from .covariance import (
     CoefficientSeq,
     FiniteSupport,
     _bsg_exponent,
+    _lag_start,
     b_star_gamma,
     covariance_lags,
     star_conv_kernel,
@@ -53,8 +54,8 @@ class VarianceReport:
 
     ``eta2`` always equals ``kappa4_term`` plus the sum of
     ``covariance_terms``; ``kappa4_term`` is exactly zero for a Brownian
-    driver.  ``eta2_alt`` carries the value of the independent second route when one exists
-    (quadratic form via the bilinear reduction; ~R^-2 low for power weights cut at star radius R).
+    driver.  ``eta2_alt`` carries the quadratic form's bilinear reduction of the same sum, with ``b`` cut
+    at the star radius R (~R^-2 low for power weights), when one exists.
     """
 
     eta2: float
@@ -143,7 +144,7 @@ def _cov_product_sums(k1, k2, sigma2, Delta):
         g12 = covariance_lags(k1, k2, sigma2, Delta, -S, S)
         return g11 * g22, g12 * g12[::-1]
 
-    lag = grow_lags(rows_at, p=1, rel_tol=1e-9, cap=2**14)
+    lag = grow_lags(rows_at, p=1, rel_tol=1e-9, cap=2**14, start=_lag_start([(k1, k1), (k2, k2), (k1, k2)], Delta))
     t_auto, t_cross = lag.heads
     return t_auto, t_cross, {"cov_radius": float(lag.radius), "cov_tail_bound": lag.bracket, "cov_capped": float(lag.capped)}
 

@@ -183,6 +183,29 @@ def test_coefficient_norms_cover_the_whole_finite_support():
     assert sup_b.value == 100.0 ** (1.0 - rep.exponents["beta"])
 
 
+def test_qn_general_norms_of_a_support_with_a_gap_match_closed_form_sums():
+    # b = delta_0 + (delta_R + delta_-R) / 2 over OU(1): the |OU| lag covariances are g(s) = e^{-|s|} / 2,
+    # and psi = |b| * |phi| reads them at the offsets u - v of b's support
+    R = 100
+    b = FiniteSupport((1.0,) + (0.0,) * (R - 1) + (0.5,))
+    rep = check_conditions("qn_general", ExponentialOU(1.0), b=b, Delta=1.0, model=BrownianMotion(1.0))
+    s = np.arange(-4000, 4001)
+    support = {0: 1.0, R: 0.5, -R: 0.5}
+    g = lambda s: np.exp(-np.abs(s)) / 2.0
+    seqs = {
+        "[1]": g(s),
+        "[2]": sum(bu * bv * g(s + u - v) for u, bu in support.items() for v, bv in support.items()),
+        "cross": sum(bu * g(s - u) for u, bu in support.items()),
+    }
+    norms = [n for a in rep.assumptions for n in a.norms]
+    assert "lag_cross_products(2)" in {n.name for n in norms}
+    for n in norms:
+        p = float(n.name[n.name.index("(") + 1 : n.name.index(")")])
+        seq = seqs["cross" if n.name.startswith("lag_cross") else n.name[-3:]]
+        exact = np.max(seq) if p == math.inf else np.sum(seq**p) ** (1.0 / p)
+        assert abs(n.value - exact) <= n.tail_bound + 1e-7 * exact, n.name
+
+
 def test_power_decay_membership_sweep_matches_exact_arithmetic():
     qs = (1.0, 1.25, 1.5, 2.0)
     rhos = (0.4, 0.55, 0.7, 0.9, 1.1)

@@ -255,6 +255,33 @@ def test_left_limit_at_jump():
     assert p.eval(1.0) == pytest.approx((math.exp(-1.0) + 2.0) ** 2, rel=1e-15)
 
 
+_FN = FractionalNoise(0.1)
+_KINKED = {
+    "fn005": FractionalNoise(0.05),
+    "fn01": _FN,
+    "fn024": FractionalNoise(0.24),
+    "fn01_squared": PowAbsKernel(_FN, 2.0),
+    "fn01_pow07": PowAbsKernel(_FN, 0.7),
+    "fn01_combination": LinComboKernel(_FN, shifts=(0.0, 0.5, -2.0), coeffs=(1.0, -0.8, 0.3)),
+    "fn01_abs_combination": PowAbsKernel(LinComboKernel(PowAbsKernel(_FN, 1.0), (0.0, 0.5), (1.0, 0.4)), 1.0),
+    "fn01_pow07_of_combination": PowAbsKernel(LinComboKernel(_FN, (0.0, 0.5), (1.0, 0.5)), 0.7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KINKED))
+def test_singular_points_are_kinks_from_the_right(name):
+    # quadrature grades only the piece that starts at a singular point: the kernel must be
+    # smooth just left of it and scale like e**exponent just right of it
+    k = _KINKED[name]
+    assert k.singular_points
+    for loc, ex in k.singular_points:
+        for e in (1e-2, 1e-3, 1e-4):
+            second = k.eval(loc - e) - 2.0 * k.eval(loc - 2.0 * e) + k.eval(loc - 3.0 * e)
+            assert abs(second) / e**2 < 10.0, (loc, e)
+        rise = [abs(k.eval(loc + e) - k.eval(loc)) for e in (1e-4, 1e-8)]
+        assert math.log(rise[0] / rise[1]) / math.log(1e4) == pytest.approx(ex, abs=0.02), loc
+
+
 from decimal import Decimal, localcontext
 
 from hypothesis import example, given, settings

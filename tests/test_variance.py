@@ -280,6 +280,8 @@ def test_eta2_qn_sees_the_far_weight_of_a_finite_support_with_a_gap(radius, w):
     b = FiniteSupport((1.0,) + (0.0,) * (radius - 1) + (w,))
     rep = eta2_qn(ExponentialOU(1.0), b, BrownianMotion(1.0), 1.0, check="skip")
     assert rep.eta2 == pytest.approx(0.5 * (1 + 2 * w * w) / math.tanh(1.0), rel=1e-8)
+    # the bilinear reduction's lag sums start past the farthest offset, not blind inside the gap
+    assert rep.eta2_alt == pytest.approx(0.5 * (1 + 2 * w * w) / math.tanh(1.0), rel=1e-8)
 
 
 @pytest.mark.parametrize("radius", [800, 2000])
