@@ -8,9 +8,7 @@ locations where its smoothness breaks so quadrature can split there.
 
 Derived kernels (:class:`LinComboKernel`, :class:`PowAbsKernel`) represent lag-shifted linear
 combinations and pointwise powers of absolute values; they evaluate exactly through their base
-kernel, and :func:`_lattice_combo` reads a lattice combination back as that base.  The two
-``eta2_qn`` routes agree to near machine precision for finite weights only: power weights are
-cut at the star radius R (64 for OU), and the bilinear route reads ~R^-2 low (5.97e-5 there).
+kernel, and :func:`_lattice_combo` reads a lattice combination back as that base.
 """
 
 from __future__ import annotations
@@ -223,9 +221,7 @@ class CarmaKernel(Kernel):
         return coeffs, eigvals
 
 
-def build_carma(a, b, q: int) -> CarmaKernel:
-    """Construct a stable state-space kernel; see :class:`CarmaKernel`."""
-    return CarmaKernel(a=a, b=b, q=q)
+build_carma = CarmaKernel  # ``build_carma(a, b, q)``: the constructor under its functional name
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ stream index, so reports are bit-identical regardless of the thread count.
 
 from __future__ import annotations
 
+import copy
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -136,21 +137,8 @@ class McReport:
     json_path: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "replicates": self.replicates,
-            "mean": self.mean,
-            "variance": self.variance,
-            "skewness": self.skewness,
-            "excess_kurtosis": self.excess_kurtosis,
-            "eta2": self.eta2,
-            "variance_ratio": self.variance_ratio,
-            "ks": self.ks,
-            "degenerate": self.degenerate,
-            "conditions_note": self.conditions_note,
-            "extra": dict(self.extra),
-            "csv_path": self.csv_path,
-            "json_path": self.json_path,
-        }
+        """Every field but ``statistics``, shallow copies."""
+        return {f.name: copy.copy(getattr(self, f.name)) for f in fields(self) if f.name != "statistics"}
 
 
 def ks_distance(samples, variance: float) -> float:

@@ -5,8 +5,10 @@ Two geometries recur throughout the package:
 * full-line integrals ``int k1(t) k2(t + shift) dt`` (covariances, norm
   sequences), handled by :func:`product_integral`;
 * integrals over one sampling period of functionals of the lattice sums ``t -> sum_s prod_i
-  k_i(t + s * Delta)`` (fourth-cumulant terms, period norms), handled by :func:`phase_lattice`
-  and :func:`phase_integral`, which sample a lattice combination only through its base kernel.
+  k_i(t + (s + lag_i) * Delta)`` (fourth-cumulant terms, period norms), handled by
+  :func:`phase_integral` and :func:`lag_gram`.  Both read their lattice sums from one sampler,
+  :func:`_lattice_sums`, which samples every distinct base kernel once per lag chunk and reads a
+  lattice combination only through its base.
 
 Both split the domain at kernel breakpoints and run one piece loop, :func:`_pieces`: nested
 composite Simpson rules (so a discretisation estimate comes for free), a piece that starts at
@@ -19,7 +21,9 @@ piece, not the value after the jump.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +32,7 @@ from .errors import ConvergenceError
 from .kernels import Kernel, _lattice_combo
 from .tails import grow_radius, lattice_tail_sum, product_tail_integral, sparse_tail_sum_estimate, tail_sup
 
-__all__ = ["QuadResult", "product_integral", "phase_lattice", "phase_product_sum", "phase_integral"]
+__all__ = ["QuadResult", "product_integral", "phase_integral", "lag_gram"]
 
 _GRADE_POWER = 5
 _MAX_NODES_PER_BLOCK = 4096
@@ -187,53 +191,60 @@ def _product_sup_tail_sum(kernels, Delta, S):
     return sparse_tail_sum_estimate(lambda s: math.prod(tail_sup(k.decay, s * Delta) for k in kernels), S)
 
 
-def phase_lattice(kernel: Kernel, nodes: np.ndarray, s_lo: int, s_hi: int, Delta: float) -> np.ndarray:
-    """Matrix ``V[i, j] = kernel(nodes[j] + (s_lo + i) * Delta)``.
-
-    ``nodes`` span one Simpson piece, so the last column, which closes it,
-    carries left limits instead of right-continuous values.  A lattice combination
-    ``sum_j c_j B(. - a_j Delta)`` (:func:`~cmaqf.kernels._lattice_combo`) samples only
-    ``B``, on the lags widened by the offsets, and row ``s`` sums ``c_j`` times base row ``s - a_j``.
-    """
-    base, offsets, coeffs = _lattice_combo(kernel, Delta)
-    lo = s_lo - offsets.max()
-    args = nodes[None, :] + np.arange(lo, s_hi - offsets.min() + 1)[:, None] * Delta
-    B = np.asarray(base.eval(args.ravel()), dtype=float).reshape(args.shape)
-    B[:, -1] = np.asarray(base.left_limit(args[:, -1]), dtype=float)
-    if base is kernel:
-        return B
-    return sum(c * B[s_lo - a - lo : s_hi - a - lo + 1] for a, c in zip(offsets, coeffs))
-
-
 _LATTICE_CHUNK = 8192
 
 
-def phase_product_sum(kernels, nodes, s_lo, s_hi, Delta, alpha: float | None = None) -> np.ndarray:
-    """``F(nodes) = sum_s prod_i k_i(nodes + s Delta)``, or with factors
-    ``|k_i|**alpha`` when ``alpha`` is given.
+def _lattice_sums(products, nodes, s_lo, s_hi, Delta, alpha: float | None = None) -> np.ndarray:
+    """Row ``i`` is ``sum_{s_lo <= s <= s_hi} prod_{(k, lag) in products[i]} k(nodes + (s + lag) Delta)``,
+    with factors ``|k|**alpha`` when ``alpha`` is given: the one lattice sampler of period integrals.
 
-    Accumulates over lag chunks so slowly decaying kernels (lag ranges in the
-    hundreds of thousands) never materialise the full lattice.
+    ``nodes`` span one Simpson piece, so the last column, which closes it, carries left limits.  A factor
+    ``sum_j c_j B(. - a_j Delta)`` (:func:`~cmaqf.kernels._lattice_combo`) reads rows ``s + lag - a_j`` of
+    its base ``B``, and a factor of one unit term is a view of them.  Each lag chunk samples every distinct
+    base once, over the rows all its factors read, so slowly decaying kernels (lag ranges in the hundreds
+    of thousands) never materialise the full lattice.  ``|.|**alpha`` is taken in place, on a base lattice
+    once for all its views, after the combinations have read it.
     """
-    out = np.zeros(len(nodes))
+    factors = {(id(k), lag): _lattice_combo(k, Delta) + (lag,) for product in products for k, lag in product}
+    out = np.zeros((len(products), len(nodes)))
     for lo in range(s_lo, s_hi + 1, _LATTICE_CHUNK):
-        hi = min(lo + _LATTICE_CHUNK - 1, s_hi)
-        prod = None
-        for k in kernels:
-            V = phase_lattice(k, nodes, lo, hi, Delta)
-            if alpha is not None:
-                np.abs(V, out=V)  # in place: the lattice is the largest array of a period integral
-                if alpha != 1.0:
-                    V **= alpha
-            prod = V if prod is None else prod * V
-        out += prod.sum(axis=0)
+        out += _lattice_chunk(products, factors, nodes, lo, min(lo + _LATTICE_CHUNK - 1, s_hi), Delta, alpha)
     return out
+
+
+def _lattice_chunk(products, factors, nodes, lo, hi, Delta, alpha):
+    """The rows of :func:`_lattice_sums` summed over the lags ``lo..hi`` only; its lattices die with the call."""
+    reach = {}  # base -> (first, last) row over its factors
+    for base, offsets, _, lag in factors.values():
+        first, last = reach.get(id(base), (math.inf, -math.inf))
+        reach[id(base)] = min(first, lo + lag - offsets.max()), max(last, hi + lag - offsets.min())
+    lattice = {}
+    for base, _, _, _ in factors.values():
+        if id(base) not in lattice:
+            shifts = np.arange(reach[id(base)][0], reach[id(base)][1] + 1) * Delta
+            B = np.asarray(base.eval((nodes[None, :] + shifts[:, None]).ravel()), dtype=float)
+            lattice[id(base)] = B = B.reshape(len(shifts), len(nodes))
+            B[:, -1] = np.asarray(base.left_limit(nodes[-1] + shifts), dtype=float)
+    V, owned = {}, {}
+    for key, (base, offsets, coeffs, lag) in factors.items():
+        B, at = lattice[id(base)], lo + lag - reach[id(base)][0]
+        if len(offsets) == 1 and coeffs[0] == 1.0:
+            V[key] = B[at - offsets[0] : at - offsets[0] + hi - lo + 1]
+            owned[id(base)] = B
+        else:
+            V[key] = owned[key] = sum(c * B[at - a : at - a + hi - lo + 1] for a, c in zip(offsets, coeffs))
+    if alpha is not None:
+        for v in owned.values():  # in place: the lattice is the largest array of a period integral
+            np.abs(v, out=v)
+            if alpha != 1.0:
+                v **= alpha
+    return [functools.reduce(operator.mul, (V[id(k), lag] for k, lag in product)).sum(axis=0) for product in products]
 
 
 def _period(feval, kernels, Delta: float, nodes_per_period: int):
     """``_pieces`` over one period cut at the kernels' breakpoint phases and graded into their kink phases
     (a phase within rounding of a period end is 0); ``feval`` closes each piece on left limits, as
-    :func:`phase_lattice` does."""
+    :func:`_lattice_sums` does."""
 
     def phases(points):
         return {r if 1e-12 * Delta < (r := p % Delta) < Delta * (1.0 - 1e-12) else 0.0 for p in points}
@@ -266,7 +277,7 @@ def phase_integral(
     fmax = []  # max |F| of each piece, for the tail bound
 
     def integrand(nodes):
-        F = phase_product_sum(kernels, nodes, s_lo, s_hi, Delta, alpha)
+        F = _lattice_sums([[(k, 0) for k in kernels]], nodes, s_lo, s_hi, Delta, alpha)[0]
         fmax.append(float(np.max(np.abs(F))))
         return F**power
 
@@ -279,3 +290,18 @@ def phase_integral(
         sup_tail = _product_sup_tail_sum(kernels, Delta, s_hi + 1)
     tail = Delta * power * ((max(fmax) + sup_tail) ** (power - 1.0)) * sup_tail if sup_tail > 0 else 0.0
     return QuadResult(value=float(total), disc_estimate=float(est), tail_bound=float(tail))
+
+
+def lag_gram(kernel: Kernel, m: int, Delta: float, nodes_per_period: int = 512) -> np.ndarray:
+    """The ``m x m`` matrix ``int_0^Delta K_i(t) K_j(t) dt`` of the lagged lattice sums
+    ``K_j(t) = sum_s kernel(t + s Delta) kernel(t + (s + j) Delta)``, all taken from one base lattice per
+    lag chunk over the lag range of ``[kernel, kernel]``: the fourth-cumulant block of the autocovariance CLT.
+    """
+    s_lo, s_hi = lattice_s_range([kernel, kernel], Delta)
+    products = [[(kernel, 0), (kernel, j)] for j in range(1, m + 1)]
+
+    def gram(nodes):
+        K = _lattice_sums(products, nodes, s_lo, s_hi, Delta)
+        return K.T[:, :, None] * K.T[:, None, :]
+
+    return _period(gram, [kernel], Delta, nodes_per_period)[0]

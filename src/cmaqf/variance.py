@@ -17,7 +17,8 @@ indicator kernels).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .covariance import (
 from .errors import ConditionsRefutedError, ParameterError
 from .kernels import Kernel, KernelGrid, grid_cells
 from .levy import LevyModel
-from .quadrature import _LATTICE_CHUNK, _period, lattice_s_range, phase_integral, phase_lattice
+from .quadrature import lag_gram, phase_integral
 from .tails import grow_lags
 
 __all__ = [
@@ -68,15 +69,8 @@ class VarianceReport:
     eta2_alt: float | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "eta2": self.eta2,
-            "kappa4_term": self.kappa4_term,
-            "covariance_terms": dict(self.covariance_terms),
-            "diagnostics": dict(self.diagnostics),
-            "condition_set": self.condition_set,
-            "conditions_note": self.conditions_note,
-            "eta2_alt": self.eta2_alt,
-        }
+        """Every field, shallow copies, with ``conditions`` by its own ``to_dict`` and left out when ``None``."""
+        out = {f.name: copy.copy(getattr(self, f.name)) for f in fields(self) if f.name != "conditions"}
         if self.conditions is not None:
             out["conditions"] = self.conditions.to_dict()
         return out
@@ -210,10 +204,8 @@ def eta2_qn(
     bilinear = eta2_sn(kernel, conv, model, Delta, check="skip")
     bsg = b_star_gamma(b, kernel, model.cumulants()[0], Delta)
     direct = 2.0 * bsg.l2_sq
-    diagnostics = dict(bilinear.diagnostics)
-    cov = {key: diagnostics.pop(key) for key in ("cov_radius", "cov_tail_bound", "cov_capped")}
-    diagnostics.update({"bsg_radius": float(bsg.radius), "bsg_l2_tail": bsg.l2_sq_tail, "bsg_capped": float(bsg.capped)})
-    diagnostics.update(cov)
+    diagnostics = {**bilinear.diagnostics, "bsg_radius": float(bsg.radius), "bsg_l2_tail": bsg.l2_sq_tail,
+                   "bsg_capped": float(bsg.capped)}
     return VarianceReport(
         eta2=bilinear.kappa4_term + direct,
         kappa4_term=bilinear.kappa4_term,
@@ -238,8 +230,8 @@ def autocov_clt_sigma(
 ) -> np.ndarray:
     """Asymptotic covariance matrix of the first ``m`` scaled sample autocovariances.
 
-    Fourth-cumulant term ``int_0^Delta K(t) K(t)^T dt``, a period integral of a matrix, with
-    ``K_j(t) = sum_s phi(t + s Delta) phi(t + (s + j) Delta)`` from one base lattice, plus the lag sum
+    Fourth-cumulant term ``int_0^Delta K(t) K(t)^T dt`` with
+    ``K_j(t) = sum_s phi(t + s Delta) phi(t + (s + j) Delta)`` (:func:`~cmaqf.quadrature.lag_gram`), plus the lag sum
     ``sum_s (gamma_s + gamma_{-s}) gamma_s^T``; symmetric positive
     semidefinite up to rounding.
     """
@@ -248,20 +240,7 @@ def autocov_clt_sigma(
     _gate_conditions("autocov", kernel, None, Delta, model, check, force)
     sigma2, kappa4 = model.cumulants()
 
-    if kappa4 == 0.0:
-        k4_block = np.zeros((m, m))
-    else:
-        s_lo, s_hi = lattice_s_range([kernel, kernel], Delta)
-
-        def gram(nodes):  # K_i K_j, K[j - 1] from rows s and s + j of one base lattice per lag chunk
-            K = np.zeros((m, len(nodes)))
-            for lo in range(s_lo, s_hi + 1, _LATTICE_CHUNK):
-                V = phase_lattice(kernel, nodes, lo, min(lo + _LATTICE_CHUNK - 1, s_hi) + m, Delta)
-                K += [(V[: len(V) - m] * V[j : len(V) - m + j]).sum(axis=0) for j in range(1, m + 1)]
-            return K.T[:, :, None] * K.T[:, None, :]
-
-        k4_block = kappa4 * _period(gram, [kernel], Delta, _NODES_PER_PERIOD)[0]
-
+    k4_block = kappa4 * lag_gram(kernel, m, Delta, _NODES_PER_PERIOD) if kappa4 != 0.0 else np.zeros((m, m))
     S = lag_radius
     gam = covariance_lags(kernel, kernel, sigma2, Delta, -(S + m), S + m)
     # G[j - 1, s + S] = gamma(s + j) and R[j - 1, s + S] = gamma(j - s), |s| <= S

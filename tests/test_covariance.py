@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from cmaqf import covariance
+from cmaqf import covariance, quadrature
 from cmaqf.covariance import (
     FiniteSupport,
     PowerDecay,
@@ -23,10 +23,11 @@ from cmaqf.kernels import (
     LinComboKernel,
     PowAbsKernel,
     TabulatedKernel,
+    _lattice_combo,
     build_carma,
     grid_sample,
 )
-from cmaqf.quadrature import lattice_s_range, phase_integral, phase_lattice, product_integral
+from cmaqf.quadrature import _lattice_sums, lag_gram, lattice_s_range, phase_integral, product_integral
 
 
 def fn_gamma_oracle(d):
@@ -277,9 +278,14 @@ def test_product_integral_grades_each_kink_in_one_block(h, monkeypatch):
     assert abs(r.value - _fgn_autocov(0.1, h)) <= r.disc_estimate + r.tail_bound
 
 
-def test_phase_lattice_closes_on_left_limits():
+def _lattice(kernel, nodes, s_lo, s_hi, delta):
+    # rows s_lo..s_hi of the kernel's lattice, as single-factor products lagged by s on the one-row range 0..0
+    return _lattice_sums([[(kernel, s)] for s in range(s_lo, s_hi + 1)], nodes, 0, 0, delta)
+
+
+def test_lattice_sums_close_on_left_limits():
     # rows are lags s = -2..1; the OU kernel jumps where t + s = 0
-    V = phase_lattice(ExponentialOU(1.0), np.linspace(0.0, 1.0, 5), -2, 1, 1.0)
+    V = _lattice(ExponentialOU(1.0), np.linspace(0.0, 1.0, 5), -2, 1, 1.0)
     assert V[1, -1] == 0.0  # s = -1 at the closing node t = 1: left limit
     assert V[2, 0] == 1.0  # s = 0 at the opening node t = 0: right value
 
@@ -315,7 +321,7 @@ def _pointwise_lattice(kernel, nodes, s_lo, s_hi, delta):
 
 @pytest.mark.parametrize("delta", [1.0, 0.7])
 @pytest.mark.parametrize("family", sorted(_LATTICE_BASES))
-def test_phase_lattice_of_a_lattice_combination_matches_its_pointwise_values(family, delta):
+def test_lattice_rows_of_a_lattice_combination_match_its_pointwise_values(family, delta):
     # power weights only at delta = 1, and not over fractional noise, whose star has 8193
     # offsets to evaluate point by point: at 0.7 the pointwise closing column takes the
     # wrong side of the base's jump (next test)
@@ -325,13 +331,13 @@ def test_phase_lattice_of_a_lattice_combination_matches_its_pointwise_values(fam
         s_lo, s_hi = lattice_s_range([base, k], delta)
         s_hi = min(s_hi, 256)
         ref = _pointwise_lattice(k, nodes, s_lo, s_hi, delta)
-        got = phase_lattice(k, nodes, s_lo, s_hi, delta)
+        got = _lattice(k, nodes, s_lo, s_hi, delta)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), name
 
 
 @pytest.mark.parametrize("family", ["ou", "carma21"])
-def test_phase_lattice_closes_a_power_star_on_its_left_limits_off_unit_spacing(family):
+def test_lattice_rows_close_a_power_star_on_its_left_limits_off_unit_spacing(family):
     # row s of the closing column holds sum_j c_j B(Delta + (s - a_j) Delta) from the left;
     # for s - a_j = -1 the base's argument is exactly 0, its jump, so that term is 0.  The
     # kernel's own left_limit sees (Delta + s Delta) - a_j Delta, a rounding away from 0,
@@ -342,11 +348,65 @@ def test_phase_lattice_closes_a_power_star_on_its_left_limits_off_unit_spacing(f
     for absolute in (False, True):
         k = star_conv_kernel(PowerDecay(1.0, 1.5, 1.0), base, delta, absolute=absolute)
         s_lo, s_hi = lattice_s_range([base, k], delta)
-        got = phase_lattice(k, nodes, s_lo, s_hi, delta)
+        got = _lattice(k, nodes, s_lo, s_hi, delta)
         inside = k.eval(delta * (1.0 - 1e-12) + np.arange(s_lo, s_hi + 1) * delta)
         assert np.max(np.abs(got[:, -1] - inside)) <= 1e-9 * np.max(np.abs(got))
         np.testing.assert_allclose(got[:, :-1], _pointwise_lattice(k, nodes, s_lo, s_hi, delta)[:, :-1],
                                    rtol=0, atol=1e-13 * np.max(np.abs(got)))
+
+
+@pytest.mark.parametrize("alpha", [None, 1.0, 0.7])
+@pytest.mark.parametrize("delta", [1.0, 0.7])
+@pytest.mark.parametrize("family", sorted(_LATTICE_BASES))
+def test_lattice_sums_match_their_definition(family, delta, alpha, monkeypatch):
+    # sum_s prod_(k, lag) k(t + (s + lag) Delta) by each kernel's own eval, on interior phases (no jump
+    # there, so the closing left limits equal the values), over chunks of 7 lags that end ragged; the
+    # products share the base through views, stars and lagged copies, and |.|**alpha alters none twice
+    monkeypatch.setattr(quadrature, "_LATTICE_CHUNK", 7)
+    base = _LATTICE_BASES[family]
+    ks = _lattice_combinations(base, delta, power_weights=family != "fn01")
+    star, star_abs = ks.get("star_power", ks["star_finite"]), ks.get("star_power_abs", ks["star_finite_abs"])
+    products = [
+        [(base, 0)],
+        [(base, 0), (base, 0)],
+        [(base, 0), (ks["star_finite"], 0)],
+        [(base, 2), (ks["star_finite_abs"], -1)],
+        [(star, 0), (base, 1), (star_abs, 0)],
+        [(ks["shifted"], 0), (base, 3), (ks["ls_first"], 1)],
+    ]
+    nodes = delta * np.linspace(0.03, 0.97, 9)
+    s_lo, s_hi = -3, 40
+    got = _lattice_sums(products, nodes, s_lo, s_hi, delta, alpha)
+    for row, product in zip(got, products):
+        ref = np.zeros_like(nodes)
+        for s in range(s_lo, s_hi + 1):
+            vals = [np.asarray(k.eval(nodes + (s + lag) * delta)) for k, lag in product]
+            ref += math.prod(vals if alpha is None else [np.abs(v) ** alpha for v in vals])
+        np.testing.assert_allclose(row, ref, rtol=0, atol=1e-14 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("call", ["base_star", "base_base", "lag_gram"])
+def test_period_integrals_sample_each_base_once_per_chunk(call, monkeypatch):
+    # phi and b * phi, phi twice, and the m lagged copies of lag_gram all read one base lattice per
+    # lag chunk, over the union of their rows, plus its closing left-limit column
+    k, delta, m = FractionalNoise(0.1), 1.0, 4
+    star = star_conv_kernel(FiniteSupport((0.5, -0.8, 0.3)), k, delta)
+    points, real_eval = [], FractionalNoise.eval
+    monkeypatch.setattr(FractionalNoise, "eval", lambda self, t: points.append(np.size(t)) or real_eval(self, t))
+    if call == "lag_gram":
+        s_lo, s_hi = lattice_s_range([k, k], delta)
+        spread = m
+        lag_gram(k, m, delta)
+    else:
+        ks = [k, star] if call == "base_star" else [k, k]
+        s_lo, s_hi = lattice_s_range(ks, delta)
+        offsets = _lattice_combo(ks[1], delta)[1]
+        spread = offsets.max() - offsets.min()
+        phase_integral(ks, delta)
+    chunks = -(-(s_hi - s_lo + 1) // 8192)
+    assert chunks > 1
+    assert len(points) == 2 * chunks
+    assert sum(points) == (s_hi - s_lo + 1 + spread * chunks) * (513 + 1)  # 513 nodes, one left-limit column
 
 
 def test_combination_kernels_are_never_evaluated_point_by_point(monkeypatch):
