@@ -17,7 +17,8 @@ Base kernels that are sums of exponential modes (OU, CARMA; see
 either.  Decay exponents and their arithmetic (``conv_exponent``) live in :mod:`cmaqf.tails`.
 
 Discrete convolutions of lag sequences go through one real FFT product,
-:func:`_fft_convolve`, which the simulated paths and ``compute_qn`` share.
+:func:`_fft_convolve` (``numpy.fft`` at a 5-smooth length), which the simulated
+paths and ``compute_qn`` share.
 :func:`b_star_gamma` uses it for power weights, whose ``b * gamma`` decays like
 a power and so stays far above the FFT's rounding; a finite support keeps the
 direct product, because its ``b * gamma`` can decay exponentially below it.
@@ -30,7 +31,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
+from numpy.fft import irfft, rfft  # loads numpy.fft with cmaqf, not in the first convolution
 
 from .errors import ConvergenceError, ParameterError
 from .kernels import Kernel, LinComboKernel, PowAbsKernel, _lattice_combo
@@ -328,11 +329,19 @@ _BSG_REL_TOL = 1e-8
 _BSG_S_CAP = 10**6
 
 
+@functools.lru_cache(maxsize=64)
+def _next_fast_len(n: int) -> int:
+    """Smallest 5-smooth ``2^a 3^b 5^c >= n``, the length ``scipy.fft.next_fast_len(n, real=True)`` picks."""
+    # each odd 3^i 5^j, doubled up to n; an odd p >= 2n cannot win, as the power of two is below 2n
+    odd = (3**i * 5**j for i in range(n.bit_length() + 1) for j in range(n.bit_length() + 1))
+    return min(p << (-(-n // p) - 1).bit_length() for p in odd if p < 2 * n)
+
+
 def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution of two real sequences by one real FFT product."""
+    """Full linear convolution of two real sequences by one ``numpy.fft`` real product at a 5-smooth length."""
     size = len(a) + len(b) - 1
-    nfft = scipy.fft.next_fast_len(size, real=True)
-    return scipy.fft.irfft(scipy.fft.rfft(a, nfft) * scipy.fft.rfft(b, nfft), nfft)[:size]
+    nfft = _next_fast_len(size)
+    return irfft(rfft(a, nfft) * rfft(b, nfft), nfft)[:size]
 
 
 def b_star_gamma(

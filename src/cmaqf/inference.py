@@ -12,7 +12,6 @@ polynomial maps and the kernel pair.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .covariance import covariance_lags
 from .errors import ParameterError
@@ -25,6 +24,8 @@ __all__ = ["yule_walker", "ls_kernel_pair", "poly_map"]
 def yule_walker(kernel: Kernel, model: LevyModel, delta: float, k: int) -> np.ndarray:
     """Coefficients of the best linear predictor of ``X_{(k+1) delta}`` from the
     previous ``k`` sampled values (Toeplitz solve)."""
+    import scipy.linalg  # loaded on first use, so ``import cmaqf`` stays numpy only
+
     if k < 1:
         raise ParameterError("k must be >= 1")
     sigma2, _ = model.cumulants()

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConventionError, GridError, NonStationaryError, ParameterError, StabilityError
 from .tails import CompactTail, ExpTail, PowerTail, TailFit, TailModel, fit_tail, powered_tail, shifted_sum_tail
@@ -180,7 +179,7 @@ class CarmaKernel(Kernel):
             object.__setattr__(self, "_eig", ("expm", A, np.asarray(b), e_p))
             rate = -eigvals.real.max()
             ts = np.linspace(0.0, 10.0 / rate, 200)
-            const = 2.0 * max(abs(self._eval_expm(tt)) * math.exp(0.99 * rate * tt) for tt in ts)
+            const = 2.0 * max(abs(v) * math.exp(0.99 * rate * tt) for v, tt in zip(self._eval_expm(ts).tolist(), ts))
             exact = False
         rate = -float(eigvals.real.max())
         object.__setattr__(self, "decay", ExpTail(constant=const, rate=(rate if exact else 0.99 * rate), exact=exact))
@@ -189,9 +188,12 @@ class CarmaKernel(Kernel):
     def p(self) -> int:
         return len(self.a)
 
-    def _eval_expm(self, t: float) -> float:
+    def _eval_expm(self, t: np.ndarray) -> np.ndarray:
+        """``b^T expm(A t) e_p`` at each point of a 1-d ``t``, by one stacked matrix exponential."""
+        import scipy.linalg  # only a repeated autoregressive root comes here; ``import cmaqf`` stays numpy only
+
         _, A, b, e_p = self._eig
-        return float(b @ scipy.linalg.expm(A * t) @ e_p)
+        return b @ scipy.linalg.expm(A * t[:, None, None]) @ e_p
 
     def eval(self, t):
         t = np.asarray(t, dtype=float)
@@ -204,7 +206,7 @@ class CarmaKernel(Kernel):
                 _, eigvals, coeffs = self._eig
                 out[pos] = (np.exp(np.outer(t[pos], eigvals)) @ coeffs).real
             else:
-                out[pos] = [self._eval_expm(tt) for tt in t[pos]]
+                out[pos] = self._eval_expm(t[pos])
         return float(out[0]) if scalar else out
 
     @property

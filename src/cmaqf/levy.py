@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Generator, Philox  # loads numpy.random with cmaqf, not in the first draw
 
 from .errors import ParameterError
 
@@ -45,7 +46,7 @@ __all__ = [
 ]
 
 
-def stream(seed: int, index: int) -> np.random.Generator:
+def stream(seed: int, index: int) -> Generator:
     """Deterministic counter-based stream ``index`` derived from ``seed``.
 
     Distinct ``(seed, index)`` pairs key distinct Philox counters, so streams
@@ -56,7 +57,7 @@ def stream(seed: int, index: int) -> np.random.Generator:
     check_key("seed", seed)
     check_key("index", index)
     key = np.array([np.uint64(seed), np.uint64(index)])
-    return np.random.Generator(np.random.Philox(key=key))
+    return Generator(Philox(key=key))
 
 
 def check_key(name: str, value) -> None:
@@ -78,7 +79,7 @@ class BrownianMotion:
     def cumulants(self) -> tuple[float, float]:
         return float(self.variance), 0.0
 
-    def sample_increments(self, count: int, dt: float, rng: np.random.Generator) -> np.ndarray:
+    def sample_increments(self, count: int, dt: float, rng: Generator) -> np.ndarray:
         _check_sampling_args(count, dt)
         return rng.standard_normal(count) * np.sqrt(self.variance * dt)
 
@@ -99,7 +100,7 @@ class CompoundPoissonNormal:
         # kappa_m = rate * E[J**m]; E[J**2] = tau2, E[J**4] = 3 tau2**2
         return float(self.rate * self.jump_variance), float(3.0 * self.rate * self.jump_variance**2)
 
-    def sample_increments(self, count: int, dt: float, rng: np.random.Generator) -> np.ndarray:
+    def sample_increments(self, count: int, dt: float, rng: Generator) -> np.ndarray:
         _check_sampling_args(count, dt)
         try:
             jumps = rng.poisson(self.rate * dt * count)
@@ -128,7 +129,7 @@ class BilateralGamma:
         # gamma cumulant kappa_m = shape * (m-1)! / rate**m; difference doubles even orders
         return float(2.0 * self.shape / self.rate**2), float(12.0 * self.shape / self.rate**4)
 
-    def sample_increments(self, count: int, dt: float, rng: np.random.Generator) -> np.ndarray:
+    def sample_increments(self, count: int, dt: float, rng: Generator) -> np.ndarray:
         _check_sampling_args(count, dt)
         a, scale = self.shape * dt, 1.0 / self.rate
         return rng.gamma(a, scale, size=count) - rng.gamma(a, scale, size=count)

@@ -18,7 +18,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-import scipy.special
 
 from .covariance import CoefficientSeq, covariance_lags
 from .errors import ParameterError
@@ -141,6 +140,15 @@ class McReport:
         return {f.name: copy.copy(getattr(self, f.name)) for f in fields(self) if f.name != "statistics"}
 
 
+def _normal_cdf(x: float) -> float:
+    """Standard normal CDF in the branch form of ``scipy.special.ndtr``: ``erf`` near 0, else ``erfc``."""
+    z = x * math.sqrt(0.5)
+    if abs(z) < math.sqrt(0.5):
+        return 0.5 + 0.5 * math.erf(z)
+    tail = 0.5 * math.erfc(abs(z))
+    return 1.0 - tail if z > 0 else tail
+
+
 def ks_distance(samples, variance: float) -> float:
     """Sup distance between the empirical law and the centered normal with ``variance``."""
     samples = np.sort(np.asarray(samples, dtype=float))
@@ -149,7 +157,7 @@ def ks_distance(samples, variance: float) -> float:
     if not variance > 0:
         raise ParameterError(f"variance must be > 0, got {variance}")
     R = samples.size
-    cdf = scipy.special.ndtr(samples / math.sqrt(variance))
+    cdf = np.array([_normal_cdf(x) for x in (samples / math.sqrt(variance)).tolist()])
     upper = np.max(np.arange(1, R + 1) / R - cdf)
     lower = np.max(cdf - np.arange(0, R) / R)
     return float(max(upper, lower))

@@ -424,9 +424,44 @@ def test_module_entry_point_exits_two_on_a_malformed_config(tmp_path):
     assert json.loads(proc.stderr)["error"]["type"] == "config"
 
 
-def test_cli_import_skips_scipy_signal_and_stats():
-    code = "import sys, cmaqf.cli; print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+def _modules_loaded_by(calls: str) -> tuple[str, str]:
+    """In a fresh interpreter, import ``cmaqf`` and run ``calls``: the ``scipy`` modules loaded by the
+    end, and the ``numpy`` and ``scipy`` modules that ``calls`` loaded first."""
+    code = f"""
+import sys
+import cmaqf, cmaqf.cli
+before = set(sys.modules)
+{calls}
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] in ('numpy', 'scipy')))
+"""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return tuple(proc.stdout.strip().splitlines()[-2:])
+
+
+def test_cli_import_loads_no_scipy():
+    assert _modules_loaded_by("pass") == ("[]", "[]")
+
+
+def test_benchmark_call_paths_load_no_scipy(tmp_path):
+    # small versions of the calls the benchmark times: eta2_qn with power weights and checks on,
+    # lag covariances of fractional noise, the CLI mc command and an S_n experiment. They load
+    # no scipy, and no numpy submodule either: a module first loaded in a call adds its import to the call's time
+    cfg = base_config(
+        levy={"type": "compound_poisson_normal", "rate": 1.0, "jump_variance": 1.0},
+        b={"type": "finite_support", "values": [0.0, 1.0, 0.5]},
+        statistic="qn", n=64, replicates=8, threads=2, path={"fine_steps": 4}, output_dir=str(tmp_path / "mc"),
+    )
+    config = write_config(tmp_path, "mc.json", cfg)
+    calls = f"""
+cmaqf.eta2_qn(cmaqf.ExponentialOU(1.0), cmaqf.PowerDecay(c=1.0, rho=1.5, b0=1.0), cmaqf.CompoundPoissonNormal(1.0, 1.0), 1.0)
+fn = cmaqf.FractionalNoise(0.1)
+cmaqf.covariance_lags(fn, fn, 1.0, 1.0, 0, 3)
+assert cmaqf.cli.run(["mc", "--config", {str(config)!r}]) == 0
+cmaqf.run_experiment(cmaqf.ExperimentConfig(
+    statistic="sn", kernel=cmaqf.build_carma((3.0, 2.0), (3.0, 1.0), 1), kernel2=cmaqf.ExponentialOU(0.5),
+    model=cmaqf.BrownianMotion(1.0), delta=1.0, n=200, replicates=4, seed=1), threads=1)
+"""
+    assert _modules_loaded_by(calls) == ("[]", "[]")

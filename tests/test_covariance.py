@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.integrate import quad
 
 from cmaqf import covariance, quadrature
@@ -229,6 +230,24 @@ def test_b_star_gamma_of_slowly_decaying_power_weights_matches_an_fft_oracle():
     head = float(np.sum(full[ub + 64 - N : ub + 64 + N + 1] ** 2))
     tail = 2.0 * float(np.sum(gam)) ** 2 * (N + 0.5) ** (1.0 - 2.0 * rho) / (2.0 * rho - 1.0)
     assert abs(res.l2_sq - (head + tail)) <= res.l2_sq_tail
+
+
+def test_next_fast_len_is_the_5_smooth_length_scipy_picks():
+    for n in [*range(1, 20_001), 10**6 + 1, 2**20 + 1, 5 * 10**6 + 7]:
+        assert covariance._next_fast_len(n) == scipy.fft.next_fast_len(n, real=True), n
+
+
+@pytest.mark.parametrize(
+    "la, lb", [(1, 1), (1, 2), (2, 2), (5, 3), (17, 64), (100, 101), (729, 1000), (4097, 4096), (50_001, 3), (131_073, 131_073)]
+)
+def test_fft_convolve_is_bit_equal_to_the_scipy_fft_product(la, lb):
+    # numpy.fft at the same 5-smooth length: every convolution keeps the bits it had under scipy.fft
+    rng = np.random.default_rng(la + lb)
+    a, b = rng.standard_normal(la), rng.standard_normal(lb)
+    size = la + lb - 1
+    nfft = scipy.fft.next_fast_len(size, real=True)
+    expected = scipy.fft.irfft(scipy.fft.rfft(a, nfft) * scipy.fft.rfft(b, nfft), nfft)[:size]
+    assert covariance._fft_convolve(a, b).tobytes() == expected.tobytes()
 
 
 def test_b_star_gamma_divergence_raises():

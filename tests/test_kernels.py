@@ -76,6 +76,22 @@ def test_carma_repeated_root_falls_back_to_expm():
         assert k.eval(t) == pytest.approx(oracle, abs=1e-10)
 
 
+def test_carma_expm_fallback_evaluates_a_stack_as_it_does_each_point():
+    # one stacked expm over all points gives the per-point exponentials bit for bit
+    k = build_carma((2.0, 1.0), (1.0, 0.0), 0)
+    _, A, b, e_p = k._eig
+
+    def pointwise(t):
+        return float(b @ scipy.linalg.expm(A * t) @ e_p) if t >= 0.0 else 0.0
+
+    t = np.linspace(-1.0, 40.0, 10_001)
+    assert k.eval(t).tolist() == [pointwise(s) for s in t]
+    assert [k.eval(s) for s in t[::1000]] == [pointwise(s) for s in t[::1000]]
+    # the decay constant samples the same exponentials on 200 points of 10 / rate, with rate 1 here
+    ts = np.linspace(0.0, 10.0, 200)
+    assert k.decay.constant == 2.0 * max(abs(pointwise(s)) * math.exp(0.99 * 1.0 * s) for s in ts)
+
+
 def test_eval_kernel_closed_forms():
     fn = FractionalNoise(0.1)
     assert fn.eval(-0.5) == 0.0

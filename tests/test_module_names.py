@@ -220,6 +220,34 @@ def test_radii_are_doubled_in_one_place():
     assert stray == [], "grow a model-driven window with tails.grow_radius"
 
 
+def _import_time_scipy(tree) -> list[int]:
+    """Line numbers of the ``import scipy…`` and ``from scipy…`` that run when ``tree``'s module is imported."""
+    found, stack = [], list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue  # a function body imports when called
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            names = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+        if any(name.split(".")[0] == "scipy" for name in names):
+            found.append(node.lineno)
+        stack.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_scipy_is_imported_only_inside_functions():
+    # import cmaqf loads numpy alone; scipy.linalg loads on the first call that needs it
+    src = Path(cmaqf.__file__).parent
+    stray = [
+        f"{path.stem}:{line}"
+        for path in sorted(src.glob("*.py"))
+        for line in _import_time_scipy(ast.parse(path.read_text(), str(path)))
+    ]
+    assert stray == [], "import scipy inside the function that uses it"
+
+
 TAIL_MODELS = {"PowerTail", "ExpTail", "CompactTail"}
 
 

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from cmaqf.covariance import FiniteSupport
 from cmaqf.errors import ParameterError
 from cmaqf.kernels import ExponentialOU
 from cmaqf.levy import BrownianMotion, CompoundPoissonNormal
-from cmaqf.montecarlo import ExperimentConfig, ks_distance, run_experiment
+from cmaqf.montecarlo import ExperimentConfig, _normal_cdf, ks_distance, run_experiment
 
 
 def test_ks_quantile_construction():
@@ -25,6 +26,14 @@ def test_ks_matched_scaling_invariance():
     xs = np.random.default_rng(0).normal(size=400)
     c = 2.5
     assert ks_distance(xs, 1.0) == ks_distance(c * xs, c**2)
+
+
+def test_normal_cdf_matches_ndtr_to_the_last_bit_in_absolute_terms():
+    # both branch edges |x| = 1 with their neighbours, 0, and a grid over +-40 into the underflow
+    edges = [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)]
+    xs = np.concatenate([np.linspace(-40.0, 40.0, 80_001), [0.0], edges, np.negative(edges)])
+    cdf = np.array([_normal_cdf(x) for x in xs.tolist()])
+    assert np.max(np.abs(cdf - ndtr(xs))) <= 2.3e-16
 
 
 def test_ks_validation():
