@@ -12,11 +12,11 @@ Two geometries recur throughout the package:
 
 Both split the domain at kernel breakpoints and run one piece loop, :func:`_pieces`: nested
 composite Simpson rules (so a discretisation estimate comes for free), a piece that starts at
-an algebraic kink taken in the graded variable ``u`` of ``t = a + (b - a) u**5``, with the
-truncated domain completed by closed-form bounds from the kernels' decay models.  A Simpson
-piece that closes on a breakpoint takes :meth:`Kernel.left_limit` at its last
-node, so a kernel that jumps there contributes its value from inside the
-piece, not the value after the jump.
+an algebraic kink taken in the graded variable ``u`` of ``t = a + (b - a) u**5``, a power-law
+tail of a line integral taken in ``x = ln t``, and the truncated domain completed by closed-form
+bounds from the kernels' decay models.  A Simpson piece that closes on a breakpoint takes
+:meth:`Kernel.left_limit` at its last node, so a kernel that jumps there contributes its value
+from inside the piece, not the value after the jump.
 """
 
 from __future__ import annotations
@@ -30,7 +30,9 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .kernels import Kernel, _lattice_combo
-from .tails import grow_radius, lattice_tail_sum, product_tail_integral, sparse_tail_sum_estimate, tail_sup
+from .tails import (
+    decay_exponent, grow_radius, lattice_tail_sum, product_tail_integral, sparse_tail_sum_estimate, tail_sup
+)
 
 __all__ = ["QuadResult", "product_integral", "phase_integral", "lag_gram"]
 
@@ -38,7 +40,7 @@ _GRADE_POWER = 5
 _MAX_NODES_PER_BLOCK = 4096
 _MIN_NODES_PER_BLOCK = 8
 _PRODUCT_REL_TOL = 1e-10
-_PRODUCT_MAX_SPAN = float(2**24)
+_PRODUCT_MAX_SPAN = float(2**80)
 _LATTICE_REL_TOL = 1e-9
 _LATTICE_S_CAP = 2**20
 
@@ -47,9 +49,9 @@ _LATTICE_S_CAP = 2**20
 class QuadResult:
     """Value of a truncated integral with its accuracy diagnostics.
 
-    ``disc_estimate`` is a Richardson estimate of the discretisation error
-    (fine vs. half-resolution Simpson); ``tail_bound`` bounds the absolute
-    mass of the integrand beyond the integration window.
+    ``disc_estimate`` estimates the discretisation error from fine vs. half-resolution
+    Simpson: ``|fine - coarse| / 15`` (Richardson), and ``|fine - coarse|`` on a graded
+    piece; ``tail_bound`` bounds the absolute mass of the integrand beyond the integration window.
     """
 
     value: float
@@ -63,9 +65,11 @@ def _simpson(fvals: np.ndarray, a: float, b: float) -> float:
     return h / 3.0 * (fvals[0] + fvals[-1] + 4.0 * fvals[1:-1:2].sum(axis=0) + 2.0 * fvals[2:-2:2].sum(axis=0))
 
 
-def _block(feval, a: float, b: float, n: int, fa: float | None = None, fb: float | None = None):
+def _block(
+    feval, a: float, b: float, n: int, fa: float | None = None, fb: float | None = None, richardson: float = 15.0
+):
     """Nested Simpson on [a, b] of values along axis 0, with the end values ``fa``/``fb``
-    in place of ``feval`` where given: returns (fine value, |fine - coarse|/15)."""
+    in place of ``feval`` where given: returns (fine value, |fine - coarse| / richardson)."""
     n = max(_MIN_NODES_PER_BLOCK, min(int(n), _MAX_NODES_PER_BLOCK))
     n = 4 * ((n + 3) // 4)
     nodes = np.linspace(a, b, n + 1)
@@ -76,19 +80,20 @@ def _block(feval, a: float, b: float, n: int, fa: float | None = None, fb: float
         vals[-1] = fb
     fine = _simpson(vals, a, b)
     coarse = _simpson(vals[::2], a, b)
-    return fine, abs(fine - coarse) / 15.0
+    return fine, abs(fine - coarse) / richardson
 
 
 def _graded(feval, a: float, b: float, n: int, fb: float | None = None):
     """:func:`_block` in ``u`` on [0, 1] with ``t = a + (b - a) u**q``, ``q = _GRADE_POWER``: a kink ``(t - a)**e``
-    becomes ``u**(q (1 + e) - 1)`` times a smooth factor, smooth to fourth order for every ``e > 0``."""
+    becomes ``u**(q (1 + e) - 1)`` times a smooth factor, smooth to fourth order for every ``e > 0``, an order that
+    Simpson's error reaches only asymptotically: the estimate is ``|fine - coarse|`` without Richardson's 15."""
     w, q = b - a, _GRADE_POWER
 
     def geval(u):  # nodes ascend in t and end on b; values times dt/du, which vanishes at a
         t = np.append(a + w * u[:-1] ** q, b)
         return (np.asarray(feval(t), dtype=float).T * (q * w * u ** (q - 1))).T
 
-    return _block(geval, 0.0, 1.0, n, fa=0.0, fb=None if fb is None else q * w * fb)
+    return _block(geval, 0.0, 1.0, n, fa=0.0, fb=None if fb is None else q * w * fb, richardson=1.0)
 
 
 def _pieces(feval, edges, nodes_in, singular=frozenset(), close=None):
@@ -116,9 +121,11 @@ def product_integral(
 ) -> QuadResult:
     """Integrate ``k1(t) * k2(t + shift)`` over the line.
 
-    The window grows in dyadic blocks until the closed-form tail bound drops
-    below 1e-10 times the accumulated value (or the window passes 2**24); a
-    divergent tail (by the decay models) raises :class:`ConvergenceError`.
+    The window grows in dyadic blocks, or in one block in ``ln t`` out to the
+    first doubled radius when both decay models are power tails, until the
+    closed-form tail bound drops below 1e-10 times the accumulated value (or
+    the window passes 2**80); a divergent tail (by the decay models) raises
+    :class:`ConvergenceError`.
     """
 
     def feval(ts):
@@ -150,11 +157,20 @@ def product_integral(
     total, est = _pieces(feval, edges, lambda a, b: int(math.ceil((b - a) / step)), singular,
                          lambda a, b: (edge(a, "eval") if a in k2_bp else None, edge(b, "left_limit")))
 
-    # dyadic extension until the decay-model tail bound is negligible
+    # dyadic extension until the decay-model tail bound is negligible; a power pair's tail is one block in ln t,
+    # once the unit steps of a window left of 1 have reached t >= 1
+    tail_from = functools.partial(product_tail_integral, k1.decay, k2.decay, shift=shift)
+    power_pair = max(decay_exponent(k1.decay), decay_exponent(k2.decay)) < math.inf
     u = core_end
     while True:
-        tail = product_tail_integral(k1.decay, k2.decay, u, shift)
-        if tail <= _PRODUCT_REL_TOL * max(abs(total), 1e-300) or u > _PRODUCT_MAX_SPAN:
+        tail, tol = tail_from(u), _PRODUCT_REL_TOL * max(abs(total), 1e-300)
+        if tail <= tol or u > _PRODUCT_MAX_SPAN:
+            break
+        if power_pair and u >= 1.0:
+            nxt, tail, _ = grow_radius(tail_from, 2.0 * u, _PRODUCT_MAX_SPAN, tol)
+            if math.isfinite(tail):
+                v, e = _block(lambda x: feval(t := np.exp(x)) * t, math.log(u), math.log(nxt), _MAX_NODES_PER_BLOCK)
+                total, est = total + v, est + e
             break
         nxt = 2.0 * u if u >= 1.0 else u + 1.0
         n = int(math.ceil((nxt - u) / max(step, (nxt - u) / _MAX_NODES_PER_BLOCK)))

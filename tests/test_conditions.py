@@ -11,6 +11,7 @@ from cmaqf.covariance import FiniteSupport, PowerDecay
 from cmaqf.errors import ConvergenceError, ParameterError
 from cmaqf.kernels import ExponentialOU, FractionalNoise, PowAbsKernel, TabulatedKernel, build_carma
 from cmaqf.levy import BrownianMotion, CompoundPoissonNormal
+from cmaqf.quadrature import product_integral
 from cmaqf.tails import CompactTail, ExpTail, PowerTail, conv_exponent, decay_exponent
 from cmaqf.variance import eta2_qn
 
@@ -93,6 +94,16 @@ def test_sn_decay_tail07_pair_refuted():
     assert abs(k.tail_fit.exponent - 0.7) < 0.02
     rep = check_conditions("sn_decay", (k, k), Delta=1.0)
     assert rep.overall == "refuted"
+
+
+def test_power_tailed_table_squared_matches_its_exact_integral():
+    # linear cells integrate exactly, h/3 (v_i^2 + v_i v_i+1 + v_i+1^2), and the fitted tail c t^-rho
+    # past the table end T in closed form; the capped window at 2**80 leaves out 1.7e-10 of it
+    k = tail07_kernel()
+    v, T, c, rho = k.values, k.breakpoints[-1], k.tail_fit.constant, k.tail_fit.exponent
+    cells = k.step / 3.0 * np.sum(v[:-1] ** 2 + v[:-1] * v[1:] + v[1:] ** 2)
+    exact = cells + c**2 * T ** (1.0 - 2.0 * rho) / (2.0 * rho - 1.0)
+    assert product_integral(k, k, 0.0).value == pytest.approx(exact, rel=1e-8)
 
 
 def test_decay_sets_refute_a_kernel_outside_l4_by_arithmetic():

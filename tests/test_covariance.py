@@ -297,6 +297,38 @@ def test_product_integral_grades_each_kink_in_one_block(h, monkeypatch):
     assert abs(r.value - _fgn_autocov(0.1, h)) <= r.disc_estimate + r.tail_bound
 
 
+@pytest.mark.parametrize("delta", [1.0, 0.7])
+@pytest.mark.parametrize("d", [0.05, 0.1, 0.2, 0.24])
+def test_fractional_noise_lags_match_the_closed_form(d, delta):
+    # the power tail is one block in ln t out to where its bound is 1e-10 of the value, and a graded
+    # piece's estimate is |fine - coarse|: Simpson reaches its fourth order there only asymptotically
+    k = FractionalNoise(d)
+    exact = np.array([_fgn_autocov(d, s * delta) for s in range(601)])
+    assert np.max(np.abs(covariance_lags(k, k, 1.0, delta, 0, 600) - exact)) <= 1e-8
+    for s, want in enumerate(exact):
+        r = product_integral(k, k, s * delta)
+        assert abs(r.value - want) <= r.disc_estimate + r.tail_bound
+
+
+@pytest.mark.parametrize("h", [0.0, 1.0, 2.5, 100.0])
+def test_fractional_noise_product_integral_work_is_bounded(h, monkeypatch):
+    points = []
+    evaluate = FractionalNoise.eval
+    monkeypatch.setattr(FractionalNoise, "eval", lambda self, t: points.append(np.size(t)) or evaluate(self, t))
+    k = FractionalNoise(0.1)
+    product_integral(k, k, h)
+    assert sum(points) <= 20_000  # per kernel: the graded core and one 4096-node block in ln t
+
+
+def test_power_pair_tail_capped_or_divergent():
+    capped = PowAbsKernel(FractionalNoise(0.1), 0.58)  # pair exponent 1.044: the tail at 2**80 is not negligible
+    r = product_integral(capped, capped, 0.0)
+    assert 0.01 * r.value < r.tail_bound < math.inf
+    divergent = PowAbsKernel(FractionalNoise(0.1), 0.5)  # pair exponent 0.9
+    with pytest.raises(ConvergenceError, match="diverges"):
+        product_integral(divergent, divergent, 0.0)
+
+
 def _lattice(kernel, nodes, s_lo, s_hi, delta):
     # rows s_lo..s_hi of the kernel's lattice, as single-factor products lagged by s on the one-row range 0..0
     return _lattice_sums([[(kernel, s)] for s in range(s_lo, s_hi + 1)], nodes, 0, 0, delta)
