@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import os
 import sys
@@ -191,10 +190,6 @@ def _build(resolved: dict, base_dir: Path) -> tuple:
         _build_block(resolved[key], kind, f"$.{key}", base_dir) if resolved.get(key) is not None else None
         for key, kind in _TYPED_BLOCKS.items()
     )
-
-
-def _hash(obj) -> str:
-    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def _resolve(cfg: dict, command: str, args) -> dict:
@@ -414,10 +409,10 @@ def run(argv=None) -> int:
         outdir = Path(resolved["output_dir"])
         base_dir = Path(args.config).resolve().parent
         hashes = {
-            "config": _hash({k: v for k, v in resolved.items() if k != "output_dir"}),
-            "kernel": _hash(resolved.get("kernel")),
-            "levy": _hash(resolved.get("levy")),
-            "b": _hash(resolved.get("b")),
+            "config": specs._hash({k: v for k, v in resolved.items() if k != "output_dir"}),
+            "kernel": specs._hash(resolved.get("kernel")),
+            "levy": specs._hash(resolved.get("levy")),
+            "b": specs._hash(resolved.get("b")),
         }
         code = _DISPATCH[args.command](resolved, outdir, _build(resolved, base_dir))
         _write(outdir / "manifest.json", _manifest(resolved, hashes))

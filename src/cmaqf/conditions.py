@@ -22,7 +22,9 @@ refute by the exact exponents of ``psi = |b| * |phi|`` and its lag products.
 
 Each norm is computed once per check: period norms go through one
 :func:`~cmaqf.quadrature.phase_integral` each, lag sequences through one
-quadrature each, and two equal kernels share theirs.
+quadrature each, and two equal kernels share theirs.  The absolute kernels the
+norms read are built here, once: ``|phi|``, and ``psi`` over that same ``|phi|``
+(:func:`_envelope`), which the lattice readings take as a plain combination.
 
 Condition sets, keyed by the statistic they license and the style of
 hypothesis:
@@ -52,7 +54,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -65,9 +67,9 @@ from .covariance import (
     star_conv_kernel,
 )
 from .errors import ParameterError
-from .kernels import Kernel, PowAbsKernel
+from .kernels import Kernel, LinComboKernel, PowAbsKernel
 from .levy import BrownianMotion, LevyModel
-from .quadrature import phase_integral, product_integral
+from .quadrature import _check_delta, phase_integral, product_integral
 from .tails import TailModel, conv_exponent, decay_exponent, grow_lags, lattice_tail_sum, tail_sup
 
 __all__ = [
@@ -141,24 +143,8 @@ class ConditionReport:
         return INDETERMINATE
 
     def to_dict(self) -> dict:
-        return {
-            "condition_set": self.condition_set,
-            "overall": self.overall,
-            "exponents": self.exponents,
-            "skipped": list(self.skipped),
-            "assumptions": [
-                {
-                    "name": a.name,
-                    "verdict": a.verdict,
-                    "note": a.note,
-                    "norms": [
-                        {"name": n.name, "value": n.value, "tail_bound": n.tail_bound, "radius": n.radius}
-                        for n in a.norms
-                    ],
-                }
-                for a in self.assumptions
-            ],
-        }
+        """Every field, nested reports as dicts, plus ``overall``."""
+        return {**asdict(self), "overall": self.overall}
 
 
 # ---------------------------------------------------------------------------
@@ -234,18 +220,24 @@ def _judged(name, norms, divergence, verdict=None, note="") -> AssumptionCheck:
     return AssumptionCheck(name, REFUTED if exact else INDETERMINATE, norms, note)
 
 
-def _abs_lag_sequence(k1, k2, Delta):
-    """``(values, tail, radius)`` of ``s -> int |k1(t) k2(t + s Delta)| dt`` with a
-    fitted tail model, or ``None`` when :func:`_divergence` shows the integrals diverge."""
-    if _divergence((k1, k2), 1.0) is not None:
+def _envelope(b: CoefficientSeq, kernel: Kernel, Delta: float) -> LinComboKernel:
+    """``psi = |b| * |phi|``: the shifts of the signed star with ``|coefficients|``, over the one
+    ``|phi|`` that the checks read, which is ``psi.base``."""
+    star = star_conv_kernel(b, kernel, Delta)
+    return LinComboKernel(PowAbsKernel(kernel, 1.0), star.shifts, np.abs(star.coeffs))
+
+
+def _abs_lag_sequence(a1, a2, Delta):
+    """``(values, tail, radius)`` of ``s -> int a1(t) a2(t + s Delta) dt`` for two non-negative kernels with
+    a fitted tail model, or ``None`` when :func:`_divergence` shows the integrals diverge."""
+    if _divergence((a1, a2), 1.0) is not None:
         return None
-    abs1, abs2 = PowAbsKernel(k1, 1.0), PowAbsKernel(k2, 1.0)
 
     def rows_at(S):
-        return (covariance_lags(abs1, abs2, 1.0, Delta, -S, S, base_step=Delta / _NORM_STEPS_PER_DELTA),)
+        return (covariance_lags(a1, a2, 1.0, Delta, -S, S, base_step=Delta / _NORM_STEPS_PER_DELTA),)
 
-    start = _lag_start([(abs1, abs2)], Delta)
-    lag = grow_lags(rows_at, p=1, rel_tol=1e-6, cap=4096, exponent=gamma_seq_exponent(k1, k2), start=start)
+    start = _lag_start([(a1, a2)], Delta)
+    lag = grow_lags(rows_at, p=1, rel_tol=1e-6, cap=4096, exponent=gamma_seq_exponent(a1, a2), start=start)
     return lag.rows[0], lag.tails[0], lag.radius
 
 
@@ -322,8 +314,10 @@ def check_conditions(
     reports the first satisfying combination; a list or tuple of numbers pins
     the candidates (two, or one or more for ``qn_envelope``; ``autocov`` has
     none).  Passing a Brownian ``model`` drops the period-square assumption
-    from the general sets (it only feeds the fourth-cumulant term).
+    from the general sets (it only feeds the fourth-cumulant term).  ``Delta`` must be finite
+    and > 0.
     """
+    _check_delta(Delta)
     if condition_set not in CONDITION_SETS:
         raise ParameterError(f"unknown condition set {condition_set!r}; choose from {CONDITION_SETS}")
     _check_pins(condition_set, exponents)
@@ -342,14 +336,15 @@ def check_conditions(
         raise ParameterError(f"{condition_set} requires a coefficient sequence b")
 
     if condition_set == "sn_general":
-        return _check_pair_general("sn_general", ks[0], ks[1], Delta, exponents, brownian)
+        abs_pair = tuple(PowAbsKernel(k, 1.0) for k in ks)
+        return _check_pair_general("sn_general", abs_pair, ks, Delta, exponents, brownian)
     if condition_set in ("qn_general", "qn_envelope"):
         short = _qn_envelope_divergence(ks[0], b, condition_set, exponents)
         if short is not None:
             return short
-        psi = star_conv_kernel(b, ks[0], Delta, absolute=True)
+        psi = _envelope(b, ks[0], Delta)
         if condition_set == "qn_general":
-            return _check_pair_general("qn_general", ks[0], psi, Delta, exponents, brownian)
+            return _check_pair_general("qn_general", (psi.base, psi), (psi.base, psi), Delta, exponents, brownian)
         return _check_qn_envelope(psi, Delta, exponents)
     if condition_set == "sn_exponent":
         return _check_sn_exponent(ks[0], ks[1], Delta, exponents)
@@ -392,7 +387,10 @@ def _qn_envelope_divergence(kernel: Kernel, b: CoefficientSeq, tag: str, exponen
     return ConditionReport(condition_set=tag, exponents={}, assumptions=(AssumptionCheck(name, REFUTED, (), note),))
 
 
-def _check_pair_general(tag, k1, k2, Delta, exponents, brownian):
+def _check_pair_general(tag, abs_pair, period_pair, Delta, exponents, brownian):
+    """The general set on the lag products of ``abs_pair = (|k1|, |k2|)`` and the period norm of
+    ``period_pair``, which takes ``|.|`` in the lattice."""
+    k1, k2 = abs_pair
     seq1 = _abs_lag_sequence(k1, k1, Delta)
     if k2 == k1:
         seq2 = cross = seq1
@@ -440,7 +438,7 @@ def _check_pair_general(tag, k1, k2, Delta, exponents, brownian):
     if brownian:
         skipped = ("period_square_integrable: not needed for a Brownian driver (kappa4 = 0)",)
     else:
-        nph = _period_norm([k1, k2], 1.0, 2.0, Delta, "period_square(abs_products)")
+        nph = _period_norm(period_pair, 1.0, 2.0, Delta, "period_square(abs_products)")
         assumptions.append(_judged("period_square_integrable", (nph,), _divergence((k1, k2), 1.0)))
     return ConditionReport(condition_set=tag, exponents=exps, assumptions=tuple(assumptions), skipped=skipped)
 
@@ -527,18 +525,12 @@ def _decay_sup_entry(kernel, alpha, label) -> NormEstimate:
 def _check_sn_decay(k1, k2, exponents):
     # decay-style: pure exponent arithmetic plus sups
     caps = [_rho_cap(k)[0] for k in (k1, k2)]
-
+    feas = [[float(a) for a in _DECAY_GRID if a <= cap] for cap in caps]
+    best = pair = (feas[0][-1], feas[1][-1]) if feas[0] and feas[1] and feas[0][-1] + feas[1][-1] > 1.5 else None
     if exponents != "auto":
         a1, a2 = (float(x) for x in exponents)
         pair_ok = 0.5 < a1 < 1.0 and 0.5 < a2 < 1.0 and a1 + a2 > 1.5 and a1 <= caps[0] and a2 <= caps[1]
         pair = (a1, a2) if pair_ok else None
-    else:
-        feas = [[float(a) for a in _DECAY_GRID if a <= cap] for cap in caps]
-        pair = None
-        if feas[0] and feas[1]:
-            best = (feas[0][-1], feas[1][-1])
-            if best[0] + best[1] > 1.5:
-                pair = best
 
     assumptions = [_l4_check(k, f"[{i}]") for i, k in enumerate((k1, k2), start=1)]
     if pair is not None:
@@ -546,9 +538,16 @@ def _check_sn_decay(k1, k2, exponents):
             sup = _decay_sup_entry(k, a, f"decay_sup({a:g})[{i}]")
             assumptions.append(AssumptionCheck(f"decay_exponent[{i}]", SUPPORTED, (sup,)))
         return ConditionReport("sn_decay", {"alpha1": pair[0], "alpha2": pair[1]}, tuple(assumptions))
-    note = f"best achievable alpha1 + alpha2 = {sum(caps):g} <= 3/2"
-    assumptions.append(AssumptionCheck("decay_exponents", REFUTED, (), note))
+    assumptions.append(_no_decay_pair(exponents, best, f"best achievable alpha1 + alpha2 = {sum(caps):g} <= 3/2"))
     return ConditionReport("sn_decay", {}, tuple(assumptions))
+
+
+def _no_decay_pair(pin, best, refutation) -> AssumptionCheck:
+    """No admissible decay pair: refuted when there is no ``best`` achievable pair, else only the ``pin`` misses."""
+    if best is None:
+        return AssumptionCheck("decay_exponents", REFUTED, (), refutation)
+    note = f"pinned exponents {tuple(pin)} miss the hypotheses, which {best} meets"
+    return AssumptionCheck("decay_exponents", INDETERMINATE, (), note)
 
 
 def _b_lq_entry(b: CoefficientSeq, q: float) -> NormEstimate:
@@ -607,14 +606,13 @@ def _check_qn_decay(kernel, b, exponents):
     alpha_floor = max(0.01, 2.0 * (1.0 - _power_exponent(kernel)[0]))
     beta_floor = max(0.01, 1.0 - decay_exponent(b.seq_tail()))
 
+    a = next((float(x) for x in _SMALL_GRID if x >= alpha_floor), None)
+    bb = next((float(x) for x in _SMALL_GRID if x >= beta_floor), None)
+    best = pair = (a, bb) if (a is not None and bb is not None and a + bb < 0.5) else None
     if exponents != "auto":
         a, bb = (float(x) for x in exponents)
         ok = a >= alpha_floor and bb >= beta_floor and a + bb < 0.5 and a > 0 and bb > 0
         pair = (a, bb) if ok else None
-    else:
-        a = next((float(x) for x in _SMALL_GRID if x >= alpha_floor), None)
-        bb = next((float(x) for x in _SMALL_GRID if x >= beta_floor), None)
-        pair = (a, bb) if (a is not None and bb is not None and a + bb < 0.5) else None
 
     assumptions = [_l4_check(kernel)]
     if pair is not None:
@@ -625,7 +623,7 @@ def _check_qn_decay(kernel, b, exponents):
         assumptions.append(AssumptionCheck("decay_exponents", SUPPORTED, (sup_k, sup_b)))
         return ConditionReport("qn_decay", {"alpha": pair[0], "beta": pair[1]}, tuple(assumptions))
     note = f"alpha + beta >= {alpha_floor + beta_floor:g} >= 1/2 for every admissible pair"
-    assumptions.append(AssumptionCheck("decay_exponents", REFUTED, (), note))
+    assumptions.append(_no_decay_pair(exponents, best, note))
     return ConditionReport("qn_decay", {}, tuple(assumptions))
 
 
@@ -646,7 +644,8 @@ def _check_qn_envelope(psi, Delta, exponents):
 
 
 def _check_autocov(kernel, Delta):
-    n1 = _norm_entry("lag_products(2)", _abs_lag_sequence(kernel, kernel, Delta), 2.0)
+    abs_k = PowAbsKernel(kernel, 1.0)
+    n1 = _norm_entry("lag_products(2)", _abs_lag_sequence(abs_k, abs_k, Delta), 2.0)
     n2 = _period_norm([kernel], 2.0, 2.0, Delta, "period_square(grid_sum_squares)")
     assumptions = (
         _judged("lag_products_square_summable", (n1,), _divergence((kernel, kernel), 1.0)),

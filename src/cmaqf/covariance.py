@@ -8,8 +8,8 @@ lattice ``h = s * Delta``, and the mixed discrete/continuous convolution
 coefficient sequence.
 
 A combination of lattice-shifted copies of one base kernel (the convolved
-kernels of :func:`star_conv_kernel`, their absolute companions, the
-least-squares kernel pair) is never integrated as a whole: its lag covariances
+kernels of :func:`star_conv_kernel`, the envelopes of the condition checks,
+the least-squares kernel pair) is never integrated as a whole: its lag covariances
 (:func:`covariance_lags`) are exact double sums of base covariances at shifted lags, and
 its period integrals sum its lattice rows from base rows, so quadrature only sees bases.
 Base kernels that are sums of exponential modes (OU, CARMA; see
@@ -34,8 +34,8 @@ import numpy as np
 from numpy.fft import irfft, rfft  # loads numpy.fft with cmaqf, not in the first convolution
 
 from .errors import ConvergenceError, ParameterError
-from .kernels import Kernel, LinComboKernel, PowAbsKernel, _lattice_combo
-from .quadrature import QuadResult, product_integral
+from .kernels import Kernel, LinComboKernel, _lattice_combo
+from .quadrature import QuadResult, _check_delta, product_integral
 from .tails import (
     CompactTail,
     PowerTail,
@@ -156,22 +156,17 @@ CoefficientSeq = FiniteSupport | PowerDecay
 # ---------------------------------------------------------------------------
 
 
-def star_conv_kernel(b: CoefficientSeq, kernel: Kernel, Delta: float, *, absolute: bool = False) -> Kernel:
+def star_conv_kernel(b: CoefficientSeq, kernel: Kernel, Delta: float) -> LinComboKernel:
     """Kernel object evaluating ``(b * phi)(t)`` exactly (finite support) or
-    truncated at :func:`_power_star_radius` (power decay).
-
-    The absolute companion evaluates ``(|b| * |phi|)(t)``.
-    """
-    base = PowAbsKernel(kernel, 1.0) if absolute else kernel
+    truncated at :func:`_power_star_radius` (power decay)."""
+    _check_delta(Delta)
     radius = b.radius if isinstance(b, FiniteSupport) else _power_star_radius(b, kernel, Delta)
     s_vals = np.arange(-radius, radius + 1)
     coeffs = b.weights(radius)
-    if absolute:
-        coeffs = np.abs(coeffs)
     keep = coeffs != 0.0
     if not np.any(keep):
         keep = s_vals == 0
-    return LinComboKernel(base=base, shifts=tuple(s_vals[keep] * Delta), coeffs=tuple(coeffs[keep]))
+    return LinComboKernel(base=kernel, shifts=tuple(s_vals[keep] * Delta), coeffs=tuple(coeffs[keep]))
 
 
 def _power_star_radius(b: PowerDecay, kernel: Kernel, Delta: float) -> int:
@@ -244,8 +239,7 @@ def covariance_lags(
 
     A kernel that is a combination of lattice-shifted copies of a base kernel
     is never integrated as a whole.  That is a :class:`LinComboKernel` whose
-    every shift is an exact multiple of ``Delta``, or ``PowAbsKernel(., 1)``
-    of one with non-negative coefficients over a ``PowAbsKernel`` base.  With
+    every shift is an exact multiple of ``Delta``.  With
     ``phi_1 = sum_j c_j B_1(. - a_j Delta)`` and ``phi_2 = sum_k d_k B_2(. - b_k Delta)``,
     ``gamma_12(h) = sum_j sum_k c_j d_k gamma_{B_1 B_2}(h + (a_j - b_k) Delta)``
     exactly, so the base lags are integrated once over the widened range and
@@ -254,8 +248,10 @@ def covariance_lags(
     Two bases with exponential modes (:attr:`Kernel.modes`), such as OU and
     CARMA kernels in any pairing, take the closed form of :func:`_mode_lags`
     and ``base_step`` is unused.  Any other pair takes one quadrature per lag.
-    An empty range (``s_min > s_max``) raises :class:`ParameterError`.
+    An empty range (``s_min > s_max``), or a ``Delta`` that is not finite and > 0, raises
+    :class:`ParameterError`.
     """
+    _check_delta(Delta)
     if s_min > s_max:
         raise ParameterError(f"empty lag range: s_min = {s_min} > s_max = {s_max}")
     base_step = Delta / COV_STEPS_PER_DELTA if base_step is None else base_step

@@ -603,20 +603,14 @@ def _lattice_combo(kernel: Kernel, Delta: float) -> tuple[Kernel, np.ndarray, np
     """``(base, offsets, coeffs)`` with ``kernel(t) = sum_j coeffs[j] base(t - offsets[j] Delta)``.
 
     Lag covariances and period integrals read a combination only through this.  It reduces a
-    :class:`LinComboKernel` whose every shift is an exact multiple of ``Delta``, and the absolute
-    value (``PowAbsKernel(., 1)``) of one that adds non-negative multiples of an absolute value,
-    which equals the combination.  Any other kernel is its own base, at offset 0 with coefficient 1.
+    :class:`LinComboKernel` whose every shift is an exact multiple of ``Delta``; any other kernel
+    is its own base, at offset 0 with coefficient 1.
     """
-    combo = kernel
-    if isinstance(kernel, PowAbsKernel) and kernel.power == 1.0:
-        inner = kernel.base
-        if isinstance(inner, LinComboKernel) and isinstance(inner.base, PowAbsKernel) and min(inner.coeffs) >= 0.0:
-            combo = inner
-    if isinstance(combo, LinComboKernel):
-        shifts = np.asarray(combo.shifts)
+    if isinstance(kernel, LinComboKernel):
+        shifts = np.asarray(kernel.shifts)
         offsets = np.round(shifts / Delta)
         if np.array_equal(offsets * Delta, shifts):
-            return combo.base, offsets.astype(int), np.asarray(combo.coeffs)
+            return kernel.base, offsets.astype(int), np.asarray(kernel.coeffs)
     return kernel, np.zeros(1, dtype=int), np.ones(1)
 
 
@@ -661,8 +655,8 @@ def grid_sample(kernel: Kernel, Delta: float, m: int, horizon: float) -> KernelG
     """
     if not (isinstance(m, (int, np.integer)) and m >= 1):
         raise GridError(f"m must be a positive integer, got {m}")
-    if not Delta > 0:
-        raise GridError(f"Delta must be > 0, got {Delta}")
+    if not (math.isfinite(Delta) and Delta > 0):
+        raise GridError(f"Delta must be finite and > 0, got {Delta}")
     ratio = horizon / Delta
     if not horizon > 0 or abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
         raise GridError(f"horizon must be a positive multiple of Delta, got {horizon} / {Delta}")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, ParameterError
 from .kernels import Kernel, _lattice_combo
 from .tails import (
     decay_exponent, grow_radius, lattice_tail_sum, product_tail_integral, sparse_tail_sum_estimate, tail_sup
@@ -43,6 +43,7 @@ _PRODUCT_REL_TOL = 1e-10
 _PRODUCT_MAX_SPAN = float(2**80)
 _LATTICE_REL_TOL = 1e-9
 _LATTICE_S_CAP = 2**20
+_NODES_PER_PERIOD = 512  # Simpson nodes (a multiple of 4) per sampling period of a period integral by default
 
 
 @dataclass(frozen=True)
@@ -186,6 +187,12 @@ def product_integral(
 # ---------------------------------------------------------------------------
 
 
+def _check_delta(Delta) -> None:
+    """Raise :class:`ParameterError` unless the sampling spacing ``Delta`` is finite and > 0."""
+    if not (math.isfinite(Delta) and Delta > 0):
+        raise ParameterError(f"Delta must be finite and > 0, got {Delta!r}")
+
+
 def lattice_s_range(kernels, Delta: float) -> tuple[int, int]:
     """Lag range ``[s_lo, s_hi]`` so the omitted product terms are negligible.
 
@@ -193,7 +200,9 @@ def lattice_s_range(kernels, Delta: float) -> tuple[int, int]:
     ``max(8, 8 - s_lo)`` (:func:`~cmaqf.tails.grow_radius`) until the summed
     product of the decay-model sups at ``s * Delta`` beyond it is at most 1e-9
     (a :func:`~cmaqf.tails.sparse_tail_sum_estimate`, not a bound), or to ``2**20``.
+    A ``Delta`` that is not finite and > 0 raises :class:`ParameterError`.
     """
+    _check_delta(Delta)
     support = max(k.support_lo for k in kernels)
     s_lo = int(math.floor(support / Delta)) - 1
     s_hi, _, _ = grow_radius(
@@ -276,7 +285,7 @@ def phase_integral(
     *,
     alpha: float | None = None,
     power: float = 2.0,
-    nodes_per_period: int = 512,
+    nodes_per_period: int = _NODES_PER_PERIOD,
 ) -> QuadResult:
     """Integrate ``F(t) ** power`` over one period, ``F(t) = sum_s prod_i k_i(t + s Delta)``.
 
@@ -308,7 +317,7 @@ def phase_integral(
     return QuadResult(value=float(total), disc_estimate=float(est), tail_bound=float(tail))
 
 
-def lag_gram(kernel: Kernel, m: int, Delta: float, nodes_per_period: int = 512) -> np.ndarray:
+def lag_gram(kernel: Kernel, m: int, Delta: float) -> np.ndarray:
     """The ``m x m`` matrix ``int_0^Delta K_i(t) K_j(t) dt`` of the lagged lattice sums
     ``K_j(t) = sum_s kernel(t + s Delta) kernel(t + (s + j) Delta)``, all taken from one base lattice per
     lag chunk over the lag range of ``[kernel, kernel]``: the fourth-cumulant block of the autocovariance CLT.
@@ -320,4 +329,4 @@ def lag_gram(kernel: Kernel, m: int, Delta: float, nodes_per_period: int = 512) 
         K = _lattice_sums(products, nodes, s_lo, s_hi, Delta)
         return K.T[:, :, None] * K.T[:, None, :]
 
-    return _period(gram, [kernel], Delta, nodes_per_period)[0]
+    return _period(gram, [kernel], Delta, _NODES_PER_PERIOD)[0]

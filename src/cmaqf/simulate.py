@@ -28,8 +28,6 @@ cross-check must discretise identically.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 
@@ -40,7 +38,7 @@ from .errors import ParameterError, TruncationError
 from .kernels import Kernel, grid_cells
 from .levy import LevyModel, check_key, stream
 from .quadrature import product_integral
-from .specs import spec
+from .specs import _hash, spec
 from .tails import decay_exponent, grow_radius, tail_integral
 
 __all__ = [
@@ -91,8 +89,8 @@ class PathConfig:
     tail_mass_budget: float = 1e-4
 
     def __post_init__(self):
-        if not self.delta > 0:
-            raise ParameterError("delta must be > 0")
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise ParameterError(f"delta must be finite and > 0, got {self.delta!r}")
         if self.n < 1:
             raise ParameterError("n must be >= 1")
         if self.fine_steps < 1:
@@ -122,10 +120,6 @@ class SamplePath:
     @property
     def n(self) -> int:
         return len(self.values)
-
-
-def _hash_dict(d: dict) -> str:
-    return hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def resolve_horizon(kernel: Kernel, cfg: PathConfig) -> float:
@@ -340,9 +334,9 @@ def _simulate(kernels, model: LevyModel, cfg: PathConfig, method: str):
     paths = []
     for k, values, (route, rank) in zip(kernels, values_list, routes):
         prov = {
-            "config": _hash_dict(asdict(cfg_res)),
-            "kernel": _hash_dict(spec(k)),
-            "model": _hash_dict(spec(model)),
+            "config": _hash(asdict(cfg_res)),
+            "kernel": _hash(spec(k)),
+            "model": _hash(spec(model)),
             "tail_mass_rel": _tail_mass_rel(k, horizon, product_integral(k, k, 0.0).value),
             "route": route,
             "rank": rank,

@@ -10,6 +10,8 @@ a block, can write every kernel into a provenance hash.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 
@@ -48,6 +50,11 @@ def fields(cls) -> dict[str, bool]:
 def spec(obj) -> dict:
     """``{"type": name, **init fields}`` of a registered object, in JSON-ready form."""
     return {"type": _NAMES[type(obj)], **{name: _plain(getattr(obj, name)) for name in fields(type(obj))}}
+
+
+def _hash(obj) -> str:
+    """Provenance hash of a JSON-ready object: the first 16 hex digits of the sha256 of its sorted JSON."""
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def _plain(value):

@@ -76,9 +76,6 @@ class VarianceReport:
         return out
 
 
-_NODES_PER_PERIOD = 512  # Simpson nodes (a multiple of 4) per sampling period of the fourth-cumulant integrals
-
-
 # ---------------------------------------------------------------------------
 # fourth-moment oracle
 # ---------------------------------------------------------------------------
@@ -166,7 +163,7 @@ def eta2_sn(
     sigma2, kappa4 = model.cumulants()
     k4_term, diagnostics = 0.0, {}
     if kappa4 != 0.0:
-        ph = phase_integral([k1, k2], Delta, nodes_per_period=_NODES_PER_PERIOD)
+        ph = phase_integral([k1, k2], Delta)
         k4_term = kappa4 * ph.value
         diagnostics = {"phase_disc_estimate": ph.disc_estimate, "phase_tail_bound": ph.tail_bound}
     t_auto, t_cross, diag = _cov_product_sums(k1, k2, sigma2, Delta)
@@ -235,12 +232,12 @@ def autocov_clt_sigma(
     ``sum_s (gamma_s + gamma_{-s}) gamma_s^T``; symmetric positive
     semidefinite up to rounding.
     """
-    if m < 1:
-        raise ParameterError("m must be >= 1")
+    if m < 1 or lag_radius < 0:
+        raise ParameterError(f"m must be >= 1 and lag_radius >= 0, got m = {m}, lag_radius = {lag_radius}")
     _gate_conditions("autocov", kernel, None, Delta, model, check, force)
     sigma2, kappa4 = model.cumulants()
 
-    k4_block = kappa4 * lag_gram(kernel, m, Delta, _NODES_PER_PERIOD) if kappa4 != 0.0 else np.zeros((m, m))
+    k4_block = kappa4 * lag_gram(kernel, m, Delta) if kappa4 != 0.0 else np.zeros((m, m))
     S = lag_radius
     gam = covariance_lags(kernel, kernel, sigma2, Delta, -(S + m), S + m)
     # G[j - 1, s + S] = gamma(s + j) and R[j - 1, s + S] = gamma(j - s), |s| <= S

@@ -465,3 +465,61 @@ cmaqf.run_experiment(cmaqf.ExperimentConfig(
     model=cmaqf.BrownianMotion(1.0), delta=1.0, n=200, replicates=4, seed=1), threads=1)
 """
     assert _modules_loaded_by(calls) == ("[]", "[]")
+
+
+def test_variance_sn_of_two_ou_kernels(tmp_path):
+    # eta2 = sum_s g11 g22 + g12(s) g12(-s) = (1/2 + 1/2.25) / tanh(0.75) for OU(1), OU(1/2) and unit variance
+    cfg = base_config(
+        levy={"type": "brownian_motion", "variance": 1.0},
+        kernel2={"type": "exponential_ou", "lam": 0.5},
+        statistic="sn",
+        output_dir=str(tmp_path / "out"),
+    )
+    assert run(["variance", "--config", str(write_config(tmp_path, "c.json", cfg))]) == 0
+    rep = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert (0.5 + 1 / 2.25) / math.tanh(0.75) == 1.4869652872678623
+    assert abs(rep["eta2"] - 1.4869652872678623) <= 1e-9
+    assert rep["condition_set"] == "sn_general" and rep["conditions"]["overall"] == "supported"
+
+
+def test_schema_errors_exit_two_and_name_their_path(tmp_path, capsys):
+    ou = {"type": "exponential_ou", "lam": 1.0}
+    cases = {
+        "block_not_object": ("variance", base_config(kernel=5, statistic="sn"), "$.kernel: expected an object"),
+        "unknown_type": ("variance", base_config(kernel={"type": "bogus"}, statistic="sn"), "$.kernel.type: must be one of"),
+        "key_of_another_type": ("variance", base_config(kernel=dict(ou, d=0.1), statistic="sn"), "$.kernel: keys ['d'] not allowed"),
+        "schema_version": ("variance", base_config(schema_version=2, statistic="sn"), "$.schema_version: unsupported"),
+        "missing_key": ("variance", {"kernel": ou, "delta": 1.0, "statistic": "sn"}, "$.levy: required for 'variance'"),
+        "condition_set": ("check", base_config(check={"condition_set": "bogus"}), "$.check.condition_set: must be one of"),
+        "statistic": ("variance", base_config(statistic="pn"), "$.statistic: must be 'sn' or 'qn'"),
+        "not_object": ("variance", [base_config(statistic="sn")], "$: top-level config must be a JSON object"),
+    }
+    for name, (command, cfg, message) in cases.items():
+        if isinstance(cfg, dict):
+            cfg["output_dir"] = str(tmp_path / name)
+        assert run([command, "--config", str(write_config(tmp_path, f"{name}.json", cfg))]) == 2, name
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "config" and err["error"]["message"].startswith(message), (name, err)
+        assert not (tmp_path / name).exists(), name
+
+
+def test_check_prints_the_skipped_assumption_of_a_brownian_driver(tmp_path, capsys):
+    cfg = base_config(check={"condition_set": "sn_general"}, output_dir=str(tmp_path / "out"))
+    assert run(["check", "--config", str(write_config(tmp_path, "c.json", cfg))]) == 0
+    out = capsys.readouterr().out
+    assert "skipped       : period_square_integrable: not needed for a Brownian driver (kappa4 = 0)\n" in out
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["skipped"] == ["period_square_integrable: not needed for a Brownian driver (kappa4 = 0)"]
+
+
+def test_a_spacing_that_is_not_finite_and_positive_exits_two(tmp_path, capsys):
+    # autocov read "supported" at Delta = -1 (exit 0), and variance at Delta = 0 ended in a ZeroDivisionError traceback
+    cases = {
+        "check": base_config(delta=-1.0, check={"condition_set": "autocov"}),
+        "variance": base_config(delta=0.0, statistic="sn"),
+    }
+    for command, cfg in cases.items():
+        cfg["output_dir"] = str(tmp_path / command)
+        assert run([command, "--config", str(write_config(tmp_path, f"{command}.json", cfg))]) == 2, command
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "config" and "Delta must be finite and > 0" in err["error"]["message"], command

@@ -106,6 +106,52 @@ def test_power_tailed_table_squared_matches_its_exact_integral():
     assert product_integral(k, k, 0.0).value == pytest.approx(exact, rel=1e-8)
 
 
+def _decay_verdict(rep):
+    last = rep.assumptions[-1]
+    assert last.name == "decay_exponents" and rep.overall == last.verdict and rep.exponents == {}
+    return last.verdict, last.note
+
+
+@pytest.mark.parametrize(
+    "condition_set, kernel, b, pin, best",
+    [
+        ("sn_decay", FractionalNoise(0.1), None, (0.95, 0.95), (0.9, 0.9)),
+        ("sn_decay", FractionalNoise(0.1), None, (0.6, 0.6), (0.9, 0.9)),
+        ("qn_decay", ExponentialOU(1.0), FiniteSupport((1.0, 0.5)), (0.3, 0.3), (0.01, 0.01)),
+    ],
+)
+def test_a_pinned_decay_pair_that_misses_leaves_a_feasible_set_indeterminate(condition_set, kernel, b, pin, best):
+    # the best achievable pair meets the hypotheses (auto finds it), so only the pin fails them
+    auto = check_conditions(condition_set, kernel, b=b, Delta=1.0)
+    assert auto.overall == "supported" and tuple(auto.exponents.values()) == best
+    verdict, note = _decay_verdict(check_conditions(condition_set, kernel, b=b, Delta=1.0, exponents=pin))
+    assert verdict == "indeterminate"
+    assert note == f"pinned exponents {pin} miss the hypotheses, which {best} meets"
+
+
+def test_a_pinned_decay_pair_on_an_infeasible_kernel_stays_refuted():
+    for pin in ((0.7, 0.7), (0.6, 0.95)):
+        rep = check_conditions("sn_decay", PowAbsKernel(FractionalNoise(0.1), 0.8), Delta=1.0, exponents=pin)
+        assert _decay_verdict(rep) == ("refuted", "best achievable alpha1 + alpha2 = 1.44 <= 3/2")
+    for pin in ((0.2, 0.2), (0.01, 0.01)):
+        rep = check_conditions("qn_decay", FractionalNoise(0.1), b=PowerDecay(1.0, 0.6, 1.0), Delta=1.0, exponents=pin)
+        assert _decay_verdict(rep) == ("refuted", "alpha + beta >= 0.6 >= 1/2 for every admissible pair")
+
+
+def test_qn_exponent_pins_are_checked_by_their_arithmetic():
+    ou, finite = ExponentialOU(1.0), FiniteSupport((1.0, 0.5))
+    ok = check_conditions("qn_exponent", ou, b=finite, Delta=1.0, exponents=(1.0, 1.0))
+    assert ok.overall == "supported" and ok.exponents == {"alpha": 1.0, "beta": 1.0}
+    # 2/2 + 1/2 < 5/2 for the pin, while the best pair (1, 1) gives 3: the pin misses, the set is feasible
+    missed = check_conditions("qn_exponent", ou, b=finite, Delta=1.0, exponents=(2.0, 2.0))
+    assert missed.overall == "indeterminate" and missed.exponents == {}
+    # 2 rho_phi + rho_b = 1.8 + 0.6 < 5/2 caps every pair, with the kernel's exponent exact
+    refuted = check_conditions("qn_exponent", FractionalNoise(0.1), b=PowerDecay(1.0, 0.6, 1.0), Delta=1.0,
+                               exponents=(1.2, 1.8))
+    assert refuted.overall == "refuted"
+    assert refuted.assumptions[0].note == "best achievable 2/alpha + 1/beta = 2.4 < 5/2"
+
+
 def test_decay_sets_refute_a_kernel_outside_l4_by_arithmetic():
     k = tail07_kernel(0.2)  # |k|**4 decays like t**-0.8: the L^4 quadrature would diverge
     for rep, l4_names in (
@@ -452,3 +498,20 @@ def test_report_shape_and_errors():
         check_conditions("qn_exponent", ExponentialOU(1.0), Delta=1.0)  # b missing
     with pytest.raises(ParameterError):
         check_conditions("nonsense", ExponentialOU(1.0), Delta=1.0)
+
+
+def test_qn_general_period_norm_samples_one_base_lattice(monkeypatch):
+    # the period norm takes (|phi|, psi), and psi is a combination over that same |phi|
+    from cmaqf import quadrature
+
+    bases, real = [], quadrature._lattice_chunk
+
+    def spy(products, factors, *args):
+        bases.append(len({id(base) for base, _, _, _ in factors.values()}))
+        return real(products, factors, *args)
+
+    monkeypatch.setattr(quadrature, "_lattice_chunk", spy)
+    rep = check_conditions("qn_general", ExponentialOU(1.0), b=FiniteSupport((1.0, 0.5)), Delta=1.0,
+                           model=CompoundPoissonNormal(1.0, 1.0))
+    assert rep.overall == "supported" and [a.name for a in rep.assumptions][-1] == "period_square_integrable"
+    assert bases and set(bases) == {1}

@@ -7,6 +7,7 @@ import scipy.fft
 from scipy.integrate import quad
 
 from cmaqf import covariance, quadrature
+from cmaqf.conditions import _envelope
 from cmaqf.covariance import (
     FiniteSupport,
     PowerDecay,
@@ -161,7 +162,7 @@ def test_star_conv_absolute_companion():
     b = FiniteSupport(values=(0.0, -1.0))  # sign flips under the absolute companion
     ts = grid_sample(ou, 1.0, 4, 8.0).times()
     signed = star_conv_kernel(b, ou, 1.0).eval(ts)
-    absolute = star_conv_kernel(b, ou, 1.0, absolute=True).eval(ts)
+    absolute = _envelope(b, ou, 1.0).eval(ts)
     assert np.allclose(np.abs(signed), absolute, rtol=0, atol=1e-15)
     assert np.any(signed < 0)
     assert np.all(absolute >= 0)
@@ -352,13 +353,13 @@ def _lattice_combinations(base, delta, power_weights):
     finite = FiniteSupport((0.5, -0.8, 0.3))
     out = {
         "star_finite": star_conv_kernel(finite, base, delta),
-        "star_finite_abs": star_conv_kernel(finite, base, delta, absolute=True),
+        "star_finite_abs": _envelope(finite, base, delta),
         "ls_first": ls_kernel_pair(base, *poly_map([[0.5, 0.3], [0.1, -0.2]]), 0.4, 2, delta)[0],
         "shifted": LinComboKernel(base, shifts=(-delta,), coeffs=(1.0,)),
     }
     if power_weights:
         out["star_power"] = star_conv_kernel(PowerDecay(1.0, 1.5, 1.0), base, delta)
-        out["star_power_abs"] = star_conv_kernel(PowerDecay(1.0, 1.5, 1.0), base, delta, absolute=True)
+        out["star_power_abs"] = _envelope(PowerDecay(1.0, 1.5, 1.0), base, delta)
     return out
 
 
@@ -396,8 +397,8 @@ def test_lattice_rows_close_a_power_star_on_its_left_limits_off_unit_spacing(fam
     delta = 0.7
     base = _LATTICE_BASES[family]
     nodes = np.linspace(0.0, delta, 65)
-    for absolute in (False, True):
-        k = star_conv_kernel(PowerDecay(1.0, 1.5, 1.0), base, delta, absolute=absolute)
+    for make in (star_conv_kernel, _envelope):
+        k = make(PowerDecay(1.0, 1.5, 1.0), base, delta)
         s_lo, s_hi = lattice_s_range([base, k], delta)
         got = _lattice(k, nodes, s_lo, s_hi, delta)
         inside = k.eval(delta * (1.0 - 1e-12) + np.arange(s_lo, s_hi + 1) * delta)

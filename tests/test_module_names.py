@@ -324,3 +324,16 @@ def test_pieces_are_integrated_in_one_module():
     trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(src.glob("*.py"))}
     users = {stem for stem, tree in trees.items() if _names(tree) & {"_simpson", "_block", "_graded"}}
     assert users == {"quadrature"}, "integrate through quadrature's piece loop"
+
+
+def test_absolute_kernels_are_built_by_the_condition_checks():
+    # |phi| and the envelope |b| * |phi| are built once per check, in conditions; no other module wraps
+    # a kernel in its absolute value, so no lattice reading needs to unwrap one
+    src = Path(cmaqf.__file__).parent
+    callers = {
+        path.stem
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "PowAbsKernel"
+    }
+    assert callers == {"conditions"}, "build absolute kernels in the condition checks"

@@ -6,7 +6,7 @@ import pytest
 
 from cmaqf.conditions import AssumptionCheck, ConditionReport
 from cmaqf.covariance import FiniteSupport, covariance_lags
-from cmaqf.errors import ConditionsRefutedError, GridError
+from cmaqf.errors import ConditionsRefutedError, GridError, ParameterError
 from cmaqf.kernels import ExponentialOU, FractionalNoise, LinComboKernel, TabulatedKernel, grid_sample
 from cmaqf import variance
 from cmaqf.levy import BilateralGamma, BrownianMotion, CompoundPoissonNormal, stream
@@ -423,3 +423,58 @@ def test_whittle_score_kappa4_term_vanishes_under_compound_poisson():
     exact = 4.0 * (1.0 - a * a)
     assert rep.eta2 == pytest.approx(exact, rel=1e-8)
     assert rep.eta2_alt == pytest.approx(exact, rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the sampling spacing
+# ---------------------------------------------------------------------------
+
+
+def _delta_entries():
+    from cmaqf.conditions import check_conditions
+    from cmaqf.covariance import PowerDecay, b_star_gamma, star_conv_kernel
+    from cmaqf.inference import ls_kernel_pair, poly_map, yule_walker
+    from cmaqf.quadrature import lag_gram
+
+    ou, bm, finite = ExponentialOU(1.0), BrownianMotion(1.0), FiniteSupport((0.0, 1.0, 0.5))
+    return {
+        "check_conditions": lambda d: check_conditions("autocov", ou, Delta=d),
+        "check_conditions_decay": lambda d: check_conditions("sn_decay", ou, Delta=d),  # reads no Delta itself
+        "covariance_lags": lambda d: covariance_lags(ou, ou, 1.0, d, 0, 3),
+        "star_conv_kernel": lambda d: star_conv_kernel(PowerDecay(1.0, 1.5, 1.0), ou, d),
+        "b_star_gamma": lambda d: b_star_gamma(finite, ou, 1.0, d),
+        "phase_integral": lambda d: phase_integral([ou, ou], d),
+        "lattice_s_range": lambda d: lattice_s_range([ou], d),
+        "lag_gram": lambda d: lag_gram(ou, 2, d),
+        "eta2_sn": lambda d: eta2_sn(ou, ou, bm, d, check="skip"),
+        "eta2_qn": lambda d: eta2_qn(ou, finite, bm, d, check="skip"),
+        "autocov_clt_sigma": lambda d: autocov_clt_sigma(ou, bm, d, 2, check="skip"),
+        "expected_sn": lambda d: expected_sn(ou, ou, bm, d, 4),
+        "expected_qn": lambda d: expected_qn(finite, ou, bm, d, 4),
+        "yule_walker": lambda d: yule_walker(ou, bm, d, 2),
+        "ls_kernel_pair": lambda d: ls_kernel_pair(ou, *poly_map([[0.5, 0.3], [0.1, -0.2]]), 0.4, 2, d),
+    }
+
+
+@pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("entry", sorted(_delta_entries()))
+def test_every_analytic_entry_rejects_a_spacing_that_is_not_finite_and_positive(entry, delta):
+    # these once returned inf, a matrix of inf, gamma(0) on every lag or a supported verdict
+    with pytest.raises(ParameterError, match="Delta must be finite and > 0"):
+        _delta_entries()[entry](delta)
+
+
+def test_autocov_sigma_rejects_a_negative_lag_radius():
+    with pytest.raises(ParameterError, match="lag_radius"):
+        autocov_clt_sigma(ExponentialOU(1.0), BrownianMotion(1.0), 1.0, 2, check="skip", lag_radius=-1)
+
+
+@pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])
+def test_the_samplers_reject_a_spacing_that_is_not_finite_and_positive(delta):
+    # an infinite spacing once gave a one-point grid at t = nan, and a path configuration
+    from cmaqf.simulate import PathConfig
+
+    with pytest.raises(GridError, match="finite and > 0"):
+        grid_sample(ExponentialOU(1.0), delta, 4, 4.0)
+    with pytest.raises(ParameterError, match="finite and > 0"):
+        PathConfig(delta=delta, n=4)
