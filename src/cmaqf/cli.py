@@ -14,10 +14,12 @@ Every error is also emitted as a JSON object on stderr.  A manifest fed back
 as the config reproduces the outputs byte for byte; ``--force`` never changes
 numbers, only gating.
 
-The ``levy``, ``kernel``, ``kernel2`` and ``b`` blocks follow :mod:`cmaqf.specs`:
-the keys are the init fields of the class ``type`` names, all required, and
-each value is a number or a nested list of numbers (a table may name a CSV
-``path`` instead).  Run as ``cmaqf`` or ``python -m cmaqf.cli``.
+One table, ``_SCHEMA``, types every config key.  The ``levy``, ``kernel``,
+``kernel2`` and ``b`` blocks follow :mod:`cmaqf.specs`: the keys are the init
+fields of the class ``type`` names, all required; a field annotated ``float``
+or ``int`` holds one finite number, any other a list of finite numbers or of
+such lists (a table may name a CSV ``path`` instead).  Run as ``cmaqf`` or
+``python -m cmaqf.cli``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 from pathlib import Path
 
 from . import inference, kernels, montecarlo, simulate, specs, variance
@@ -37,54 +40,60 @@ __all__ = ["main", "run"]
 
 COMMANDS = ("check", "variance", "simulate", "mc", "autocov-clt", "ls-clt", "kernel-export")
 
-_TOP_KEYS = {
-    "schema_version",
-    "command",
-    "seed",
-    "output_dir",
-    "levy",
-    "kernel",
-    "kernel2",
-    "b",
-    "delta",
-    "n",
-    "replicates",
-    "statistic",
-    "path",
-    "check",
-    "contrast",
-    "lags",
-    "ls",
-    "grid",
-    "threads",
-    "force",
-    "manifest_meta",
-}
-# top-level key -> its kind in specs.TYPES, in the order _build returns the built blocks
-_TYPED_BLOCKS = {"kernel": "kernel", "kernel2": "kernel", "levy": "levy", "b": "b"}
-# scalar keys -> (what the value must be, whether null is allowed); a JSON true is
-# a bool, neither an integer nor a number
-_INTEGER, _NUMBER = "an integer", "a number"
-_SCALAR_TYPES = {_INTEGER: (int,), _NUMBER: (int, float)}
-_SCALARS = {
-    "delta": (_NUMBER, False),
-    "n": (_INTEGER, False),
-    "replicates": (_INTEGER, False),
-    "lags": (_INTEGER, True),
-}
-_PATH_KEYS = {"fine_steps": (_INTEGER, False), "horizon": (_NUMBER, True), "tail_mass_budget": (_NUMBER, False)}
-_CHECK_KEYS = {"condition_set", "exponents"}
-_LS_KEYS = {"poly", "theta0", "k"}
-_GRID_KEYS = {"m", "horizon"}
+# What a config key holds: a (description, test) pair, the kind of a typed block of
+# specs.TYPES, or a nested table.  A JSON true is a bool, neither an integer nor a
+# number, and a number is finite: Python's json reads NaN and Infinity.
+def _finite(value) -> bool:
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
+
+def _numbers(value) -> bool:
+    return _finite(value) or type(value) is list and all(map(_numbers, value))
+
+
+def _list_of(test):
+    return lambda value: type(value) is list and all(map(test, value))
+
+
+_INTEGER = ("an integer", lambda v: type(v) is int)
+_NUMBER = ("a finite number", _finite)
+_NESTED = ("a list of finite numbers or of such lists", _list_of(_numbers))  # a block field that is no scalar
+_STRING = ("a string", lambda v: type(v) is str)
+_LIBRARY = ("anything", lambda v: True)  # check_conditions validates check.exponents itself
+_SCHEMA = {
+    "schema_version": _INTEGER,
+    "command": _STRING,
+    "seed": _INTEGER,
+    "output_dir": _STRING,
+    "kernel": "kernel",  # the typed blocks, in the order _build returns them
+    "kernel2": "kernel",
+    "levy": "levy",
+    "b": "b",
+    "delta": _NUMBER,
+    "n": _INTEGER,
+    "replicates": _INTEGER,
+    "statistic": ("'sn' or 'qn'", lambda v: v in ("sn", "qn")),
+    "path": {"fine_steps": _INTEGER, "horizon": _NUMBER, "tail_mass_budget": _NUMBER},
+    "check": {"condition_set": (f"one of {CONDITION_SETS}", lambda v: v in CONDITION_SETS), "exponents": _LIBRARY},
+    "contrast": ("a list of finite numbers", _list_of(_finite)),
+    "lags": _INTEGER,
+    "ls": {"poly": ("a list of rows of finite numbers", _list_of(_list_of(_finite))), "theta0": _NUMBER, "k": _INTEGER},
+    "grid": {"m": _INTEGER, "horizon": _NUMBER},
+    "threads": _INTEGER,
+    "force": ("true or false", lambda v: type(v) is bool),
+    "manifest_meta": ("an object", lambda v: type(v) is dict),
+}
+# keys whose null means absent; any other null is a value of the wrong kind
+_NULLABLE = {"kernel2", "b", "lags", "ls", "threads", "path.horizon", "ls.poly", "ls.theta0"}
+# keys each command needs, non-null
 _REQUIRED = {
-    "check": ("kernel", "delta", "check"),
+    "check": ("kernel", "delta", "check", "check.condition_set"),
     "variance": ("kernel", "levy", "delta", "statistic"),
     "simulate": ("kernel", "levy", "delta", "n"),
     "mc": ("kernel", "levy", "delta", "n", "replicates", "statistic"),
     "autocov-clt": ("kernel", "levy", "delta", "n", "replicates", "lags", "contrast"),
     "ls-clt": ("kernel", "levy", "delta", "n", "replicates", "ls"),
-    "kernel-export": ("kernel", "delta", "grid"),
+    "kernel-export": ("kernel", "delta", "grid", "grid.m", "grid.horizon"),
 }
 
 
@@ -106,68 +115,50 @@ def _block_keys(cls) -> dict[str, bool]:
     return {**keys, "path": False} if cls is kernels.TabulatedKernel else keys
 
 
-def _is_number(value) -> bool:
-    if isinstance(value, list):
-        return all(_is_number(v) for v in value)
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _check_scalars(block: dict, kinds: dict, path: str):
-    for key, (kind, nullable) in kinds.items():
-        if key in block and not (nullable and block[key] is None) and type(block[key]) not in _SCALAR_TYPES[kind]:
-            _fail(f"{path}.{key}", f"must be {kind}, got {block[key]!r}")
-
-
 def _check_typed_block(block: dict, kind: str, path: str):
     table = {name: _block_keys(cls) for name, cls in specs.TYPES[kind].items()}
     _check_keys(block, {"type"}.union(*table.values()), path)
     t = block.get("type")
-    if t not in table:
+    if type(t) is not str or t not in table:
         _fail(f"{path}.type", f"must be one of {sorted(table)}, got {t!r}")
     extra = set(block) - {"type"} - set(table[t])
     if extra:
         _fail(path, f"keys {sorted(extra)} not allowed for type {t!r}")
-    if "path" in block:  # a table read from a CSV file, which supplies its fields
-        inline = sorted(set(block) - {"type", "path"})
-        if inline:
-            _fail(path, f"a table read from 'path' takes no {inline}")
-        return
+    if "path" in block and len(block) > 2:  # a table read from a CSV file, which supplies its fields
+        _fail(path, f"a table read from 'path' takes no {sorted(set(block) - {'type', 'path'})}")
     for key, required in table[t].items():
-        if required and key not in block:
+        if required and key not in block and "path" not in block:
             _fail(f"{path}.{key}", f"required for type {t!r}")
+    hints = {**typing.get_type_hints(specs.TYPES[kind][t]), "type": str, "path": str}
     for key, value in block.items():
-        if key != "type" and not _is_number(value):
-            _fail(f"{path}.{key}", f"must be a number or a list of numbers, got {value!r}")
+        what, test = _STRING if hints[key] is str else _NUMBER if hints[key] in (float, int) else _NESTED
+        if not test(value):
+            _fail(f"{path}.{key}", f"must be {what}, got {value!r}")
 
 
 def validate_config(cfg: dict, command: str) -> None:
-    """Strict schema validation; raises :class:`ConfigError` with the offending path."""
-    _check_keys(cfg, _TOP_KEYS, "$")
+    """Strict schema validation against :data:`_SCHEMA`; raises :class:`ConfigError` with the offending path."""
+    required = {f"$.{key}" for key in _REQUIRED[command]}
+
+    def walk(block: dict, table: dict, path: str):
+        _check_keys(block, set(table), path)
+        for key, kind in table.items():
+            where, value = f"{path}.{key}", block.get(key)
+            if value is None and (key not in block or where[2:] in _NULLABLE):  # absent
+                if where in required:
+                    _fail(where, f"required for {command!r}")
+            elif isinstance(kind, dict):
+                walk(value, kind, where)
+            elif isinstance(kind, str):
+                _check_typed_block(value, kind, where)
+            elif not kind[1](value):
+                _fail(where, f"must be {kind[0]}, got {value!r}")
+
+    walk(cfg, _SCHEMA, "$")
     if cfg.get("schema_version", 1) != 1:
         _fail("$.schema_version", f"unsupported schema version {cfg.get('schema_version')!r}")
     if "command" in cfg and cfg["command"] != command:
         _fail("$.command", f"config is for {cfg['command']!r}, invoked as {command!r}")
-    for key in _REQUIRED[command]:
-        if key not in cfg:
-            _fail(f"$.{key}", f"required for {command!r}")
-    for key, kind in _TYPED_BLOCKS.items():
-        if key in cfg and not (cfg[key] is None and key in ("kernel2", "b")):  # these two may be null: absent
-            _check_typed_block(cfg[key], kind, f"$.{key}")
-    _check_scalars(cfg, _SCALARS, "$")
-    if "path" in cfg:
-        _check_keys(cfg["path"], set(_PATH_KEYS), "$.path")
-        _check_scalars(cfg["path"], _PATH_KEYS, "$.path")
-    if "check" in cfg:
-        _check_keys(cfg["check"], _CHECK_KEYS, "$.check")
-        cs = cfg["check"].get("condition_set")
-        if cs not in CONDITION_SETS:
-            _fail("$.check.condition_set", f"must be one of {CONDITION_SETS}, got {cs!r}")
-    if "ls" in cfg and cfg["ls"] is not None:
-        _check_keys(cfg["ls"], _LS_KEYS, "$.ls")
-    if "grid" in cfg:
-        _check_keys(cfg["grid"], _GRID_KEYS, "$.grid")
-    if "statistic" in cfg and cfg["statistic"] not in ("sn", "qn"):
-        _fail("$.statistic", f"must be 'sn' or 'qn', got {cfg['statistic']!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +178,8 @@ def _build_block(block: dict, kind: str, path: str, base_dir: Path):
 def _build(resolved: dict, base_dir: Path) -> tuple:
     """``(kernel, kernel2, model, b)`` of the config, ``None`` for each block it lacks."""
     return tuple(
-        _build_block(resolved[key], kind, f"$.{key}", base_dir) if resolved.get(key) is not None else None
-        for key, kind in _TYPED_BLOCKS.items()
+        _build_block(resolved[key], _SCHEMA[key], f"$.{key}", base_dir) if resolved.get(key) is not None else None
+        for key in ("kernel", "kernel2", "levy", "b")
     )
 
 
@@ -205,7 +196,7 @@ def _resolve(cfg: dict, command: str, args) -> dict:
     out.setdefault("force", False)
     if args.force:
         out["force"] = True
-    defaults = {f.name: f.default for f in dataclasses.fields(simulate.PathConfig) if f.name in _PATH_KEYS}
+    defaults = {f.name: f.default for f in dataclasses.fields(simulate.PathConfig) if f.name in _SCHEMA["path"]}
     out["path"] = {**defaults, **out.get("path", {})}
     env = os.environ.get("CMAQF_THREADS", "").strip()
     if args.threads is not None:

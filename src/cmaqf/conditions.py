@@ -66,10 +66,10 @@ from .covariance import (
     gamma_seq_exponent,
     star_conv_kernel,
 )
-from .errors import ParameterError
+from .errors import ParameterError, _check_positive
 from .kernels import Kernel, LinComboKernel, PowAbsKernel
 from .levy import BrownianMotion, LevyModel
-from .quadrature import _check_delta, phase_integral, product_integral
+from .quadrature import phase_integral, product_integral
 from .tails import TailModel, conv_exponent, decay_exponent, grow_lags, lattice_tail_sum, tail_sup
 
 __all__ = [
@@ -317,7 +317,7 @@ def check_conditions(
     from the general sets (it only feeds the fourth-cumulant term).  ``Delta`` must be finite
     and > 0.
     """
-    _check_delta(Delta)
+    _check_positive("Delta", Delta)
     if condition_set not in CONDITION_SETS:
         raise ParameterError(f"unknown condition set {condition_set!r}; choose from {CONDITION_SETS}")
     _check_pins(condition_set, exponents)

@@ -33,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.fft import irfft, rfft  # loads numpy.fft with cmaqf, not in the first convolution
 
-from .errors import ConvergenceError, ParameterError
+from .errors import ConvergenceError, ParameterError, _check_finite, _check_positive
 from .kernels import Kernel, LinComboKernel, _lattice_combo
-from .quadrature import QuadResult, _check_delta, product_integral
+from .quadrature import QuadResult, product_integral
 from .tails import (
     CompactTail,
     PowerTail,
@@ -80,6 +80,7 @@ class FiniteSupport:
         vals = tuple(float(v) for v in self.values)
         if not vals:
             raise ParameterError("values must be non-empty (b(0) at least)")
+        _check_finite("values", vals)
         object.__setattr__(self, "values", vals)
 
     @classmethod
@@ -129,8 +130,9 @@ class PowerDecay:
     b0: float
 
     def __post_init__(self):
-        if not self.c > 0 or not self.rho > 0:
-            raise ParameterError("c and rho must be > 0")
+        _check_positive("c", self.c)
+        _check_positive("rho", self.rho)
+        _check_finite("b0", self.b0)
 
     def weight(self, s) -> np.ndarray:
         s = np.abs(np.asarray(s, dtype=float))
@@ -159,7 +161,7 @@ CoefficientSeq = FiniteSupport | PowerDecay
 def star_conv_kernel(b: CoefficientSeq, kernel: Kernel, Delta: float) -> LinComboKernel:
     """Kernel object evaluating ``(b * phi)(t)`` exactly (finite support) or
     truncated at :func:`_power_star_radius` (power decay)."""
-    _check_delta(Delta)
+    _check_positive("Delta", Delta)
     radius = b.radius if isinstance(b, FiniteSupport) else _power_star_radius(b, kernel, Delta)
     s_vals = np.arange(-radius, radius + 1)
     coeffs = b.weights(radius)
@@ -251,7 +253,7 @@ def covariance_lags(
     An empty range (``s_min > s_max``), or a ``Delta`` that is not finite and > 0, raises
     :class:`ParameterError`.
     """
-    _check_delta(Delta)
+    _check_positive("Delta", Delta)
     if s_min > s_max:
         raise ParameterError(f"empty lag range: s_min = {s_min} > s_max = {s_max}")
     base_step = Delta / COV_STEPS_PER_DELTA if base_step is None else base_step

@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one rule for model parameters."""
+
+import math
+
+import numpy as np
 
 
 class CmaqfError(Exception):
@@ -39,3 +43,17 @@ class ConditionsRefutedError(CmaqfError, RuntimeError):
 
 class ConfigError(CmaqfError, ValueError):
     """A run configuration fails schema validation."""
+
+
+# An infinite parameter would pass a plain ``> 0`` test and then stall every lag
+# sum that depends on it, and a NaN passes no test that raises: so every model
+# parameter is checked finite, and a scale, rate or spacing also > 0.
+def _check_positive(name: str, value) -> None:
+    if not 0 < value < math.inf:
+        raise ParameterError(f"{name} must be finite and > 0, got {value}")
+
+
+def _check_finite(name: str, values) -> None:
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ParameterError(f"{name} must be finite, got {values[~np.isfinite(values)][0]}")

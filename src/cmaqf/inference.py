@@ -14,10 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from .covariance import covariance_lags
-from .errors import ParameterError
+from .errors import ParameterError, _check_positive
 from .kernels import Kernel, LinComboKernel
 from .levy import LevyModel
-from .quadrature import _check_delta
 
 __all__ = ["yule_walker", "ls_kernel_pair", "poly_map"]
 
@@ -59,7 +58,7 @@ def ls_kernel_pair(kernel: Kernel, v, vp, theta0: float, k: int, delta: float) -
     First factor ``-phi(t) + sum_j v_j phi(t - j delta)``, second
     ``sum_j 2 vp_j phi(t - j delta)``.
     """
-    _check_delta(delta)
+    _check_positive("Delta", delta)
     vv = np.atleast_1d(np.asarray(v(theta0), dtype=float))
     vpv = np.atleast_1d(np.asarray(vp(theta0), dtype=float))
     if len(vv) != k or len(vpv) != k:

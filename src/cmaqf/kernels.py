@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConventionError, GridError, NonStationaryError, ParameterError, StabilityError
+from .errors import _check_finite, _check_positive
 from .tails import CompactTail, ExpTail, PowerTail, TailFit, TailModel, fit_tail, powered_tail, shifted_sum_tail
 
 __all__ = [
@@ -99,8 +100,7 @@ class ExponentialOU(Kernel):
     lam: float
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ParameterError(f"lam must be > 0, got {self.lam}")
+        _check_positive("lam", self.lam)
         object.__setattr__(self, "decay", ExpTail(constant=1.0, rate=self.lam, start=0.0))
 
     def eval(self, t):
@@ -137,6 +137,7 @@ class CarmaKernel(Kernel):
     def __post_init__(self):
         a = tuple(float(x) for x in self.a)
         b = tuple(float(x) for x in self.b)
+        _check_finite("a, b and q", (*a, *b, self.q))
         if not float(self.q).is_integer():
             raise ConventionError(f"q must be an integer, got {self.q}")
         object.__setattr__(self, "a", a)
@@ -350,8 +351,9 @@ class TabulatedKernel(_TableKernel):
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.size < 2:
             raise ParameterError("values must be a 1-d array with at least two entries")
-        if not self.step > 0:
-            raise ParameterError(f"step must be > 0, got {self.step}")
+        _check_positive("step", self.step)
+        _check_finite("t0", self.t0)
+        _check_finite("values", values)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "tail_fit", _fit_table_tail(self.t0, self.step, values))
         object.__setattr__(self, "support_lo", float(self.t0))
@@ -416,10 +418,11 @@ class SddeKernel(_TableKernel):
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "horizon", float(self.horizon))
         object.__setattr__(self, "step", float(self.step))
+        _check_finite("atoms", atoms)
         if any(tau < 0 for tau, _ in atoms):
             raise ParameterError("atom locations must be >= 0")
-        if not self.step > 0 or not self.horizon > 0:
-            raise ParameterError("horizon and step must be > 0")
+        _check_positive("horizon", self.horizon)
+        _check_positive("step", self.step)
         roots, min_mod = _left_halfplane_roots(atoms)
         if min_mod < 1e-9 or roots > 0:
             raise NonStationaryError(
@@ -527,6 +530,7 @@ class LinComboKernel(Kernel):
         coeffs = tuple(float(c) for c in self.coeffs)
         if len(shifts) != len(coeffs) or not shifts:
             raise ParameterError("shifts and coeffs must be equal-length non-empty sequences")
+        _check_finite("shifts and coeffs", shifts + coeffs)
         object.__setattr__(self, "shifts", shifts)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "support_lo", self.base.support_lo + min(shifts))
@@ -575,8 +579,7 @@ class PowAbsKernel(Kernel):
     power: float
 
     def __post_init__(self):
-        if not self.power > 0:
-            raise ParameterError("power must be > 0")
+        _check_positive("power", self.power)
         object.__setattr__(self, "support_lo", self.base.support_lo)
         object.__setattr__(self, "decay", powered_tail(self.base.decay, self.power))
 

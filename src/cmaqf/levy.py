@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox  # loads numpy.random with cmaqf, not in the first draw
 
-from .errors import ParameterError
+from .errors import ParameterError, _check_positive
 
 __all__ = [
     "BrownianMotion",
@@ -136,13 +136,6 @@ class BilateralGamma:
 
 
 LevyModel = BrownianMotion | CompoundPoissonNormal | BilateralGamma
-
-
-def _check_positive(name: str, value: float) -> None:
-    # an infinite parameter would pass a plain ``> 0`` test and then stall
-    # every lag sum that depends on it
-    if not 0 < value < math.inf:
-        raise ParameterError(f"{name} must be finite and > 0, got {value}")
 
 
 def _check_cumulants(model: LevyModel) -> None:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError
+from .errors import ConvergenceError, ParameterError, _check_positive
 from .kernels import Kernel, _lattice_combo
 from .tails import (
     decay_exponent, grow_radius, lattice_tail_sum, product_tail_integral, sparse_tail_sum_estimate, tail_sup
@@ -187,12 +187,6 @@ def product_integral(
 # ---------------------------------------------------------------------------
 
 
-def _check_delta(Delta) -> None:
-    """Raise :class:`ParameterError` unless the sampling spacing ``Delta`` is finite and > 0."""
-    if not (math.isfinite(Delta) and Delta > 0):
-        raise ParameterError(f"Delta must be finite and > 0, got {Delta!r}")
-
-
 def lattice_s_range(kernels, Delta: float) -> tuple[int, int]:
     """Lag range ``[s_lo, s_hi]`` so the omitted product terms are negligible.
 
@@ -202,7 +196,7 @@ def lattice_s_range(kernels, Delta: float) -> tuple[int, int]:
     (a :func:`~cmaqf.tails.sparse_tail_sum_estimate`, not a bound), or to ``2**20``.
     A ``Delta`` that is not finite and > 0 raises :class:`ParameterError`.
     """
-    _check_delta(Delta)
+    _check_positive("Delta", Delta)
     support = max(k.support_lo for k in kernels)
     s_lo = int(math.floor(support / Delta)) - 1
     s_hi, _, _ = grow_radius(

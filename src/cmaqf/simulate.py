@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .covariance import CoefficientSeq, FiniteSupport, _fft_convolve
-from .errors import ParameterError, TruncationError
+from .errors import ParameterError, TruncationError, _check_positive
 from .kernels import Kernel, grid_cells
 from .levy import LevyModel, check_key, stream
 from .quadrature import product_integral
@@ -89,8 +89,8 @@ class PathConfig:
     tail_mass_budget: float = 1e-4
 
     def __post_init__(self):
-        if not (math.isfinite(self.delta) and self.delta > 0):
-            raise ParameterError(f"delta must be finite and > 0, got {self.delta!r}")
+        _check_positive("delta", self.delta)
+        _check_positive("tail_mass_budget", self.tail_mass_budget)
         if self.n < 1:
             raise ParameterError("n must be >= 1")
         if self.fine_steps < 1:
@@ -98,8 +98,9 @@ class PathConfig:
         check_key("seed", self.seed)
         check_key("stream_index", self.stream_index)
         if self.horizon is not None:
+            _check_positive("horizon", self.horizon)
             ratio = self.horizon / self.delta
-            if not self.horizon > 0 or abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
+            if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
                 raise ParameterError("horizon must be a positive multiple of delta")
 
 

@@ -105,6 +105,8 @@ def _gate_conditions(condition_set, kernels, b, Delta, model, check, force):
     if check == "skip":
         return None, "unverified (check skipped)"
     if isinstance(check, ConditionReport):
+        if check.condition_set != condition_set:
+            raise ParameterError(f"check reports {check.condition_set!r} conditions, not {condition_set!r}")
         report = check
     elif check == "auto":
         report = check_conditions(condition_set, kernels, b=b, Delta=Delta, model=model)

@@ -3,11 +3,12 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 
-from cmaqf import specs
+from cmaqf import cli, specs
 from cmaqf.cli import _block_keys, run
 
 
@@ -523,3 +524,141 @@ def test_a_spacing_that_is_not_finite_and_positive_exits_two(tmp_path, capsys):
         assert run([command, "--config", str(write_config(tmp_path, f"{command}.json", cfg))]) == 2, command
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "config" and "Delta must be finite and > 0" in err["error"]["message"], command
+
+
+# ---------------------------------------------------------------------------
+# the schema table: every key is typed, and every malformed value exits 2 naming its path
+# ---------------------------------------------------------------------------
+
+# values of the wrong kind for each kind of the table; a kind the table gains must be added here
+WRONG_VALUES = {
+    cli._INTEGER: [1.5, True, "1", None],
+    cli._NUMBER: [math.nan, math.inf, -math.inf, "x", True, [1.0], None],
+    cli._STRING: [3, None],
+    cli._SCHEMA["contrast"]: ["ab", 1.0, ["a", 1], [math.nan], [[1.0]], None],
+    cli._SCHEMA["ls"]["poly"]: ["x", [1.0], [[math.inf]], [[[0.0, 1.0]]], None],
+    cli._SCHEMA["force"]: ["no", 1, None],
+    cli._SCHEMA["manifest_meta"]: [[], None],
+    cli._SCHEMA["statistic"]: ["pn", 3, None],
+    cli._SCHEMA["check"]["condition_set"]: ["bogus", [], None],
+}
+
+
+def _schema_keys(table=cli._SCHEMA, prefix=""):
+    """``(dotted key, kind)`` of every key of the schema table, nested tables included."""
+    for key, kind in table.items():
+        yield prefix + key, kind
+        if isinstance(kind, dict):
+            yield from _schema_keys(kind, f"{prefix}{key}.")
+
+
+def _with(cfg: dict, dotted: str, value) -> dict:
+    """A copy of ``cfg`` with ``value`` at the dotted key, creating the tables on the way."""
+    cfg = json.loads(json.dumps(cfg))
+    *parents, last = dotted.split(".")
+    block = cfg
+    for key in parents:
+        block = block.setdefault(key, {})
+    block[last] = value
+    return cfg
+
+
+def _run_malformed(tmp_path, capsys, command: str, cfg: dict, name: str) -> str:
+    """Run a config that must exit 2 without writing anything; the error message."""
+    cfg = {"output_dir": str(tmp_path / name), **cfg}
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))  # NaN and Infinity are written as Python's json reads them
+    assert run([command, "--config", str(path)]) == 2, (name, cfg)
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "config" and not (tmp_path / name).exists(), (name, err)
+    return err["error"]["message"]
+
+
+def test_every_key_of_the_wrong_kind_exits_two_and_names_its_path(tmp_path, capsys):
+    cfg = base_config(check={"condition_set": "autocov"})
+    for dotted, kind in _schema_keys():
+        if kind is cli._LIBRARY:  # check_conditions validates check.exponents itself
+            continue
+        if isinstance(kind, (str, dict)):  # a typed block or a nested table
+            wrong = [3, [], "x"] + ([None] if dotted not in cli._NULLABLE else [])
+        else:
+            assert kind in WRONG_VALUES, f"{dotted}: a kind with no wrong values to test"
+            wrong = [v for v in WRONG_VALUES[kind] if not (v is None and dotted in cli._NULLABLE)]
+        for i, value in enumerate(wrong):
+            message = _run_malformed(tmp_path, capsys, "check", _with(cfg, dotted, value), f"{dotted}-{i}")
+            assert message.startswith(f"$.{dotted}: "), (dotted, value, message)
+
+
+def test_the_nullable_and_required_keys_are_keys_of_the_table():
+    keys = {dotted for dotted, _ in _schema_keys()}
+    assert cli._NULLABLE <= keys
+    assert set().union(*cli._REQUIRED.values()) <= keys and set(cli._REQUIRED) == set(cli.COMMANDS)
+
+
+def test_every_nullable_key_accepts_null(tmp_path):
+    cfg = base_config(check={"condition_set": "autocov"})
+    assert run(["check", "--config", str(write_config(tmp_path, "ref.json", dict(cfg, output_dir=str(tmp_path / "ref"))))]) == 0
+    for dotted in sorted(cli._NULLABLE):
+        doc = dict(_with(cfg, dotted, None), output_dir=str(tmp_path / dotted))
+        assert run(["check", "--config", str(write_config(tmp_path, f"{dotted}.json", doc))]) == 0, dotted
+        assert (tmp_path / dotted / "report.json").read_bytes() == (tmp_path / "ref" / "report.json").read_bytes()
+
+
+def test_every_required_key_rejects_null(tmp_path, capsys):
+    full = base_config(
+        statistic="sn", n=50, replicates=4, lags=1, contrast=[1.0], ls={"k": 1},
+        grid={"m": 4, "horizon": 4.0}, check={"condition_set": "autocov"},
+    )
+    for command, keys in cli._REQUIRED.items():
+        for dotted in keys:
+            message = _run_malformed(tmp_path, capsys, command, _with(full, dotted, None), f"{command}-{dotted}")
+            assert message.startswith(f"$.{dotted}: "), (command, dotted, message)
+
+
+def test_configs_that_crashed_or_were_misread_exit_two(tmp_path, capsys):
+    # each ended in a traceback, exited 0 or misread its value before every key was typed
+    table = {"type": "tabulated", "path": 3}
+    experiment = dict(n=50, replicates=4)
+    cases = {
+        "grid_m_missing": ("kernel-export", base_config(grid={"horizon": 4.0}), "$.grid.m"),
+        "grid_horizon_string": ("kernel-export", base_config(grid={"m": 4, "horizon": "x"}), "$.grid.horizon"),
+        "poly_string": ("ls-clt", base_config(ls={"poly": "x"}, **experiment), "$.ls.poly"),
+        "contrast_string": ("autocov-clt", base_config(lags=2, contrast="ab", **experiment), "$.contrast"),
+        "contrast_mixed": ("autocov-clt", base_config(lags=2, contrast=["a", 1], **experiment), "$.contrast"),
+        "theta0_string": ("ls-clt", base_config(ls={"theta0": "x"}, **experiment), "$.ls.theta0"),
+        "ls_null": ("ls-clt", base_config(ls=None, **experiment), "$.ls"),
+        "output_dir_number": ("variance", base_config(statistic="sn", output_dir=3), "$.output_dir"),
+        "b0_nan": ("variance", base_config(statistic="qn", b={"type": "power_decay", "c": 1.0, "rho": 1.5, "b0": math.nan}), "$.b.b0"),
+        "b0_list": ("variance", base_config(statistic="qn", b={"type": "power_decay", "c": 1.0, "rho": 1.5, "b0": [1.0]}), "$.b.b0"),
+        "values_number": ("variance", base_config(statistic="qn", b={"type": "finite_support", "values": 1.0}), "$.b.values"),
+        "seed_true": ("simulate", base_config(n=8, seed=True), "$.seed"),
+        "schema_version_true": ("variance", base_config(statistic="sn", schema_version=True), "$.schema_version"),
+        "force_one": ("check", base_config(check={"condition_set": "autocov"}, force=1), "$.force"),
+        "ls_k_fraction": ("ls-clt", base_config(ls={"k": 1.5}, **experiment), "$.ls.k"),
+        "table_path_number": ("kernel-export", base_config(kernel=table, grid={"m": 4, "horizon": 4.0}), "$.kernel.path"),
+        "budget_negative": ("simulate", base_config(n=8, path={"tail_mass_budget": -1.0}), "tail_mass_budget"),
+        "budget_zero": ("mc", base_config(statistic="sn", path={"tail_mass_budget": 0.0}, **experiment), "tail_mass_budget"),
+        "budget_nan": ("simulate", base_config(n=8, path={"tail_mass_budget": math.nan}), "$.path.tail_mass_budget"),
+    }
+    for name, (command, cfg, where) in cases.items():
+        assert where in _run_malformed(tmp_path, capsys, command, cfg, name), name
+
+
+def test_force_must_be_true_or_false_on_a_refuted_check(tmp_path, capsys):
+    # "force": "no" once overrode this refuted check: exit 0, with "no" in the manifest
+    step = 1.0 / 16.0
+    ts = np.arange(0, 513) * step
+    vals = np.where(ts >= 1.0, np.maximum(ts, 1.0) ** -0.7, 1.0)
+    kernel = {"type": "tabulated", "t0": 0.0, "step": step, "values": [float(v) for v in vals]}
+    cfg = base_config(kernel=kernel, check={"condition_set": "sn_decay"}, force="no")
+    message = _run_malformed(tmp_path, capsys, "check", cfg, "out")
+    assert message == "$.force: must be true or false, got 'no'"
+
+
+def test_an_infinite_kernel_parameter_exits_two_at_once(tmp_path, capsys):
+    # Python's json reads Infinity, and OU(inf) once stalled the eta^2 lag sums
+    cfg = base_config(kernel={"type": "exponential_ou", "lam": math.inf}, statistic="sn")
+    start = time.perf_counter()
+    message = _run_malformed(tmp_path, capsys, "variance", cfg, "out")
+    assert time.perf_counter() - start < 1.0
+    assert message.startswith("$.kernel.lam: must be a finite number")

@@ -10,6 +10,7 @@ from cmaqf.errors import ParameterError
 from cmaqf.kernels import ExponentialOU
 from cmaqf.levy import BrownianMotion, CompoundPoissonNormal
 from cmaqf.montecarlo import ExperimentConfig, _normal_cdf, ks_distance, run_experiment
+from cmaqf.simulate import PathConfig
 
 
 def test_ks_quantile_construction():
@@ -68,6 +69,23 @@ def test_config_checks_path_geometry_when_built():
         ExperimentConfig(statistic="sn", kernel=ou, model=bm, delta=1.0, n=10, replicates=4, fine_steps=0)
     with pytest.raises(ParameterError, match="horizon"):
         ExperimentConfig(statistic="sn", kernel=ou, model=bm, delta=1.0, n=10, replicates=4, horizon=1.5)
+
+
+@pytest.mark.parametrize("budget", [-1.0, 0.0, math.nan, math.inf])
+def test_config_requires_a_finite_positive_tail_mass_budget(budget):
+    # a budget of -1 or 0 was taken, and every path then failed as a truncation (CLI exit 4)
+    ou, bm = ExponentialOU(1.0), BrownianMotion(1.0)
+    with pytest.raises(ParameterError, match="tail_mass_budget must be finite and > 0"):
+        PathConfig(delta=1.0, n=10, tail_mass_budget=budget)
+    with pytest.raises(ParameterError, match="tail_mass_budget must be finite and > 0"):
+        ExperimentConfig(statistic="sn", kernel=ou, model=bm, delta=1.0, n=10, replicates=4, tail_mass_budget=budget)
+
+
+@pytest.mark.parametrize("horizon", [math.nan, math.inf])
+def test_config_rejects_a_horizon_that_is_not_finite(horizon):
+    # round() of the horizon's ratio to delta raised OverflowError or ValueError
+    with pytest.raises(ParameterError, match="horizon must be finite and > 0"):
+        PathConfig(delta=1.0, n=10, horizon=horizon)
 
 
 def test_sn_experiment_matches_limit_at_moderate_scale():

@@ -1,9 +1,13 @@
+import copy
 import json
+import math
 
 import numpy as np
+import pytest
 
 from cmaqf import simulate, specs
 from cmaqf.covariance import FiniteSupport, PowerDecay
+from cmaqf.errors import ParameterError
 from cmaqf.kernels import (
     ExponentialOU,
     FractionalNoise,
@@ -84,3 +88,30 @@ def test_provenance_hashes_are_pinned():
     for name, model_hash in MODEL_HASHES.items():
         prov = simulate.simulate_path(OBJECTS["exponential_ou"], OBJECTS[name], cfg).provenance
         assert prov["model"] == model_hash, name
+
+
+def _numbers_in(value, at=()):
+    """Index paths to the numbers of a spec value: each number of a short list, the two ends of a long one."""
+    if isinstance(value, list):
+        for i in range(len(value)) if len(value) <= 4 else (0, len(value) - 1):
+            yield from _numbers_in(value[i], at + (i,))
+    elif not isinstance(value, dict):  # a nested kernel is tested as its own type
+        yield at
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", sorted(OBJECTS))
+def test_every_model_parameter_rejects_a_value_that_is_not_finite(name, bad):
+    # an infinite OU rate stalled eta2_sn, a NaN weight gave eta2_qn = nan or an OverflowError,
+    # and other classes accepted the value or failed with LinAlgError, ZeroDivisionError or ValueError
+    spec = specs.spec(OBJECTS[name])
+    for key, value in spec.items():
+        for at in _numbers_in(value) if key != "type" else ():
+            block = copy.deepcopy(spec)
+            *path, last = (key, *at)
+            target = block
+            for step in path:
+                target = target[step]
+            target[last] = bad
+            with pytest.raises(ParameterError):
+                build(block)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cmaqf.conditions import AssumptionCheck, ConditionReport
+from cmaqf.conditions import AssumptionCheck, ConditionReport, check_conditions
 from cmaqf.covariance import FiniteSupport, covariance_lags
 from cmaqf.errors import ConditionsRefutedError, GridError, ParameterError
 from cmaqf.kernels import ExponentialOU, FractionalNoise, LinComboKernel, TabulatedKernel, grid_sample
@@ -183,6 +183,21 @@ def test_eta2_qn_refuted_conditions_gate():
     assert rep.conditions_note == "overridden (refuted)"
     clean = eta2_qn(ExponentialOU(1.0), FiniteSupport.delta0(), BrownianMotion(1.0), 1.0)
     assert rep.eta2 == clean.eta2  # force never changes numbers
+
+
+def test_a_condition_report_of_another_set_is_refused():
+    # eta2_qn took an autocov report and noted "supported"; eta2_sn called a refuted qn_decay
+    # report "sn_general conditions refuted"; autocov_clt_sigma took an sn_general report
+    ou, bm = ExponentialOU(1.0), BrownianMotion(1.0)
+    with pytest.raises(ParameterError, match="'autocov' conditions, not 'qn_general'"):
+        eta2_qn(ou, FiniteSupport((1.0, 0.5)), bm, 1.0, check=check_conditions("autocov", ou))
+    refuted = ConditionReport(condition_set="qn_decay", exponents={}, assumptions=(AssumptionCheck("stub", "refuted"),))
+    with pytest.raises(ParameterError, match="'qn_decay' conditions, not 'sn_general'"):
+        eta2_sn(ou, ou, bm, 1.0, check=refuted)
+    with pytest.raises(ParameterError, match="'sn_general' conditions, not 'autocov'"):
+        autocov_clt_sigma(ou, bm, 1.0, 2, check=check_conditions("sn_general", (ou, ou)))
+    sigma = autocov_clt_sigma(ou, bm, 1.0, 2, check=check_conditions("autocov", ou))  # the matching set is taken
+    assert np.array_equal(sigma, autocov_clt_sigma(ou, bm, 1.0, 2))
 
 
 # ---------------------------------------------------------------------------
