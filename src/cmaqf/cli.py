@@ -32,9 +32,11 @@ import sys
 import typing
 from pathlib import Path
 
+import numpy as np
+
 from . import inference, kernels, montecarlo, simulate, specs, variance
 from .conditions import CONDITION_SETS, check_conditions
-from .errors import CmaqfError, ConditionsRefutedError, ConfigError, ConvergenceError, TruncationError
+from .errors import CmaqfError, ConditionsRefutedError, ConfigError
 
 __all__ = ["main", "run"]
 
@@ -167,11 +169,13 @@ def validate_config(cfg: dict, command: str) -> None:
 
 
 def _build_block(block: dict, kind: str, path: str, base_dir: Path):
-    args = {k: v for k, v in block.items() if k != "type"}
     cls = specs.TYPES[kind][block["type"]]
+    hints = typing.get_type_hints(cls)
+    # a JSON integer in a float field reaches numpy as a float, never as a Python int beyond int64
+    args = {k: float(v) if hints.get(k) is float else v for k, v in block.items() if k != "type"}
     try:
         return cls.from_csv(base_dir / args["path"]) if "path" in args else cls(**args)
-    except (OSError, TypeError, ValueError) as exc:  # also an unreadable table, or a list where a number belongs
+    except (OSError, TypeError, ValueError, ArithmeticError) as exc:  # also an unreadable table, or an overflow
         _fail(path, f"{block['type']!r} block: {exc}")
 
 
@@ -405,7 +409,8 @@ def run(argv=None) -> int:
             "levy": specs._hash(resolved.get("levy")),
             "b": specs._hash(resolved.get("b")),
         }
-        code = _DISPATCH[args.command](resolved, outdir, _build(resolved, base_dir))
+        with np.errstate(over="raise"):  # an overflow ends in a JSON error, not in a warning and an inf
+            code = _DISPATCH[args.command](resolved, outdir, _build(resolved, base_dir))
         _write(outdir / "manifest.json", _manifest(resolved, hashes))
         return code
     except ConfigError as exc:
@@ -414,8 +419,8 @@ def run(argv=None) -> int:
     except ConditionsRefutedError as exc:
         _emit_error("conditions_refuted", str(exc))
         return 3
-    except (ConvergenceError, TruncationError) as exc:
-        _emit_error("numerical", str(exc))
+    except ArithmeticError as exc:  # ConvergenceError, TruncationError, or an overflow in the computation
+        _emit_error("numerical", str(exc) if isinstance(exc, CmaqfError) else f"{type(exc).__name__}: {exc}")
         return 4
     except CmaqfError as exc:
         _emit_error("config", str(exc))

@@ -274,9 +274,11 @@ def _conjugate(p: float) -> float:
 def _check_pins(condition_set: str, exponents) -> None:
     """Reject pinned exponents other than a list or tuple of real numbers: two
     of them, or one or more for ``qn_envelope``.  The general sets pin a
-    conjugate pair, so one of them may be ``inf``."""
-    if condition_set == "autocov" or (isinstance(exponents, str) and exponents == "auto"):
+    conjugate pair, so one of them may be ``inf``; ``autocov`` has no exponents to pin."""
+    if isinstance(exponents, str) and exponents == "auto":
         return
+    if condition_set == "autocov":
+        raise ParameterError(f"autocov exponents must be 'auto': the set has none to pin, got {exponents!r}")
     envelope = condition_set == "qn_envelope"
     allow_inf = condition_set in ("sn_general", "qn_general")
     ok = (

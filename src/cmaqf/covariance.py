@@ -7,14 +7,15 @@ lattice ``h = s * Delta``, and the mixed discrete/continuous convolution
 ``(b * phi)(t) = sum_s b(s) phi(t - s Delta)`` of a kernel with an even
 coefficient sequence.
 
-A combination of lattice-shifted copies of one base kernel (the convolved
-kernels of :func:`star_conv_kernel`, the envelopes of the condition checks,
-the least-squares kernel pair) is never integrated as a whole: its lag covariances
-(:func:`covariance_lags`) are exact double sums of base covariances at shifted lags, and
-its period integrals sum its lattice rows from base rows, so quadrature only sees bases.
-Base kernels that are sums of exponential modes (OU, CARMA; see
-:attr:`Kernel.modes`) have closed-form lag covariances and see no quadrature
-either.  Decay exponents and their arithmetic (``conv_exponent``) live in :mod:`cmaqf.tails`.
+Every lag covariance is read through :func:`covariance_lags`, whose one-lag calls at spacing
+``|h|`` are :func:`crosscovariance` and :func:`autocovariance`.  A combination of lattice-shifted
+copies of one base kernel (the convolved kernels of :func:`star_conv_kernel`, the envelopes of
+the condition checks, the least-squares kernel pair) is never integrated as a whole: its lag
+covariances are exact double sums of base covariances at shifted lags, and its period integrals
+sum its lattice rows from base rows, so quadrature only sees bases.  Base kernels that are sums
+of exponential modes (OU, CARMA; see :attr:`Kernel.modes`) have closed-form lag covariances; any
+other pair takes one quadrature per lag, which warns when a tail bound exceeds 1% of its value.
+Decay exponents and their arithmetic (``conv_exponent``) live in :mod:`cmaqf.tails`.
 
 Discrete convolutions of lag sequences go through one real FFT product,
 :func:`_fft_convolve` (``numpy.fft`` at a 5-smooth length), which the simulated
@@ -198,27 +199,14 @@ def _cached_product(k1: Kernel, k2: Kernel, shift: float, base_step: float) -> Q
     return product_integral(k1, k2, shift, base_step=base_step)
 
 
-def crosscovariance(
-    k1: Kernel,
-    k2: Kernel,
-    sigma2: float,
-    h: float,
-    *,
-    base_step: float = 1.0 / 64.0,
-) -> float:
-    """``sigma2 * int phi_1(t) phi_2(t + h) dt`` by breakpoint-aware quadrature.
-
-    Emits a warning when the decay-model tail bound beyond the integration
-    window exceeds 1% of the value.
-    """
-    r = _cached_product(k1, k2, float(h), base_step)
-    value = sigma2 * r.value
-    tail = sigma2 * r.tail_bound
-    if tail > 0.01 * abs(value) and abs(value) > 0:
-        warnings.warn(
-            f"covariance tail bound {tail:.3g} exceeds 1% of value {value:.3g}", RuntimeWarning, stacklevel=2
-        )
-    return value
+def crosscovariance(k1: Kernel, k2: Kernel, sigma2: float, h: float, *, base_step: float = 1.0 / 64.0) -> float:
+    """``sigma2 * int phi_1(t) phi_2(t + h) dt``: the one-lag call of :func:`covariance_lags`
+    at spacing ``|h|`` (1 at ``h = 0``) and lag ``sgn h``, so it warns, reads closed forms
+    and reduces lattice combinations as that does.  A non-finite ``h`` raises
+    :class:`ParameterError`."""
+    _check_finite("h", h)
+    s = int(np.sign(h))
+    return float(covariance_lags(k1, k2, sigma2, abs(h) or 1.0, s, s, base_step=base_step)[0])
 
 
 def autocovariance(kernel: Kernel, sigma2: float, h: float, *, base_step: float = 1.0 / 64.0) -> float:
@@ -249,7 +237,9 @@ def covariance_lags(
 
     Two bases with exponential modes (:attr:`Kernel.modes`), such as OU and
     CARMA kernels in any pairing, take the closed form of :func:`_mode_lags`
-    and ``base_step`` is unused.  Any other pair takes one quadrature per lag.
+    and ``base_step`` is unused.  Any other pair takes one quadrature per lag,
+    equal kernels at ``|s|``, and one :class:`RuntimeWarning` per call when some
+    lag's tail bound beyond the integration window exceeds 1% of its value.
     An empty range (``s_min > s_max``), or a ``Delta`` that is not finite and > 0, raises
     :class:`ParameterError`.
     """
@@ -267,14 +257,16 @@ def covariance_lags(
         return np.correlate(g, w, mode="valid")
     if k1.modes is not None and k2.modes is not None:
         return sigma2 * _mode_lags(k1.modes, k2.modes, Delta, s_min, s_max)
-    same = k1 is k2 or k1 == k2
-    out = np.empty(s_max - s_min + 1)
-    for i, s in enumerate(range(s_min, s_max + 1)):
-        shift = s * Delta
-        if same and s < 0 and -s <= s_max:
-            shift = -shift  # symmetric: reuse the positive-lag cache entry
-        out[i] = sigma2 * _cached_product(k1, k2, float(shift), base_step).value
-    return out
+    lags = np.arange(s_min, s_max + 1)
+    shifts = (np.abs(lags) if k1 is k2 or k1 == k2 else lags) * Delta  # equal kernels: gamma(-h) = gamma(h)
+    quads = [_cached_product(k1, k2, float(shift), base_step) for shift in shifts]
+    values, tails = sigma2 * np.array([[r.value for r in quads], [r.tail_bound for r in quads]])
+    over = (tails > 0.01 * np.abs(values)) & (np.abs(values) >= np.finfo(float).tiny)  # a subnormal has no 1%
+    if over.any():
+        i = int(np.argmax(over))
+        msg = f"covariance tail bound {tails[i]:.3g} exceeds 1% of value {values[i]:.3g} at lag {lags[i]} ({over.sum()} of {len(lags)} lags)"
+        warnings.warn(msg, RuntimeWarning, stacklevel=2)
+    return values
 
 
 def _lag_start(pairs, Delta: float) -> int:

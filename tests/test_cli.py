@@ -276,8 +276,9 @@ def test_bad_thread_count_from_config_rejected(tmp_path, capsys):
 
 
 def test_check_rejects_malformed_pinned_exponents(tmp_path, capsys):
-    for i, pins in enumerate(([1.3], "1.3")):
-        cfg = base_config(check={"condition_set": "sn_exponent", "exponents": pins}, output_dir=str(tmp_path / "out"))
+    # autocov has no exponents: its pins were once dropped, with exit 0 and the pins echoed in the manifest
+    for i, (condition_set, pins) in enumerate((("sn_exponent", [1.3]), ("sn_exponent", "1.3"), ("autocov", [0.3, 0.3]))):
+        cfg = base_config(check={"condition_set": condition_set, "exponents": pins}, output_dir=str(tmp_path / "out"))
         assert run(["check", "--config", str(write_config(tmp_path, f"c{i}.json", cfg))]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "config"
@@ -662,3 +663,27 @@ def test_an_infinite_kernel_parameter_exits_two_at_once(tmp_path, capsys):
     message = _run_malformed(tmp_path, capsys, "variance", cfg, "out")
     assert time.perf_counter() - start < 1.0
     assert message.startswith("$.kernel.lam: must be a finite number")
+
+
+def test_extreme_finite_block_values_end_in_one_json_error_or_succeed(tmp_path, capsys):
+    # each ended in a traceback (exit 1): an overflow while a block is built exits 2 at the block's
+    # path, one in the computation exits 4, and a JSON integer in a float field reaches numpy as a float
+    grid = {"m": 4, "horizon": 4.0}
+    table = {"type": "tabulated", "t0": 0.0, "step": 10**30, "values": [1.0, 0.5, 0.25, 0.125]}
+    cases = {
+        "sdde_horizon": ("kernel-export", dict(kernel={"type": "sdde", "atoms": [[0.0, -1.0]], "horizon": 1e308, "step": 0.25}, grid=grid), 2, "$.kernel: 'sdde' block"),
+        "table_step": ("kernel-export", dict(kernel=table, grid=grid), 0, None),
+        "jump_variance": ("simulate", dict(levy={"type": "compound_poisson_normal", "rate": 1.0, "jump_variance": 10**30}, n=8), 0, None),
+        "rho": ("variance", dict(statistic="qn", b={"type": "power_decay", "c": 1.0, "rho": 10**30, "b0": 1.0}), 4, "OverflowError"),
+        "b0": ("variance", dict(statistic="qn", b={"type": "power_decay", "c": 1.0, "rho": 1.5, "b0": 1e308}), 4, "FloatingPointError: overflow"),
+    }
+    for name, (command, extra, code, message) in cases.items():
+        cfg = base_config(output_dir=str(tmp_path / name), **extra)
+        assert run([command, "--config", str(write_config(tmp_path, f"{name}.json", cfg))]) == code, name
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == "", name
+            continue
+        doc = json.loads(err)  # exactly one JSON object
+        assert doc["error"]["type"] == ("config" if code == 2 else "numerical"), (name, doc)
+        assert doc["error"]["message"].startswith(message), (name, doc)

@@ -222,12 +222,13 @@ def test_pinned_exponents_must_be_a_list_of_real_numbers():
     ):
         with pytest.raises(ParameterError, match="exponents"):
             check_conditions(condition_set, ou, b=b, Delta=1.0, exponents=pins)
-    # values pass on as given; autocov has no exponents and ignores pins
+    # values pass on as given; autocov has no exponents and refuses pins
     pinned = check_conditions("sn_general", ou, Delta=1.0, exponents=[2, 2], model=BrownianMotion(1.0))
     assert pinned.exponents == {"alpha1": 2, "alpha2": 2}
     assert all(type(v) is int for v in pinned.exponents.values())
     assert check_conditions("qn_envelope", ou, b=b, Delta=1.0, exponents=[1.5]).exponents == {"beta": 1.5, "alpha": 3.0}
-    assert check_conditions("autocov", ou, Delta=1.0, exponents=[1.3]) == check_conditions("autocov", ou, Delta=1.0)
+    with pytest.raises(ParameterError, match="exponents"):
+        check_conditions("autocov", ou, Delta=1.0, exponents=[1.3])
 
 
 def test_coefficient_norms_cover_the_whole_finite_support():

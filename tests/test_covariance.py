@@ -494,6 +494,57 @@ def test_tail_warning_when_bound_exceeds_one_percent():
         crosscovariance(slow, slow, 1.0, 0.0)
 
 
+def _power_tailed_table():
+    step = 1.0 / 16.0
+    ts = np.arange(0, 1025) * step
+    return TabulatedKernel(t0=0.0, step=step, values=np.where(ts >= 1.0, np.maximum(ts, 1.0) ** -0.7, 1.0))
+
+
+ONE_LAG_PAIRS = {
+    "ou": (ExponentialOU(1.0), ExponentialOU(1.0)),
+    "carma21_ou": (build_carma((3.0, 2.0), (3.0, 1.0), 1), ExponentialOU(1.0)),
+    "fn": (FractionalNoise(0.1), FractionalNoise(0.1)),
+    "fn_ou": (FractionalNoise(0.1), ExponentialOU(1.0)),
+    "table": (_power_tailed_table(), _power_tailed_table()),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(ONE_LAG_PAIRS))
+def test_crosscovariance_is_the_one_lag_call_of_covariance_lags(pair):
+    k1, k2 = ONE_LAG_PAIRS[pair]
+    for h in (-2.5, 0.0, 0.7, 3.0):
+        s = int(np.sign(h))
+        lags = covariance_lags(k1, k2, 1.3, abs(h) or 1.0, s, s, base_step=1.0 / 64.0)
+        assert crosscovariance(k1, k2, 1.3, h) == lags[0], h
+        if k1 == k2:
+            assert autocovariance(k1, 1.3, h) == crosscovariance(k1, k2, 1.3, abs(h)), h
+
+
+def test_one_lag_covariances_of_exponential_modes_take_the_closed_form():
+    ou, carma = ExponentialOU(1.0), build_carma((3.0, 2.0), (3.0, 1.0), 1)  # carma: 2 e^-t - e^-2t
+    for h in (-2.5, 0.0, 0.7, 3.0):
+        a = abs(h)
+        assert crosscovariance(ou, ou, 1.3, h) == pytest.approx(0.65 * math.exp(-a), rel=1e-15, abs=0.0)
+        exact = 2.0 / 3.0 * math.exp(-a) if h >= 0 else math.exp(-a) - math.exp(-2.0 * a) / 3.0
+        assert crosscovariance(carma, ou, 1.3, h) == pytest.approx(1.3 * exact, rel=1e-15, abs=0.0)
+    assert autocovariance(ou, 2.0, 1.5) == math.exp(-1.5)
+
+
+def test_a_lag_that_is_not_finite_is_refused():
+    for h in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterError, match="h must be finite"):
+            crosscovariance(ExponentialOU(1.0), ExponentialOU(1.0), 1.0, h)
+        with pytest.raises(ParameterError, match="h must be finite"):
+            autocovariance(FractionalNoise(0.1), 1.0, h)
+
+
+def test_per_lag_quadrature_warns_once_per_call_when_it_cuts_a_tail():
+    slow = PowAbsKernel(FractionalNoise(0.1), 0.58)  # every lag's tail bound exceeds 1% of its value
+    with pytest.warns(RuntimeWarning, match="tail bound") as caught:
+        covariance_lags(slow, slow, 1.0, 1.0, 0, 2)
+    assert len(caught) == 1
+
+
 def test_star_conv_kernel_power_decay_truncation():
     ou = ExponentialOU(1.0)
     pd = PowerDecay(c=1.0, rho=1.5, b0=1.0)

@@ -170,8 +170,8 @@ TAIL_CALLERS = {
 }
 
 
-def _tail_calls(tree) -> set[tuple[str, str]]:
-    """``(top-level definition, callee)`` for each call of ``fit_tail`` or ``lattice_tail_sum``."""
+def _calls(tree, callees) -> set[tuple[str, str]]:
+    """``(top-level definition, callee)`` for each call in ``tree`` of a function named in ``callees``."""
     found = set()
     for top in tree.body:
         for node in ast.walk(top):
@@ -179,7 +179,7 @@ def _tail_calls(tree) -> set[tuple[str, str]]:
                 continue
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in ("fit_tail", "lattice_tail_sum"):
+            if name in callees:
                 found.add((getattr(top, "name", "<module>"), name))
     return found
 
@@ -190,10 +190,32 @@ def test_lag_tails_are_fitted_and_completed_in_one_place():
     for path in sorted(src.glob("*.py")):
         if path.stem == "tails":
             continue
-        for where, name in _tail_calls(ast.parse(path.read_text(), str(path))):
+        for where, name in _calls(ast.parse(path.read_text(), str(path)), ("fit_tail", "lattice_tail_sum")):
             if (path.stem, where) not in TAIL_CALLERS:
                 stray.append(f"{path.stem}.{where} calls {name}")
     assert stray == [], "grow a truncated lag sum with tails.grow_lags instead"
+
+
+# Where a lag product is integrated: lag covariances run one quadrature per lag only in
+# covariance_lags, through its cache; the L^4 check keeps the tail bound of its norm, and the
+# simulated paths measure the kernel mass their window leaves out.
+PRODUCT_CALLERS = {
+    ("covariance", "_cached_product", "product_integral"),
+    ("covariance", "covariance_lags", "_cached_product"),
+    ("conditions", "_l4_check", "product_integral"),
+    ("simulate", "resolve_horizon", "product_integral"),
+    ("simulate", "_simulate", "product_integral"),
+}
+
+
+def test_lag_products_are_integrated_in_one_place():
+    src = Path(cmaqf.__file__).parent
+    callers = {
+        (path.stem, where, name)
+        for path in sorted(src.glob("*.py"))
+        for where, name in _calls(ast.parse(path.read_text(), str(path)), ("product_integral", "_cached_product"))
+    }
+    assert callers == PRODUCT_CALLERS, "read lag covariances with covariance.covariance_lags"
 
 
 def _doublings(tree) -> list[int]:
