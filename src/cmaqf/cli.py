@@ -36,7 +36,7 @@ import numpy as np
 
 from . import inference, kernels, montecarlo, simulate, specs, variance
 from .conditions import CONDITION_SETS, check_conditions
-from .errors import CmaqfError, ConditionsRefutedError, ConfigError
+from .errors import CmaqfError, ConditionsRefutedError, ConfigError, ConvergenceError, TruncationError
 
 __all__ = ["main", "run"]
 
@@ -117,6 +117,11 @@ def _block_keys(cls) -> dict[str, bool]:
     return {**keys, "path": False} if cls is kernels.TabulatedKernel else keys
 
 
+def _field_types(cls) -> dict:
+    """The type of each key of a ``cls`` block: its annotations, and ``type`` and ``path``, which are strings."""
+    return {**typing.get_type_hints(cls), "type": str, "path": str}
+
+
 def _check_typed_block(block: dict, kind: str, path: str):
     table = {name: _block_keys(cls) for name, cls in specs.TYPES[kind].items()}
     _check_keys(block, {"type"}.union(*table.values()), path)
@@ -131,7 +136,7 @@ def _check_typed_block(block: dict, kind: str, path: str):
     for key, required in table[t].items():
         if required and key not in block and "path" not in block:
             _fail(f"{path}.{key}", f"required for type {t!r}")
-    hints = {**typing.get_type_hints(specs.TYPES[kind][t]), "type": str, "path": str}
+    hints = _field_types(specs.TYPES[kind][t])
     for key, value in block.items():
         what, test = _STRING if hints[key] is str else _NUMBER if hints[key] in (float, int) else _NESTED
         if not test(value):
@@ -170,9 +175,9 @@ def validate_config(cfg: dict, command: str) -> None:
 
 def _build_block(block: dict, kind: str, path: str, base_dir: Path):
     cls = specs.TYPES[kind][block["type"]]
-    hints = typing.get_type_hints(cls)
+    hints = _field_types(cls)
     # a JSON integer in a float field reaches numpy as a float, never as a Python int beyond int64
-    args = {k: float(v) if hints.get(k) is float else v for k, v in block.items() if k != "type"}
+    args = {k: float(v) if hints[k] is float else v for k, v in block.items() if k != "type"}
     try:
         return cls.from_csv(base_dir / args["path"]) if "path" in args else cls(**args)
     except (OSError, TypeError, ValueError, ArithmeticError) as exc:  # also an unreadable table, or an overflow
@@ -232,16 +237,8 @@ def _write(path: Path, data: bytes) -> None:
     path.write_bytes(data)
 
 
-def _replicates_csv(values) -> bytes:
-    lines = ["replicate,statistic"]
-    lines += [f"{i},{float(v)!r}" for i, v in enumerate(values)]
-    return ("\n".join(lines) + "\n").encode()
-
-
-def _kernel_csv(ts, vals) -> bytes:
-    lines = ["t,phi"]
-    lines += [f"{float(t)!r},{float(v)!r}" for t, v in zip(ts, vals)]
-    return ("\n".join(lines) + "\n").encode()
+def _csv(header: str, rows) -> bytes:
+    return "".join(line + "\n" for line in (header, *rows)).encode()
 
 
 def _manifest(resolved: dict, hashes: dict) -> bytes:
@@ -306,8 +303,7 @@ def _cmd_simulate(resolved, outdir, built):
     kernel, _, model, _ = built
     cfg = simulate.PathConfig(delta=resolved["delta"], n=resolved["n"], seed=resolved["seed"], **resolved["path"])
     path = simulate.simulate_path(kernel, model, cfg)
-    lines = ["x"] + [f"{float(v)!r}" for v in path.values]
-    _write(outdir / "path.csv", ("\n".join(lines) + "\n").encode())
+    _write(outdir / "path.csv", _csv("x", (f"{float(v)!r}" for v in path.values)))
     _write(outdir / "path.json", _json_bytes({"delta": path.delta, "n": path.n, "provenance": path.provenance}))
     print(f"wrote {path.n} samples")
     return 0
@@ -342,7 +338,7 @@ def _cmd_experiment(resolved, outdir, built):
         **resolved["path"],
     )
     report = montecarlo.run_experiment(cfg, threads=resolved["threads"])
-    _write(outdir / "replicates.csv", _replicates_csv(report.statistics))
+    _write(outdir / "replicates.csv", _csv("replicate,statistic", (f"{i},{float(v)!r}" for i, v in enumerate(report.statistics))))
     doc = report.to_dict()
     doc["csv_path"] = "replicates.csv"
     _write(outdir / "report.json", _json_bytes(doc))
@@ -356,7 +352,7 @@ def _cmd_experiment(resolved, outdir, built):
 def _cmd_kernel_export(resolved, outdir, built):
     g = resolved["grid"]
     grid = kernels.grid_sample(built[0], resolved["delta"], g["m"], g["horizon"])
-    _write(outdir / "kernel.csv", _kernel_csv(grid.times(), grid.values))
+    _write(outdir / "kernel.csv", _csv("t,phi", (f"{float(t)!r},{float(v)!r}" for t, v in zip(grid.times(), grid.values))))
     print(f"wrote {len(grid)} kernel samples")
     return 0
 
@@ -419,7 +415,7 @@ def run(argv=None) -> int:
     except ConditionsRefutedError as exc:
         _emit_error("conditions_refuted", str(exc))
         return 3
-    except ArithmeticError as exc:  # ConvergenceError, TruncationError, or an overflow in the computation
+    except (ConvergenceError, TruncationError, OverflowError, FloatingPointError) as exc:  # also an overflow
         _emit_error("numerical", str(exc) if isinstance(exc, CmaqfError) else f"{type(exc).__name__}: {exc}")
         return 4
     except CmaqfError as exc:

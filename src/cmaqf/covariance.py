@@ -10,11 +10,11 @@ coefficient sequence.
 Every lag covariance is read through :func:`covariance_lags`, whose one-lag calls at spacing
 ``|h|`` are :func:`crosscovariance` and :func:`autocovariance`.  A combination of lattice-shifted
 copies of one base kernel (the convolved kernels of :func:`star_conv_kernel`, the envelopes of
-the condition checks, the least-squares kernel pair) is never integrated as a whole: its lag
-covariances are exact double sums of base covariances at shifted lags, and its period integrals
-sum its lattice rows from base rows, so quadrature only sees bases.  Base kernels that are sums
-of exponential modes (OU, CARMA; see :attr:`Kernel.modes`) have closed-form lag covariances; any
-other pair takes one quadrature per lag, which warns when a tail bound exceeds 1% of its value.
+the condition checks, the least-squares kernel pair) is read through its base: its lag
+covariances are exact double sums of base covariances at shifted lags, unless its offsets lie
+far apart, and its period integrals sum its lattice rows from base rows.  Base kernels that are
+sums of exponential modes (OU, CARMA; see :attr:`Kernel.modes`) have closed-form lag
+covariances; any other pair takes one quadrature per lag, which warns above a 1% tail bound.
 Decay exponents and their arithmetic (``conv_exponent``) live in :mod:`cmaqf.tails`.
 
 Discrete convolutions of lag sequences go through one real FFT product,
@@ -227,13 +227,15 @@ def covariance_lags(
     """Array of ``sigma2 * int phi_1(t) phi_2(t + s Delta) dt`` for ``s_min <= s <= s_max``
     (quadrature step ``base_step``, by default ``Delta / COV_STEPS_PER_DELTA``).
 
-    A kernel that is a combination of lattice-shifted copies of a base kernel
-    is never integrated as a whole.  That is a :class:`LinComboKernel` whose
-    every shift is an exact multiple of ``Delta``.  With
+    A combination of lattice-shifted copies of a base kernel, a :class:`LinComboKernel`
+    whose every shift is an exact multiple of ``Delta``, is read through its base.  With
     ``phi_1 = sum_j c_j B_1(. - a_j Delta)`` and ``phi_2 = sum_k d_k B_2(. - b_k Delta)``,
     ``gamma_12(h) = sum_j sum_k c_j d_k gamma_{B_1 B_2}(h + (a_j - b_k) Delta)``
     exactly, so the base lags are integrated once over the widened range and
-    correlated with the convolved coefficients.
+    correlated with the convolved coefficients, unless offsets far apart on a fine
+    lattice (shifts ``(0, 1)`` at ``Delta = 1e-4``) widen it beyond ``(J + K)**2``
+    base lags per lag, about the base terms that integrating the pair whole
+    evaluates (``J`` and ``K`` terms): then the pair is integrated whole.
 
     Two bases with exponential modes (:attr:`Kernel.modes`), such as OU and
     CARMA kernels in any pairing, take the closed form of :func:`_mode_lags`
@@ -249,7 +251,8 @@ def covariance_lags(
     base_step = Delta / COV_STEPS_PER_DELTA if base_step is None else base_step
     base1, a, c = _lattice_combo(k1, Delta)
     base2, b, d = _lattice_combo(k2, Delta)
-    if base1 is not k1 or base2 is not k2:
+    count = s_max - s_min + 1
+    if (base1 is not k1 or base2 is not k2) and count + int(np.ptp(a)) + int(np.ptp(b)) <= (len(a) + len(b)) ** 2 * count:
         # w[n] is the summed c_j d_k with a_j - b_k = a.min() - b.max() + n
         w = np.convolve(np.bincount(a - a.min(), weights=c), np.bincount(b.max() - b, weights=d))
         lo, hi = s_min + a.min() - b.max(), s_max + a.max() - b.min()

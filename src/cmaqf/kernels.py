@@ -606,13 +606,13 @@ def _lattice_combo(kernel: Kernel, Delta: float) -> tuple[Kernel, np.ndarray, np
     """``(base, offsets, coeffs)`` with ``kernel(t) = sum_j coeffs[j] base(t - offsets[j] Delta)``.
 
     Lag covariances and period integrals read a combination only through this.  It reduces a
-    :class:`LinComboKernel` whose every shift is an exact multiple of ``Delta``; any other kernel
-    is its own base, at offset 0 with coefficient 1.
+    :class:`LinComboKernel` whose every shift is an exact multiple of ``Delta``, at offsets
+    below ``2**62`` (their spans hold in an int64); any other kernel is its own base, at offset 0.
     """
     if isinstance(kernel, LinComboKernel):
         shifts = np.asarray(kernel.shifts)
         offsets = np.round(shifts / Delta)
-        if np.array_equal(offsets * Delta, shifts):
+        if np.array_equal(offsets * Delta, shifts) and np.abs(offsets).max() < 2.0**62:
             return kernel.base, offsets.astype(int), np.asarray(kernel.coeffs)
     return kernel, np.zeros(1, dtype=int), np.ones(1)
 

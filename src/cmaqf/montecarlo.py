@@ -13,6 +13,7 @@ stream index, so reports are bit-identical regardless of the thread count.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -177,15 +178,15 @@ def _shape_moments(values: np.ndarray) -> tuple[float, float]:
 def run_replicates(replicate_fn, count: int, threads: int | None = None) -> np.ndarray:
     """Evaluate ``replicate_fn(r)`` for ``r = 0..count-1``, optionally threaded.
 
-    Results land in stream-index order, so the output is identical for any
-    thread count.
+    Results land in stream-index order, and workers take the caller's numpy error
+    state, so the output, or the error raised, is identical for any thread count.
     """
     out = np.empty(count)
     if threads is None or threads <= 1:
         for r in range(count):
             out[r] = replicate_fn(r)
         return out
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(threads, initializer=functools.partial(np.seterr, **np.geterr())) as pool:
         for r, val in zip(range(count), pool.map(replicate_fn, range(count))):
             out[r] = val
     return out

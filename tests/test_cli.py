@@ -687,3 +687,15 @@ def test_extreme_finite_block_values_end_in_one_json_error_or_succeed(tmp_path, 
         doc = json.loads(err)  # exactly one JSON object
         assert doc["error"]["type"] == ("config" if code == 2 else "numerical"), (name, doc)
         assert doc["error"]["message"].startswith(message), (name, doc)
+
+
+def test_an_overflow_in_a_replicate_exits_four_at_any_thread_count(tmp_path, capsys, monkeypatch):
+    # worker threads start from numpy's default error state: with two threads the overflow once gave inf and exit 0
+    compute_qn = cli.montecarlo.compute_qn
+    monkeypatch.setattr(cli.montecarlo, "compute_qn", lambda *args: compute_qn(*args) + np.float64(1e308) * 10.0)
+    for threads in (1, 2):
+        cfg = base_config(statistic="qn", b={"type": "finite_support", "values": [1.0, 0.5]}, n=64, replicates=4,
+                          path={"fine_steps": 8}, threads=threads, output_dir=str(tmp_path / f"t{threads}"))
+        assert run(["mc", "--config", str(write_config(tmp_path, f"t{threads}.json", cfg))]) == 4, threads
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["error"]["type"] == "numerical" and doc["error"]["message"].startswith("FloatingPointError"), doc

@@ -538,6 +538,15 @@ def test_a_lag_that_is_not_finite_is_refused():
             autocovariance(FractionalNoise(0.1), 1.0, h)
 
 
+@pytest.mark.parametrize("h", [1e-4, -1e-4, 2.0**-1000])
+def test_a_lattice_combination_at_a_tiny_lag_is_integrated_whole(h):
+    # offsets 0 and 1/|h| would widen the base range as 1/|h|; at 2**-1000 they overflow an int64
+    k = LinComboKernel(ExponentialOU(1.0), (0.0, 1.0), (1.0, -0.5))
+    start = time.perf_counter()
+    assert crosscovariance(k, k, 1.3, h) == 1.3 * product_integral(k, k, abs(h), base_step=1.0 / 64.0).value
+    assert time.perf_counter() - start < 0.5
+
+
 def test_per_lag_quadrature_warns_once_per_call_when_it_cuts_a_tail():
     slow = PowAbsKernel(FractionalNoise(0.1), 0.58)  # every lag's tail bound exceeds 1% of its value
     with pytest.warns(RuntimeWarning, match="tail bound") as caught:
