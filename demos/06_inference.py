@@ -26,7 +26,7 @@ print(f"   eigenvalues: {np.round(np.linalg.eigvalsh(sigma), 5)} (positive semid
 
 print("\n== Contrast experiment at lag 1")
 common = dict(kernel=kernel, model=model, delta=1.0, n=1500, replicates=400)
-cfg = ExperimentConfig(statistic="autocov_contrast", lags=1, contrast=(1.0,), seed=2, **common)
+cfg = ExperimentConfig(statistic="autocov_contrast", contrast=(1.0,), seed=2, **common)
 rep = run_experiment(cfg, threads=threads)
 print(f"   target variance {rep.eta2:.5f}, empirical ratio {rep.variance_ratio:.3f}, KS {rep.ks:.3f}")
 print(f"   exact finite-n centering shift per replicate: {rep.extra['centering_shift']:+.5f}")

@@ -78,22 +78,21 @@ _SCHEMA = {
     "path": {"fine_steps": _INTEGER, "horizon": _NUMBER, "tail_mass_budget": _NUMBER},
     "check": {"condition_set": (f"one of {CONDITION_SETS}", lambda v: v in CONDITION_SETS), "exponents": _LIBRARY},
     "contrast": ("a list of finite numbers", _list_of(_finite)),
-    "lags": _INTEGER,
-    "ls": {"poly": ("a list of rows of finite numbers", _list_of(_list_of(_finite))), "theta0": _NUMBER, "k": _INTEGER},
+    "ls": {"poly": ("a list of rows of finite numbers", _list_of(_list_of(_finite))), "theta0": _NUMBER},
     "grid": {"m": _INTEGER, "horizon": _NUMBER},
     "threads": _INTEGER,
     "force": ("true or false", lambda v: type(v) is bool),
     "manifest_meta": ("an object", lambda v: type(v) is dict),
 }
 # keys whose null means absent; any other null is a value of the wrong kind
-_NULLABLE = {"kernel2", "b", "lags", "ls", "threads", "path.horizon", "ls.poly", "ls.theta0"}
+_NULLABLE = {"kernel2", "b", "ls", "threads", "path.horizon", "ls.poly", "ls.theta0"}
 # keys each command needs, non-null
 _REQUIRED = {
     "check": ("kernel", "delta", "check", "check.condition_set"),
     "variance": ("kernel", "levy", "delta", "statistic"),
     "simulate": ("kernel", "levy", "delta", "n"),
     "mc": ("kernel", "levy", "delta", "n", "replicates", "statistic"),
-    "autocov-clt": ("kernel", "levy", "delta", "n", "replicates", "lags", "contrast"),
+    "autocov-clt": ("kernel", "levy", "delta", "n", "replicates", "contrast"),
     "ls-clt": ("kernel", "levy", "delta", "n", "replicates", "ls"),
     "kernel-export": ("kernel", "delta", "grid", "grid.m", "grid.horizon"),
 }
@@ -314,7 +313,7 @@ _EXPERIMENT_STATISTIC = {"autocov-clt": "autocov_contrast", "ls-clt": "ls_deriva
 
 def _build_ls(block: dict) -> montecarlo.LsSpec:
     v, vp = inference.poly_map(block["poly"]) if block.get("poly") is not None else (None, None)
-    return montecarlo.LsSpec(v=v, vp=vp, theta0=block.get("theta0"), k=block.get("k", 1))
+    return montecarlo.LsSpec(v=v, vp=vp, theta0=block.get("theta0"))
 
 
 def _cmd_experiment(resolved, outdir, built):
@@ -332,7 +331,6 @@ def _cmd_experiment(resolved, outdir, built):
         kernel2=kernel2,
         b=b,
         contrast=tuple(resolved["contrast"]) if resolved.get("contrast") is not None else None,
-        lags=resolved.get("lags"),
         ls=_build_ls(resolved["ls"]) if statistic == "ls_derivative" else None,
         conditions="waive" if resolved["force"] else "auto",
         **resolved["path"],

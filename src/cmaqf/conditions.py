@@ -359,7 +359,7 @@ def check_conditions(
     return _check_autocov(ks[0], Delta)
 
 
-def _qn_envelope_divergence(kernel: Kernel, b: CoefficientSeq, tag: str, exponents="auto") -> ConditionReport | None:
+def _qn_envelope_divergence(kernel: Kernel, b: CoefficientSeq, tag: str, exponents) -> ConditionReport | None:
     """Refuted report when exact exponents make a norm that ``tag`` needs infinite.
 
     ``psi = |b| * |phi|`` diverges termwise when ``rho_b + rho_phi <= 1``, else decays like

@@ -53,6 +53,12 @@ def _check_positive(name: str, value) -> None:
         raise ParameterError(f"{name} must be finite and > 0, got {value}")
 
 
+# A count is an integer, not a bool: a fraction or a flag would only fail deep inside numpy.
+def _check_count(name: str, value, minimum: int) -> None:
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < minimum:
+        raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 def _check_finite(name: str, values) -> None:
     values = np.asarray(values, dtype=float)
     if not np.isfinite(values).all():

@@ -52,17 +52,18 @@ def poly_map(coeff_rows) -> tuple:
     return v, vp
 
 
-def ls_kernel_pair(kernel: Kernel, v, vp, theta0: float, k: int, delta: float) -> tuple[Kernel, Kernel]:
+def ls_kernel_pair(kernel: Kernel, v, vp, theta0: float, delta: float) -> tuple[Kernel, Kernel]:
     """The two lag-combination kernels whose bilinear form is the objective derivative.
 
     First factor ``-phi(t) + sum_j v_j phi(t - j delta)``, second
-    ``sum_j 2 vp_j phi(t - j delta)``.
+    ``sum_j 2 vp_j phi(t - j delta)``, ``j = 1..k`` with ``k`` the length of ``v(theta0)``.
     """
     _check_positive("Delta", delta)
     vv = np.atleast_1d(np.asarray(v(theta0), dtype=float))
     vpv = np.atleast_1d(np.asarray(vp(theta0), dtype=float))
-    if len(vv) != k or len(vpv) != k:
-        raise ParameterError(f"v(theta0) and vp(theta0) must have length k = {k}")
+    k = len(vv)
+    if k < 1 or len(vpv) != k:
+        raise ParameterError(f"v(theta0) and vp(theta0) must share one length >= 1, got {k} and {len(vpv)}")
     shifts1 = (0.0,) + tuple(j * delta for j in range(1, k + 1))
     coeffs1 = (-1.0,) + tuple(float(c) for c in vv)
     shifts2 = tuple(j * delta for j in range(1, k + 1))

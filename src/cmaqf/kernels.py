@@ -145,7 +145,7 @@ class CarmaKernel(Kernel):
         object.__setattr__(self, "q", int(self.q))
         p = len(a)
         if p < 1:
-            raise ParameterError("autoregressive order p must be >= 1")
+            raise ParameterError("a must be non-empty: the autoregressive order p = len(a) must be >= 1")
         if len(b) != p:
             raise ConventionError(f"b must have length p = {p}, got {len(b)}")
         if not 0 <= self.q < p:
@@ -184,10 +184,6 @@ class CarmaKernel(Kernel):
             exact = False
         rate = -float(eigvals.real.max())
         object.__setattr__(self, "decay", ExpTail(constant=const, rate=(rate if exact else 0.99 * rate), exact=exact))
-
-    @property
-    def p(self) -> int:
-        return len(self.a)
 
     def _eval_expm(self, t: np.ndarray) -> np.ndarray:
         """``b^T expm(A t) e_p`` at each point of a 1-d ``t``, by one stacked matrix exponential."""
@@ -440,7 +436,7 @@ class SddeKernel(_TableKernel):
         return tuple(sorted({0.0, self._table_end(), *(tau for tau, _ in self.atoms)}))
 
 
-def _left_halfplane_roots(atoms, samples: int = 4096) -> tuple[int, float]:
+def _left_halfplane_roots(atoms) -> tuple[int, float]:
     """Winding number of the characteristic function around the half-disk
     ``{Re z <= 0, |z| <= R}`` and the minimum modulus met on the contour.
 
@@ -456,6 +452,7 @@ def _left_halfplane_roots(atoms, samples: int = 4096) -> tuple[int, float]:
             out += w * np.exp(z * tau)
         return out
 
+    samples = 4096
     ys = np.linspace(-R, R, samples + 1)  # odd count: the origin is sampled exactly
     seg1 = 1j * ys  # imaginary axis upward
     th = np.linspace(np.pi / 2.0, 3.0 * np.pi / 2.0, samples)
@@ -477,8 +474,8 @@ def _solve_sdde_table(atoms, horizon: float, step: float) -> np.ndarray:
     phi = np.zeros(n_steps + 1)
     phi[0] = 1.0
 
-    def val(x: float, phi, k_known: int, side: str) -> float:
-        # phi at x using values computed up to index k_known; one-sided at 0
+    def val(x: float, side: str) -> float:
+        # phi at x from the values computed so far; one-sided at 0
         if x < 0.0 or (x == 0.0 and side == "left"):
             return 0.0
         if x == 0.0:
@@ -492,7 +489,7 @@ def _solve_sdde_table(atoms, horizon: float, step: float) -> np.ndarray:
 
     for k in range(n_steps):
         t_next = (k + 1) * step
-        f_right = sum(w * val(k * step - tau, phi, k, "right") for tau, w in atoms)
+        f_right = sum(w * val(k * step - tau, "right") for tau, w in atoms)
         known = 0.0
         implicit = 0.0
         for tau, w in atoms:
@@ -500,7 +497,7 @@ def _solve_sdde_table(atoms, horizon: float, step: float) -> np.ndarray:
             if x <= 0.0:
                 continue  # left limit at or below the origin is 0
             if x <= k * step + 1e-12 * step:
-                known += w * val(x, phi, k, "left")
+                known += w * val(x, "left")
             else:
                 theta = (x - k * step) / step
                 known += w * (1.0 - theta) * phi[k]

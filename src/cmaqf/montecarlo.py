@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .covariance import CoefficientSeq, covariance_lags
-from .errors import ParameterError
+from .errors import ParameterError, _check_count, _check_finite
 from .inference import ls_kernel_pair, poly_map, yule_walker
 from .kernels import Kernel
 from .levy import LevyModel
@@ -44,30 +44,29 @@ STATISTICS = ("sn", "qn", "autocov_contrast", "ls_derivative")
 
 @dataclass(frozen=True)
 class LsSpec:
-    """Least-squares derivative specification: maps ``theta -> R^k`` and the
-    expansion point (which must satisfy the projection property).
+    """Least-squares derivative specification: a map ``theta -> R^k`` with its
+    derivative, and the expansion point (which must satisfy the projection property).
 
-    ``v``/``vp`` left as ``None`` mean the identity map ``v(theta) = theta``
-    and ``theta0`` left as ``None`` means the lag-1 Yule-Walker value, the
-    projection point of that map; both defaults need ``k = 1``.  For ``k > 1``
-    pass ``theta0``: its projection property is the caller's claim.
+    The order ``k`` is the length of ``v(theta)``.  ``v`` and ``vp`` are given
+    together or not at all: left out, they mean the identity map
+    ``v(theta) = theta``.  ``theta0`` left as ``None`` means the lag-1
+    Yule-Walker value, the projection point of a map of length 1; a longer map
+    needs ``theta0``, whose projection property is the caller's claim.
     """
 
     v: object = None
     vp: object = None
     theta0: float | None = None
-    k: int = 1
 
     def __post_init__(self):
-        if (self.v is None or self.vp is None) and self.k != 1:
-            raise ParameterError("the default identity map requires k = 1; pass v and vp for k > 1")
-        if self.theta0 is None and self.k != 1:
-            raise ParameterError("theta0 must be given for k > 1 (projection property is the caller's claim)")
+        if (self.v is None) != (self.vp is None):
+            raise ParameterError("v and vp must be given together or not at all")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to reproduce one replicated experiment."""
+    """Everything needed to reproduce one replicated experiment: the lag count of
+    ``contrast`` is its length, and the least-squares order that of the ``ls`` map."""
 
     statistic: str
     kernel: Kernel
@@ -79,7 +78,6 @@ class ExperimentConfig:
     kernel2: Kernel | None = None
     b: CoefficientSeq | None = None
     contrast: tuple[float, ...] | None = None
-    lags: int | None = None
     ls: LsSpec | None = None
     fine_steps: int = 64
     horizon: float | None = None
@@ -89,23 +87,20 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.statistic not in STATISTICS:
             raise ParameterError(f"statistic must be one of {STATISTICS}, got {self.statistic!r}")
-        if self.replicates < 2:
-            raise ParameterError("replicates must be >= 2")
-        if self.n < 2:
-            raise ParameterError("n must be >= 2")
+        _check_count("replicates", self.replicates, 2)
+        _check_count("n", self.n, 2)
         if self.statistic == "qn" and self.b is None:
             raise ParameterError("qn experiments need a coefficient sequence b")
         if self.statistic == "autocov_contrast":
-            if self.contrast is None or self.lags is None:
-                raise ParameterError("autocov_contrast experiments need contrast and lags")
+            if self.contrast is None:
+                raise ParameterError("autocov_contrast experiments need a contrast")
+            _check_finite("contrast", self.contrast)
             if not any(c != 0.0 for c in self.contrast):
                 raise ParameterError("contrast must be non-zero")
-            if len(self.contrast) != self.lags:
-                raise ParameterError("contrast length must equal lags")
-            if not self.lags < self.n - 1:
-                raise ParameterError("lags must satisfy m < n - 1")
+            if not len(self.contrast) < self.n - 1:
+                raise ParameterError(f"contrast length m = {len(self.contrast)} must satisfy m < n - 1")
         if self.statistic == "ls_derivative" and self.ls is None:
-            raise ParameterError("ls_derivative experiments need an LsSpec")
+            raise ParameterError("ls_derivative experiments need ls, an LsSpec")
         if self.conditions not in ("auto", "waive"):
             raise ParameterError("conditions must be 'auto' or 'waive'")
         self.path_config(0)  # path geometry and seed, checked before any set-up
@@ -133,8 +128,6 @@ class McReport:
     degenerate: bool = False
     conditions_note: str = ""
     extra: dict = field(default_factory=dict)
-    csv_path: str | None = None
-    json_path: str | None = None
 
     def to_dict(self) -> dict:
         """Every field but ``statistics``, shallow copies."""
@@ -227,8 +220,8 @@ def _autocov_gate(cfg: ExperimentConfig):
 
 
 def _autocov_setup(cfg: ExperimentConfig):
-    m = cfg.lags
     alpha = np.asarray(cfg.contrast, dtype=float)
+    m = len(alpha)
     check, note = _autocov_gate(cfg)
     sigma = autocov_clt_sigma(cfg.kernel, cfg.model, cfg.delta, m, check=check)
     target = float(alpha @ sigma @ alpha)
@@ -254,14 +247,16 @@ def _autocov_setup(cfg: ExperimentConfig):
 def _ls_setup(cfg: ExperimentConfig):
     _, note = _autocov_gate(cfg)  # the base kernel's autocovariance conditions license the limit
     spec = cfg.ls
-    v, vp = (spec.v, spec.vp) if spec.v is not None and spec.vp is not None else poly_map([[0.0, 1.0]])
+    v, vp = (spec.v, spec.vp) if spec.v is not None else poly_map([[0.0, 1.0]])
     theta0 = spec.theta0 if spec.theta0 is not None else float(yule_walker(cfg.kernel, cfg.model, cfg.delta, 1)[0])
-    k1, k2 = ls_kernel_pair(cfg.kernel, v, vp, theta0, spec.k, cfg.delta)
+    k1, k2 = ls_kernel_pair(cfg.kernel, v, vp, theta0, cfg.delta)
+    if spec.theta0 is None and len(k2.shifts) != 1:
+        raise ParameterError(f"theta0 must be given for a map of length {len(k2.shifts)} > 1")
     rep = eta2_sn(k1, k2, cfg.model, cfg.delta, check="skip")
 
     def one(r: int) -> float:
         x = simulate_path(cfg.kernel, cfg.model, cfg.path_config(r))
-        return normalized_statistic(ls_derivative(x, v, vp, theta0, spec.k), 0.0, cfg.n)
+        return normalized_statistic(ls_derivative(x, v, vp, theta0), 0.0, cfg.n)
 
     return rep.eta2, note, one, {"theta0": theta0}
 

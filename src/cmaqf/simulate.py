@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .covariance import CoefficientSeq, FiniteSupport, _fft_convolve
-from .errors import ParameterError, TruncationError, _check_positive
+from .errors import ParameterError, TruncationError, _check_count, _check_positive
 from .kernels import Kernel, grid_cells
 from .levy import LevyModel, check_key, stream
 from .quadrature import product_integral
@@ -91,10 +91,8 @@ class PathConfig:
     def __post_init__(self):
         _check_positive("delta", self.delta)
         _check_positive("tail_mass_budget", self.tail_mass_budget)
-        if self.n < 1:
-            raise ParameterError("n must be >= 1")
-        if self.fine_steps < 1:
-            raise ParameterError("fine_steps must be >= 1")
+        _check_count("n", self.n, 1)
+        _check_count("fine_steps", self.fine_steps, 1)
         check_key("seed", self.seed)
         check_key("stream_index", self.stream_index)
         if self.horizon is not None:
@@ -407,22 +405,21 @@ def sample_autocov(x: SamplePath, m: int) -> np.ndarray:
     return np.array([float(np.dot(v[: n - j], v[j:])) / n for j in range(1, m + 1)])
 
 
-def ls_derivative(x: SamplePath, v, vp, theta: float, k: int) -> float:
+def ls_derivative(x: SamplePath, v, vp, theta: float) -> float:
     """Derivative of the least-squares objective at ``theta``.
 
     ``-2 sum_{t=k+1}^n (X_t - v(theta)^T X(t)) vp(theta)^T X(t)`` with
-    ``X(t) = (X_{t-1}, ..., X_{t-k})``.
+    ``X(t) = (X_{t-1}, ..., X_{t-k})``, ``k`` the length of ``v(theta)``.
     """
-    if k < 1:
-        raise ParameterError("k must be >= 1")
+    vv = np.atleast_1d(np.asarray(v(theta), dtype=float))
+    vpv = np.atleast_1d(np.asarray(vp(theta), dtype=float))
+    k = len(vv)
+    if k < 1 or len(vpv) != k:
+        raise ParameterError(f"v(theta) and vp(theta) must share one length >= 1, got {k} and {len(vpv)}")
     vals = x.values
     n = len(vals)
     if n <= k:
         raise ParameterError(f"need n > k, got n = {n}, k = {k}")
-    vv = np.atleast_1d(np.asarray(v(theta), dtype=float))
-    vpv = np.atleast_1d(np.asarray(vp(theta), dtype=float))
-    if len(vv) != k or len(vpv) != k:
-        raise ParameterError(f"v(theta) and vp(theta) must have length k = {k}")
     lagged = np.stack([vals[k - j : n - j] for j in range(1, k + 1)])  # rows: lags 1..k
     resid = vals[k:] - vv @ lagged
     return float(-2.0 * np.dot(resid, vpv @ lagged))

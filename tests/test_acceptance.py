@@ -191,7 +191,6 @@ def test_criterion_08_autocovariance_gaussian_limit():
         replicates=1000,
         seed=31,
         contrast=(1.0,),
-        lags=1,
     )
     rep = run_experiment(cfg, threads=THREADS)
     assert rep.eta2 == pytest.approx(float(sigma[0, 0]), rel=1e-12)
@@ -230,8 +229,8 @@ def test_criterion_10_cli_manifest_determinism(tmp_path):
         "variance": dict(base, statistic="qn", b={"type": "finite_support", "values": [1.0, 0.5]}),
         "simulate": dict(base, n=64),
         "mc": dict(base, statistic="sn", n=200, replicates=30),
-        "autocov-clt": dict(base, n=200, replicates=30, lags=1, contrast=[1.0]),
-        "ls-clt": dict(base, n=200, replicates=30, ls={"poly": [[0.0, 1.0]], "k": 1}),
+        "autocov-clt": dict(base, n=200, replicates=30, contrast=[1.0]),
+        "ls-clt": dict(base, n=200, replicates=30, ls={"poly": [[0.0, 1.0]]}),
         "kernel-export": dict(base, grid={"m": 4, "horizon": 4.0}),
     }
     for command, doc in runs.items():

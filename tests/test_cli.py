@@ -7,6 +7,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from cmaqf import cli, specs
 from cmaqf.cli import _block_keys, run
@@ -177,7 +178,7 @@ def test_convergence_error_exits_four(tmp_path, capsys):
 
 def test_autocov_and_ls_clt_commands(tmp_path):
     cfg = base_config(
-        n=300, replicates=30, lags=1, contrast=[1.0], path={"fine_steps": 8},
+        n=300, replicates=30, contrast=[1.0], path={"fine_steps": 8},
         output_dir=str(tmp_path / "a"),
     )
     assert run(["autocov-clt", "--config", str(write_config(tmp_path, "a.json", cfg))]) == 0
@@ -185,7 +186,7 @@ def test_autocov_and_ls_clt_commands(tmp_path):
     assert rep["replicates"] == 30 and rep["eta2"] > 0
 
     cfg = base_config(
-        n=300, replicates=30, ls={"poly": [[0.0, 1.0]], "k": 1}, path={"fine_steps": 8},
+        n=300, replicates=30, ls={"poly": [[0.0, 1.0]]}, path={"fine_steps": 8},
         output_dir=str(tmp_path / "b"),
     )
     assert run(["ls-clt", "--config", str(write_config(tmp_path, "b.json", cfg))]) == 0
@@ -198,7 +199,7 @@ def test_experiment_commands_honour_tail_mass_budget(tmp_path, capsys):
     common = dict(n=100, replicates=4, path={"fine_steps": 8, "horizon": 8.0, "tail_mass_budget": 1e-9})
     runs = {
         "mc": base_config(statistic="sn", **common),
-        "autocov-clt": base_config(lags=1, contrast=[1.0], **common),
+        "autocov-clt": base_config(contrast=[1.0], **common),
         "ls-clt": base_config(ls={}, **common),
     }
     for command, cfg in runs.items():
@@ -607,7 +608,7 @@ def test_every_nullable_key_accepts_null(tmp_path):
 
 def test_every_required_key_rejects_null(tmp_path, capsys):
     full = base_config(
-        statistic="sn", n=50, replicates=4, lags=1, contrast=[1.0], ls={"k": 1},
+        statistic="sn", n=50, replicates=4, contrast=[1.0], ls={},
         grid={"m": 4, "horizon": 4.0}, check={"condition_set": "autocov"},
     )
     for command, keys in cli._REQUIRED.items():
@@ -624,8 +625,8 @@ def test_configs_that_crashed_or_were_misread_exit_two(tmp_path, capsys):
         "grid_m_missing": ("kernel-export", base_config(grid={"horizon": 4.0}), "$.grid.m"),
         "grid_horizon_string": ("kernel-export", base_config(grid={"m": 4, "horizon": "x"}), "$.grid.horizon"),
         "poly_string": ("ls-clt", base_config(ls={"poly": "x"}, **experiment), "$.ls.poly"),
-        "contrast_string": ("autocov-clt", base_config(lags=2, contrast="ab", **experiment), "$.contrast"),
-        "contrast_mixed": ("autocov-clt", base_config(lags=2, contrast=["a", 1], **experiment), "$.contrast"),
+        "contrast_string": ("autocov-clt", base_config(contrast="ab", **experiment), "$.contrast"),
+        "contrast_mixed": ("autocov-clt", base_config(contrast=["a", 1], **experiment), "$.contrast"),
         "theta0_string": ("ls-clt", base_config(ls={"theta0": "x"}, **experiment), "$.ls.theta0"),
         "ls_null": ("ls-clt", base_config(ls=None, **experiment), "$.ls"),
         "output_dir_number": ("variance", base_config(statistic="sn", output_dir=3), "$.output_dir"),
@@ -635,7 +636,7 @@ def test_configs_that_crashed_or_were_misread_exit_two(tmp_path, capsys):
         "seed_true": ("simulate", base_config(n=8, seed=True), "$.seed"),
         "schema_version_true": ("variance", base_config(statistic="sn", schema_version=True), "$.schema_version"),
         "force_one": ("check", base_config(check={"condition_set": "autocov"}, force=1), "$.force"),
-        "ls_k_fraction": ("ls-clt", base_config(ls={"k": 1.5}, **experiment), "$.ls.k"),
+        "ls_k_fraction": ("ls-clt", base_config(ls={"k": 1.5}, **experiment), "$.ls: unknown keys ['k']"),
         "table_path_number": ("kernel-export", base_config(kernel=table, grid={"m": 4, "horizon": 4.0}), "$.kernel.path"),
         "budget_negative": ("simulate", base_config(n=8, path={"tail_mass_budget": -1.0}), "tail_mass_budget"),
         "budget_zero": ("mc", base_config(statistic="sn", path={"tail_mass_budget": 0.0}, **experiment), "tail_mass_budget"),
@@ -699,3 +700,9 @@ def test_an_overflow_in_a_replicate_exits_four_at_any_thread_count(tmp_path, cap
         assert run(["mc", "--config", str(write_config(tmp_path, f"t{threads}.json", cfg))]) == 4, threads
         doc = json.loads(capsys.readouterr().err)
         assert doc["error"]["type"] == "numerical" and doc["error"]["message"].startswith("FloatingPointError"), doc
+
+
+@pytest.mark.parametrize("written, invoked", [("mc", "variance"), ("ls-clt", "autocov-clt")])
+def test_a_config_written_for_another_command_exits_two(tmp_path, capsys, written, invoked):
+    cfg = base_config(command=written, statistic="sn", n=50, replicates=4, contrast=[1.0])
+    assert _run_malformed(tmp_path, capsys, invoked, cfg, written).startswith(f"$.command: config is for '{written}'")

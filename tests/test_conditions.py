@@ -329,7 +329,7 @@ def test_envelope_of_long_memory_refuted_by_convolution_exponent(condition_set, 
 def test_envelope_of_gaussian_side_long_memory_not_short_circuited(d, rho):
     # exponents min(rho, 1 - d, rho - d) = 1 - d > 1/2: the envelope's lag products may converge
     kernel, b = FractionalNoise(d), PowerDecay(c=1.0, rho=rho, b0=1.0)
-    assert conditions._qn_envelope_divergence(kernel, b, "qn_general") is None
+    assert conditions._qn_envelope_divergence(kernel, b, "qn_general", "auto") is None
 
 
 _SOUNDNESS_KERNELS = {
@@ -382,7 +382,7 @@ def test_envelope_lag_products_outside_every_candidate_are_refuted():
     assert time.perf_counter() - t0 < 1.0
     assert rep.overall == "refuted"
     assert "s^-0.1: in no l^beta, beta <= 2" in rep.assumptions[0].note
-    assert conditions._qn_envelope_divergence(kernel, b, "qn_general") is None
+    assert conditions._qn_envelope_divergence(kernel, b, "qn_general", "auto") is None
     # a pinned candidate large enough for s^-0.1 is not refuted by arithmetic
     assert conditions._qn_envelope_divergence(kernel, b, "qn_envelope", (2.0, 11.0)) is None
 
@@ -390,7 +390,7 @@ def test_envelope_lag_products_outside_every_candidate_are_refuted():
 @pytest.mark.parametrize("condition_set", ["qn_general", "qn_envelope"])
 def test_fitted_kernel_tail_never_refutes_the_envelope(condition_set):
     b = PowerDecay(c=1.0, rho=0.3, b0=1.0)
-    assert conditions._qn_envelope_divergence(tail07_kernel(), b, condition_set) is None
+    assert conditions._qn_envelope_divergence(tail07_kernel(), b, condition_set, "auto") is None
 
 
 def test_conjugate_pair_condition_follows_from_the_cross_condition():
@@ -516,3 +516,9 @@ def test_qn_general_period_norm_samples_one_base_lattice(monkeypatch):
                            model=CompoundPoissonNormal(1.0, 1.0))
     assert rep.overall == "supported" and [a.name for a in rep.assumptions][-1] == "period_square_integrable"
     assert bases and set(bases) == {1}
+
+
+@pytest.mark.parametrize("condition_set, count", [("sn_general", 3), ("autocov", 2)])
+def test_a_wrong_kernel_count_is_refused(condition_set, count):
+    with pytest.raises(ParameterError, match=f"kernels?, got {count}"):
+        check_conditions(condition_set, (ExponentialOU(1.0),) * count)

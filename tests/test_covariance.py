@@ -354,7 +354,7 @@ def _lattice_combinations(base, delta, power_weights):
     out = {
         "star_finite": star_conv_kernel(finite, base, delta),
         "star_finite_abs": _envelope(finite, base, delta),
-        "ls_first": ls_kernel_pair(base, *poly_map([[0.5, 0.3], [0.1, -0.2]]), 0.4, 2, delta)[0],
+        "ls_first": ls_kernel_pair(base, *poly_map([[0.5, 0.3], [0.1, -0.2]]), 0.4, delta)[0],
         "shifted": LinComboKernel(base, shifts=(-delta,), coeffs=(1.0,)),
     }
     if power_weights:
@@ -469,7 +469,7 @@ def test_combination_kernels_are_never_evaluated_point_by_point(monkeypatch):
     from cmaqf.variance import autocov_clt_sigma, eta2_qn, eta2_sn
 
     ou, cpn, power = ExponentialOU(1.0), CompoundPoissonNormal(1.0, 1.0), PowerDecay(1.0, 1.5, 1.0)
-    pair = ls_kernel_pair(ou, *poly_map([[0.5, 0.3], [0.1, -0.2]]), 0.4, 2, 1.0)
+    pair = ls_kernel_pair(ou, *poly_map([[0.5, 0.3], [0.1, -0.2]]), 0.4, 1.0)
     calls = {
         "eta2_qn": lambda: eta2_qn(ou, power, cpn, 1.0).to_dict(),
         "qn_general": lambda: check_conditions("qn_general", ou, b=power, Delta=0.7, model=cpn).to_dict(),
@@ -763,3 +763,17 @@ def test_eta2_qn_refuses_a_b_star_gamma_outside_l2_at_once(d, rho):
     with pytest.raises(ConvergenceError, match="not square summable"):
         eta2_qn(FractionalNoise(d), PowerDecay(1.0, rho, 1.0), BrownianMotion(1.0), 1.0, check="skip")
     assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("make, error, name", [
+    (lambda: FiniteSupport(()), ParameterError, "values"),
+    (lambda: star_conv_kernel(PowerDecay(1.0, 0.05, 1.0), FractionalNoise(0.1), 1.0), ConvergenceError, "rho_b"),
+], ids=["empty_finite_support", "divergent_star_sum"])
+def test_refused_coefficient_inputs_name_the_input(make, error, name):
+    with pytest.raises(error, match=name):
+        make()
+
+
+def test_star_conv_of_all_zero_weights_keeps_the_zero_shift_term():
+    conv = star_conv_kernel(FiniteSupport((0.0, 0.0)), ExponentialOU(1.0), 1.0)
+    assert conv.shifts == (0.0,) and conv.coeffs == (0.0,)

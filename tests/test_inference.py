@@ -40,7 +40,7 @@ def test_poly_map_values_and_derivatives():
 
 def test_ls_kernel_pair_shapes():
     v, vp = poly_map([[0.0, 1.0]])
-    k1, k2 = ls_kernel_pair(ExponentialOU(1.0), v, vp, 0.3, 1, 1.0)
+    k1, k2 = ls_kernel_pair(ExponentialOU(1.0), v, vp, 0.3, 1.0)
     # first factor: -phi(t) + theta0 phi(t - Delta); second: 2 phi(t - Delta)
     t = np.array([0.5, 1.5, 3.0])
     ou = ExponentialOU(1.0)
@@ -51,7 +51,7 @@ def test_ls_kernel_pair_shapes():
 def test_autocov_contrast_calibrates_and_reports_centering():
     cfg = ExperimentConfig(
         statistic="autocov_contrast", kernel=ExponentialOU(1.0), model=BrownianMotion(2.0), delta=1.0,
-        lags=1, contrast=(1.0,), n=1000, replicates=300, seed=6,
+        contrast=(1.0,), n=1000, replicates=300, seed=6,
     )
     rep = run_experiment(cfg, threads=4)
     assert rep.conditions_note.startswith("autocov conditions supported; centering")
@@ -61,7 +61,7 @@ def test_autocov_contrast_calibrates_and_reports_centering():
     assert rep.eta2 == pytest.approx(float(sig[0, 0]), rel=1e-12)
 
 
-AUTOCOV_GATED = {"autocov_contrast": {"lags": 1, "contrast": (1.0,)}, "ls_derivative": {"ls": LsSpec()}}
+AUTOCOV_GATED = {"autocov_contrast": {"contrast": (1.0,)}, "ls_derivative": {"ls": LsSpec()}}
 
 
 @pytest.mark.parametrize("statistic", sorted(AUTOCOV_GATED))
@@ -96,7 +96,7 @@ def test_autocov_contrast_calibrates_with_kappa4_block():
     contrast = (1.0, -0.5)
     cfg = ExperimentConfig(
         statistic="autocov_contrast", kernel=ExponentialOU(1.0), model=model, delta=1.0,
-        lags=2, contrast=contrast, n=1000, replicates=1000, seed=8,
+        contrast=contrast, n=1000, replicates=1000, seed=8,
     )
     rep = run_experiment(cfg, threads=2)
     a = np.array(contrast)
@@ -108,7 +108,7 @@ def test_autocov_contrast_calibrates_with_kappa4_block():
 def test_contrast_scaling_bilinearity():
     common = dict(
         statistic="autocov_contrast", kernel=ExponentialOU(1.0), model=BrownianMotion(2.0), delta=1.0,
-        lags=1, n=400, replicates=80, seed=3,
+        n=400, replicates=80, seed=3,
     )
     r1 = run_experiment(ExperimentConfig(contrast=(1.0,), **common))
     r2 = run_experiment(ExperimentConfig(contrast=(2.0,), **common))
@@ -141,7 +141,7 @@ def test_ls_clt_mean_zero_at_projection_point():
 def test_ls_clt_brownian_eta2_has_no_kappa4_term():
     v, vp = poly_map([[0.0, 1.0]])
     theta0 = math.exp(-1.0)
-    k1, k2 = ls_kernel_pair(ExponentialOU(1.0), v, vp, theta0, 1, 1.0)
+    k1, k2 = ls_kernel_pair(ExponentialOU(1.0), v, vp, theta0, 1.0)
     rep = eta2_sn(k1, k2, BrownianMotion(2.0), 1.0, check="skip")
     assert rep.kappa4_term == 0.0
     repc = eta2_sn(k1, k2, CompoundPoissonNormal(1.0, 1.0), 1.0, check="skip")
@@ -160,14 +160,30 @@ def test_ls_clt_degenerate_derivative_map():
     assert np.all(rep.statistics == 0.0)
 
 
+def test_a_longer_map_without_theta0_is_refused_before_any_replicate(monkeypatch):
+    from cmaqf import montecarlo
+
+    monkeypatch.setattr(montecarlo, "simulate_path", lambda *a: pytest.fail("a replicate ran"))
+    cfg = ExperimentConfig(
+        statistic="ls_derivative", kernel=ExponentialOU(1.0), model=BrownianMotion(1.0), delta=1.0,
+        n=50, replicates=4, ls=LsSpec(*poly_map([[0.0, 1.0], [0.0, 0.0, 1.0]])),
+    )
+    with pytest.raises(ParameterError, match="theta0"):
+        run_experiment(cfg)  # the lag-1 Yule-Walker value is the projection point of a length-1 map only
+
+
 def test_experiment_validation():
     with pytest.raises(ParameterError):
         ExperimentConfig(
             statistic="autocov_contrast", kernel=ExponentialOU(1.0), model=BrownianMotion(1.0), delta=1.0,
-            lags=9, contrast=(1.0,) * 9, n=10, replicates=5,
+            contrast=(1.0,) * 9, n=10, replicates=5,
         )
-    with pytest.raises(ParameterError):
-        LsSpec(k=2)
-    v, vp = poly_map([[0.0, 1.0], [0.0, 0.0, 1.0]])
-    with pytest.raises(ParameterError):
-        LsSpec(v=v, vp=vp, k=2)
+    v, _ = poly_map([[0.0, 1.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(ParameterError, match="together"):
+        LsSpec(v=v)  # alone, v used to run the identity map in silence
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_yule_walker_refuses_an_order_below_one(k):
+    with pytest.raises(ParameterError, match="k must be >= 1"):
+        yule_walker(ExponentialOU(1.0), BrownianMotion(1.0), 1.0, k)

@@ -6,6 +6,7 @@ import scipy.linalg
 
 from cmaqf.errors import ConventionError, GridError, NonStationaryError, ParameterError, StabilityError
 from cmaqf.kernels import (
+    CarmaKernel,
     ExponentialOU,
     FractionalNoise,
     LinComboKernel,
@@ -361,3 +362,23 @@ def test_carma_full_order_matches_residue_sum(roots, t):
     # the oracle starts from the generated roots: recovering them from the coefficients
     # is ill-conditioned for clustered roots
     assert k.eval(t) == pytest.approx(full_order_residue_sum(roots, t), rel=1e-8, abs=1e-10)
+
+
+KERNEL_REFUSALS = {
+    "carma_no_a": (lambda d: CarmaKernel((), (), 0), ParameterError, "a must be non-empty"),
+    "carma_short_b": (lambda d: CarmaKernel((3.0, 2.0), (1.0,), 0), ConventionError, "b must have length"),
+    "one_value_table": (lambda d: TabulatedKernel(0.0, 1.0, (1.0,)), ParameterError, "values"),
+    "one_column_csv": (lambda d: TabulatedKernel.from_csv(d / "one_column.csv"), ParameterError, "one_column.csv"),
+    "non_uniform_csv": (lambda d: TabulatedKernel.from_csv(d / "non_uniform.csv"), GridError, "non_uniform.csv"),
+    "negative_atom": (lambda d: SddeKernel(((-1.0, 0.5),), 4.0, 0.01), ParameterError, "atom"),
+    "combo_lengths": (lambda d: LinComboKernel(ExponentialOU(1.0), (0.0, 1.0), (1.0,)), ParameterError, "shifts and coeffs"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_REFUSALS))
+def test_refused_kernel_inputs_name_the_input(tmp_path, case):
+    (tmp_path / "one_column.csv").write_text("t,phi\n0.0\n1.0\n2.0\n")
+    (tmp_path / "non_uniform.csv").write_text("t,phi\n0.0,1.0\n1.0,0.5\n3.0,0.1\n")
+    make, error, name = KERNEL_REFUSALS[case]
+    with pytest.raises(error, match=name):
+        make(tmp_path)

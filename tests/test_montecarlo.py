@@ -58,7 +58,7 @@ def test_config_validation():
     with pytest.raises(ParameterError):
         ExperimentConfig(
             statistic="autocov_contrast", kernel=ou, model=bm, delta=1.0, n=10, replicates=4,
-            contrast=(0.0,), lags=1,
+            contrast=(0.0,),
         )
 
 
@@ -157,3 +157,22 @@ def test_ks_shrinks_with_sample_length():
 
     seeds = (101, 102, 103, 104, 105)
     assert median_ks(1024, seeds) < median_ks(16, seeds)
+
+
+EXPERIMENT_REFUSALS = {
+    "n_one": (dict(statistic="sn", n=1), "n must be an integer >= 2"),
+    "replicates_fraction": (dict(statistic="sn", replicates=3.5), "replicates must be an integer >= 2"),
+    "no_contrast": (dict(statistic="autocov_contrast"), "need a contrast"),
+    "contrast_nan": (dict(statistic="autocov_contrast", contrast=(math.nan,)), "contrast must be finite"),  # was eta2 = nan
+    "no_ls": (dict(statistic="ls_derivative"), "need ls"),
+    "conditions_maybe": (dict(statistic="sn", conditions="maybe"), "conditions must be"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXPERIMENT_REFUSALS))
+def test_refused_experiment_inputs_name_the_input(case):
+    fields, name = EXPERIMENT_REFUSALS[case]
+    base = dict(kernel=ExponentialOU(1.0), model=BrownianMotion(1.0), delta=1.0, n=50, replicates=4)
+    with pytest.raises(ParameterError, match=name):
+        ExperimentConfig(**{**base, **fields})
+

@@ -292,9 +292,9 @@ def test_sample_autocov_examples_and_oracle():
 def test_ls_derivative_examples():
     v = lambda th: np.array([th])
     vp = lambda th: np.array([1.0])
-    assert ls_derivative(path_of([1, 2, 3]), v, vp, 1.0, 1) == -6.0
+    assert ls_derivative(path_of([1, 2, 3]), v, vp, 1.0) == -6.0
     vp0 = lambda th: np.array([0.0])
-    assert ls_derivative(path_of([1, 2, 3]), v, vp0, 1.0, 1) == 0.0
+    assert ls_derivative(path_of([1, 2, 3]), v, vp0, 1.0) == 0.0
     # k = 2 hand expansion on a length-4 path
     v2 = lambda th: np.array([th, 0.5])
     vp2 = lambda th: np.array([1.0, 0.0])
@@ -304,7 +304,7 @@ def test_ls_derivative_examples():
     for t in (3, 4):
         res = x[t - 1] - (th * x[t - 2] + 0.5 * x[t - 3])
         expect += -2.0 * res * x[t - 2]
-    assert ls_derivative(path_of(x), v2, vp2, th, 2) == pytest.approx(expect, rel=1e-14)
+    assert ls_derivative(path_of(x), v2, vp2, th) == pytest.approx(expect, rel=1e-14)
 
 
 def test_normalized_statistic():
@@ -339,3 +339,21 @@ def test_stochastic_integrals_reject_mismatched_grids():
     ou = ExponentialOU(1.0)
     with pytest.raises(GridError):
         stochastic_integrals_joint((grid_sample(ou, 1.0, 8, 8.0), grid_sample(ou, 1.0, 4, 8.0)), BrownianMotion(1.0), 10, stream(0, 0))
+
+
+SIMULATE_REFUSALS = {
+    "sample_autocov_m": (lambda: sample_autocov(path_of(np.arange(8.0)), 0), "m must be >= 1"),
+    "normalized_statistic_n": (lambda: normalized_statistic(1.0, 0.0, 0), "n must be >= 1"),
+    "path_values": (lambda: path_of([1.0, np.nan]), "values must be finite"),
+    "path_config_n_zero": (lambda: PathConfig(delta=1.0, n=0), "n must be an integer >= 1"),
+    # a fraction or a flag used to pass here and fail inside numpy, after the analytic set-up
+    "path_config_n_fraction": (lambda: PathConfig(delta=1.0, n=50.5), "n must be an integer >= 1"),
+    "path_config_fine_steps_bool": (lambda: PathConfig(delta=1.0, n=50, fine_steps=True), "fine_steps must be an integer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIMULATE_REFUSALS))
+def test_refused_path_inputs_name_the_input(case):
+    make, name = SIMULATE_REFUSALS[case]
+    with pytest.raises(ParameterError, match=name):
+        make()

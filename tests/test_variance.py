@@ -467,7 +467,7 @@ def _delta_entries():
         "expected_sn": lambda d: expected_sn(ou, ou, bm, d, 4),
         "expected_qn": lambda d: expected_qn(finite, ou, bm, d, 4),
         "yule_walker": lambda d: yule_walker(ou, bm, d, 2),
-        "ls_kernel_pair": lambda d: ls_kernel_pair(ou, *poly_map([[0.5, 0.3], [0.1, -0.2]]), 0.4, 2, d),
+        "ls_kernel_pair": lambda d: ls_kernel_pair(ou, *poly_map([[0.5, 0.3], [0.1, -0.2]]), 0.4, d),
     }
 
 
@@ -493,3 +493,17 @@ def test_the_samplers_reject_a_spacing_that_is_not_finite_and_positive(delta):
         grid_sample(ExponentialOU(1.0), delta, 4, 4.0)
     with pytest.raises(ParameterError, match="finite and > 0"):
         PathConfig(delta=delta, n=4)
+
+
+VARIANCE_REFUSALS = {
+    "eta2_sn_check": (lambda ou, bm: eta2_sn(ou, ou, bm, 1.0, check="bogus"), "check must be"),
+    "expected_sn_n": (lambda ou, bm: expected_sn(ou, ou, bm, 1.0, 0), "n must be >= 1"),
+    "expected_qn_n": (lambda ou, bm: expected_qn(FiniteSupport((1.0,)), ou, bm, 1.0, 0), "n must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VARIANCE_REFUSALS))
+def test_refused_variance_inputs_name_the_input(case):
+    call, name = VARIANCE_REFUSALS[case]
+    with pytest.raises(ParameterError, match=name):
+        call(ExponentialOU(1.0), BrownianMotion(1.0))
